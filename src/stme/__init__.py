@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .catalog import (
     CatalogError,
     CycloneCatalog,
-    CycloneEvent,
     ExposureMatrix,
     Location,
     RegionSpec,
@@ -21,15 +20,12 @@ from .evd import (
     EvdError,
     FitReport,
     GpdParams,
-    StmDistribution,
     fit_gpd,
     fit_gpd_mle,
     fit_gpd_pwm,
     gpd_cdf,
     gpd_pdf,
     gpd_quantile,
-    mixture_cdf,
-    sample_stm,
 )
 from .returns import (
     ExposureEcdf,

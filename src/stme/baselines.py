@@ -32,12 +32,14 @@ class LocationSeries:
 
 def location_series(catalog: CycloneCatalog, location_id: int) -> LocationSeries:
     """Collect the per-event footprint values at one location."""
-    if location_id not in catalog.location_ids:
+    loc_ids = catalog.location_ids
+    if location_id not in loc_ids:
         raise CatalogError(f"unknown location id {location_id}")
-    values = [ev.footprint[location_id] for ev in catalog.events if location_id in ev.footprint]
-    if not values:
+    column = catalog.swh[:, loc_ids.index(location_id)]
+    values = column[~np.isnan(column)]
+    if not values.size:
         raise CatalogError(f"location {location_id}: no footprint data")
-    return LocationSeries(location_id=int(location_id), values=np.array(values))
+    return LocationSeries(location_id=int(location_id), values=values)
 
 
 def single_location_rv(

@@ -11,6 +11,7 @@ its footprint value expressed as a fraction of the STM.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,52 +39,54 @@ class Location:
 
 
 @dataclass(frozen=True)
-class CycloneEvent:
-    id: int
-    footprint: dict[int, float]  # location id -> max SWH (m) over the event
-
-    def __post_init__(self):
-        for loc_id, swh in self.footprint.items():
-            if not np.isfinite(swh) or swh < 0:
-                raise CatalogError(
-                    f"event {self.id}: invalid SWH {swh} at location {loc_id}"
-                )
-
-
-@dataclass(frozen=True)
 class CycloneCatalog:
+    """Footprints as an events x locations table.
+
+    swh[i, k] is the maximum SWH (m) of event event_ids[i] at locations[k]
+    over the event's lifetime, NaN where the event has no footprint entry.
+    Columns keep the order of `locations`; event ids ascend down the rows.
+    """
+
     locations: tuple[Location, ...]
-    events: tuple[CycloneEvent, ...]
+    event_ids: np.ndarray  # int, strictly ascending
+    swh: np.ndarray  # float, events x locations
     duration_years: float
 
     def __post_init__(self):
+        event_ids = np.asarray(self.event_ids, dtype=int)
+        swh = np.asarray(self.swh, dtype=float)
+        object.__setattr__(self, "event_ids", event_ids)
+        object.__setattr__(self, "swh", swh)
         if self.duration_years <= 0:
             raise CatalogError(f"non-positive duration {self.duration_years}")
         ids = [loc.id for loc in self.locations]
         if len(set(ids)) != len(ids):
             raise CatalogError("duplicate location ids in catalog")
-        known = set(ids)
-        for ev in self.events:
-            extra = set(ev.footprint) - known
-            if extra:
-                raise CatalogError(f"event {ev.id}: unknown location ids {sorted(extra)}")
-            if not ev.footprint:
-                raise CatalogError(f"event {ev.id}: empty footprint")
+        if swh.shape != (len(event_ids), len(ids)):
+            raise CatalogError(
+                f"footprint table shape {swh.shape} != "
+                f"({len(event_ids)} events, {len(ids)} locations)"
+            )
+        if np.any(np.diff(event_ids) <= 0):
+            raise CatalogError("event ids must be unique and ascending")
+        bad = np.isinf(swh) | (swh < 0)
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            raise CatalogError(
+                f"event {event_ids[i]}: invalid SWH {swh[i, k]} at location {ids[k]}"
+            )
+        empty = np.isnan(swh).all(axis=1)
+        if empty.any():
+            raise CatalogError(f"event {event_ids[empty][0]}: empty footprint")
 
     @property
     def rate(self) -> float:
         """Implied event rate (events per year)."""
-        return len(self.events) / self.duration_years
+        return len(self.event_ids) / self.duration_years
 
     @property
     def location_ids(self) -> tuple[int, ...]:
         return tuple(loc.id for loc in self.locations)
-
-    def location(self, loc_id: int) -> Location:
-        for loc in self.locations:
-            if loc.id == loc_id:
-                return loc
-        raise CatalogError(f"unknown location id {loc_id}")
 
 
 @dataclass(frozen=True)
@@ -166,10 +169,10 @@ class ExposureMatrix:
         return self.values[:, idx[0]]
 
 
-def _parse_float(text: str, what: str, path, line_no: int) -> float:
+def _parse(cast, text, what: str, path, line_no: int):
     try:
-        return float(text)
-    except ValueError:
+        return cast(text)
+    except (TypeError, ValueError):  # TypeError: field missing from a short row
         raise CatalogError(f"{path}:{line_no}: bad {what} value {text!r}") from None
 
 
@@ -191,49 +194,51 @@ def load_catalog(footprint_file, locations_file, duration_years: float) -> Cyclo
             depth_text = (row["depth_m"] or "").strip()
             locations.append(
                 Location(
-                    id=int(row["location_id"]),
-                    lon=_parse_float(row["lon_deg"], "lon", locations_file, line_no),
-                    lat=_parse_float(row["lat_deg"], "lat", locations_file, line_no),
-                    depth=_parse_float(depth_text, "depth", locations_file, line_no)
+                    id=_parse(int, row["location_id"], "location_id", locations_file, line_no),
+                    lon=_parse(float, row["lon_deg"], "lon", locations_file, line_no),
+                    lat=_parse(float, row["lat_deg"], "lat", locations_file, line_no),
+                    depth=_parse(float, depth_text, "depth", locations_file, line_no)
                     if depth_text
                     else None,
                 )
             )
-    known_ids = {loc.id for loc in locations}
+    column = {loc.id: k for k, loc in enumerate(locations)}
 
-    footprints: dict[int, dict[int, float]] = {}
+    rows: dict[int, np.ndarray] = {}  # event id -> footprint row, NaN where no entry
     with open(footprint_file, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         expected = {"cyclone_id", "location_id", "max_swh_m"}
         if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
             raise CatalogError(f"{footprint_file}: expected header {sorted(expected)}")
         for line_no, row in enumerate(reader, start=2):
-            ev_id = int(row["cyclone_id"])
-            loc_id = int(row["location_id"])
-            swh = _parse_float(row["max_swh_m"], "max_swh_m", footprint_file, line_no)
-            if not np.isfinite(swh) or swh < 0:
+            ev_id = _parse(int, row["cyclone_id"], "cyclone_id", footprint_file, line_no)
+            loc_id = _parse(int, row["location_id"], "location_id", footprint_file, line_no)
+            swh = _parse(float, row["max_swh_m"], "max_swh_m", footprint_file, line_no)
+            if not math.isfinite(swh) or swh < 0:
                 raise CatalogError(f"{footprint_file}:{line_no}: invalid SWH {swh}")
-            if loc_id not in known_ids:
+            k = column.get(loc_id)
+            if k is None:
                 raise CatalogError(f"{footprint_file}:{line_no}: unknown location id {loc_id}")
-            fp = footprints.setdefault(ev_id, {})
-            if loc_id in fp:
+            fp = rows.get(ev_id)
+            if fp is None:
+                fp = rows[ev_id] = np.full(len(locations), np.nan)
+            if not math.isnan(fp[k]):
                 raise CatalogError(
                     f"{footprint_file}:{line_no}: duplicate (event {ev_id}, location {loc_id})"
                 )
-            fp[loc_id] = swh
+            fp[k] = swh
 
-    events = []
-    for ev_id in sorted(footprints):
-        fp = footprints[ev_id]
-        if max(fp.values()) == 0.0:
-            warnings.warn(
-                f"event {ev_id}: all-zero footprint, dropped (no defined exposure)",
-                stacklevel=2,
-            )
-            continue
-        events.append(CycloneEvent(id=ev_id, footprint=fp))
+    event_ids = np.array(sorted(rows), dtype=int)
+    swh = np.array([rows[e] for e in event_ids.tolist()]).reshape(len(event_ids), len(locations))
+    zero = ~(swh > 0.0).any(axis=1)  # every row has an entry, so: all entries zero
+    for ev_id in event_ids[zero].tolist():
+        warnings.warn(
+            f"event {ev_id}: all-zero footprint, dropped (no defined exposure)",
+            stacklevel=2,
+        )
     return CycloneCatalog(
-        locations=tuple(locations), events=tuple(events), duration_years=float(duration_years)
+        locations=tuple(locations), event_ids=event_ids[~zero], swh=swh[~zero],
+        duration_years=float(duration_years),
     )
 
 
@@ -246,57 +251,41 @@ def select_region(catalog: CycloneCatalog, region: RegionSpec) -> CycloneCatalog
     duration is unchanged: later STM extraction is conditional on the region.
     """
     keep_ids = set(region.resolve(catalog))
-    locations = tuple(loc for loc in catalog.locations if loc.id in keep_ids)
-    events = []
-    for ev in catalog.events:
-        fp = {j: v for j, v in ev.footprint.items() if j in keep_ids}
-        if not fp:
-            continue
-        if max(fp.values()) == 0.0:
-            warnings.warn(
-                f"event {ev.id}: zero footprint within region, dropped", stacklevel=2
-            )
-            continue
-        events.append(CycloneEvent(id=ev.id, footprint=fp))
-    if not events:
+    in_region = np.array([loc.id in keep_ids for loc in catalog.locations])
+    swh = catalog.swh[:, in_region]
+    peak = np.where(np.isnan(swh), -np.inf, swh).max(axis=1)  # -inf: no entry in the region
+    for ev_id in catalog.event_ids[peak == 0.0].tolist():
+        warnings.warn(f"event {ev_id}: zero footprint within region, dropped", stacklevel=2)
+    keep = peak > 0.0
+    if not keep.any():
         raise CatalogError("region drops all events")
     return CycloneCatalog(
-        locations=locations, events=tuple(events), duration_years=catalog.duration_years
+        locations=tuple(loc for loc in catalog.locations if loc.id in keep_ids),
+        event_ids=catalog.event_ids[keep], swh=swh[keep], duration_years=catalog.duration_years,
     )
 
 
 def extract_stm(catalog: CycloneCatalog) -> StmSeries:
     """Space-time maximum per event: the largest footprint value in the catalog's
-    region. Argmax ties break to the lowest location id."""
-    if not catalog.events:
+    region. Argmax ties break to the lowest location id, whatever the column order."""
+    if not len(catalog.event_ids):
         raise CatalogError("empty catalog")
-    ev_ids, values, arg_ids = [], [], []
-    for ev in catalog.events:
-        best_loc = min(
-            ev.footprint, key=lambda j: (-ev.footprint[j], j)
-        )  # max value, lowest id on ties
-        ev_ids.append(ev.id)
-        values.append(ev.footprint[best_loc])
-        arg_ids.append(best_loc)
-    return StmSeries(np.array(ev_ids), np.array(values), np.array(arg_ids))
+    values = np.nanmax(catalog.swh, axis=1)
+    loc_ids = np.array(catalog.location_ids, dtype=int)
+    at_max = catalog.swh == values[:, None]
+    argmax_ids = np.where(at_max, loc_ids, np.iinfo(loc_ids.dtype).max).min(axis=1)
+    return StmSeries(catalog.event_ids, values, argmax_ids)
 
 
 def extract_exposures(catalog: CycloneCatalog, stm: StmSeries) -> ExposureMatrix:
     """Exposure E_j = footprint(j) / STM per event; absent entries stay NaN."""
-    stm_by_event = dict(zip(stm.event_ids.tolist(), stm.values.tolist()))
-    loc_ids = np.array(catalog.location_ids, dtype=int)
-    col = {j: k for k, j in enumerate(loc_ids.tolist())}
-    ev_ids = np.array([ev.id for ev in catalog.events], dtype=int)
-    values = np.full((len(ev_ids), len(loc_ids)), np.nan)
-    for i, ev in enumerate(catalog.events):
-        s = stm_by_event.get(ev.id)
-        if s is None:
-            raise CatalogError(f"event {ev.id} missing from STM series")
-        if s <= 0:
-            raise CatalogError(f"event {ev.id}: degenerate STM {s}")
-        for j, v in ev.footprint.items():
-            values[i, col[j]] = v / s
-    return ExposureMatrix(ev_ids, loc_ids, values)
+    if not np.array_equal(stm.event_ids, catalog.event_ids):
+        raise CatalogError("STM series does not cover the catalog's events")
+    degenerate = stm.values <= 0
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        raise CatalogError(f"event {stm.event_ids[i]}: degenerate STM {stm.values[i]}")
+    return ExposureMatrix(catalog.event_ids, catalog.location_ids, catalog.swh / stm.values[:, None])
 
 
 def threshold_for_top_n(values: np.ndarray, n: int) -> float:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
+import hashlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from . import __version__
 from .baselines import empirical_rv, location_series, single_location_rv
 from .catalog import (
     CatalogError,
+    ExposureMatrix,
     RegionSpec,
+    StmSeries,
     extract_exposures,
     extract_stm,
     load_catalog,
@@ -43,9 +46,8 @@ from .experiments import (
     ExperimentConfig,
     ReplicateResult,
     SynthWorldConfig,
-    _run_replicate,
     performance_metrics,
-    run_experiment,
+    run_replicates,
     summarize,
     synth_catalog,
 )
@@ -64,19 +66,48 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Open a temporary file next to `path` for writing; it replaces `path`
+    only once the block completes, so a failed or killed write never leaves
+    a truncated file at `path`."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_json(path, payload, sort_keys=False):
+    with _replacing(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def _write_metadata(outdir, command, args_echo):
     payload = {"tool": "stme", "version": __version__, "command": command, "config": args_echo}
-    with open(os.path.join(outdir, "metadata.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "metadata.json"), payload, sort_keys=True)
+
+
+def _cells(event_ids, location_ids, values):
+    """(event id, location id, value) for every non-NaN cell of an events x
+    locations table, row by row."""
+    rows, cols = np.nonzero(~np.isnan(values))
+    return zip(
+        event_ids[rows].tolist(), np.asarray(location_ids)[cols].tolist(),
+        values[rows, cols].tolist(),
+    )
 
 
 # Config file: flat key-value sections mirroring module names; CLI flags
@@ -199,17 +230,16 @@ def cmd_synth(args, config) -> int:
         ["location_id", "lon_deg", "lat_deg", "depth_m"],
         ((loc.id, loc.lon, loc.lat, "" if loc.depth is None else loc.depth) for loc in catalog.locations),
     )
+    # grid location ids ascend with the column, so each event's rows come out
+    # sorted by location id
     _write_csv(
         os.path.join(outdir, "footprints.csv"),
         ["cyclone_id", "location_id", "max_swh_m"],
-        (
-            (ev.id, j, v)
-            for ev in catalog.events
-            for j, v in sorted(ev.footprint.items())
-        ),
+        _cells(catalog.event_ids, catalog.location_ids, catalog.swh),
     )
     _write_metadata(outdir, "synth", asdict(world))
-    print(f"wrote {len(catalog.events)} events at {len(catalog.locations)} locations to {outdir}")
+    print(f"wrote {len(catalog.event_ids)} events at {len(catalog.locations)} locations "
+          f"to {outdir}")
     return 0
 
 
@@ -224,13 +254,10 @@ def cmd_stm(args, config) -> int:
         ["cyclone_id", "stm_m", "argmax_location_id"],
         zip(stm.event_ids.tolist(), stm.values.tolist(), stm.argmax_location_ids.tolist()),
     )
-    rows = []
-    for i, ev in enumerate(exposures.event_ids.tolist()):
-        for k, loc in enumerate(exposures.location_ids.tolist()):
-            v = exposures.values[i, k]
-            if not np.isnan(v):
-                rows.append((ev, loc, v))
-    _write_csv(os.path.join(outdir, "exposures.csv"), ["cyclone_id", "location_id", "exposure"], rows)
+    _write_csv(
+        os.path.join(outdir, "exposures.csv"), ["cyclone_id", "location_id", "exposure"],
+        _cells(exposures.event_ids, exposures.location_ids, exposures.values),
+    )
     _write_metadata(outdir, "stm", {"duration_years": sub.duration_years})
     print(
         f"{len(stm)} events; STM range [{stm.values.min():.3f}, {stm.values.max():.3f}] m"
@@ -252,9 +279,7 @@ def cmd_fit(args, config) -> int:
         report = fit_gpd(retained.values, psi, method)
         reports.append(json.loads(report.to_json()))
         print(report.to_json())
-    with open(os.path.join(outdir, "fit.json"), "w", encoding="utf-8") as fh:
-        json.dump(reports, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "fit.json"), reports)
     if not all(r["converged"] for r in reports):
         raise EvdError("one or more fits failed to converge")
     return 0
@@ -279,15 +304,9 @@ def cmd_return_values(args, config) -> int:
     targets = loc_ids or sub.location_ids
     for method in methods:
         if "STME" in estimators:
-            scaled = sub if sub.duration_years == T0 else None
-            work = sub
-            if scaled is None:
-                from dataclasses import replace as _replace
-
-                work = _replace(sub, duration_years=float(T0))
+            observed = replace(sub, duration_years=float(T0))
             estimates.extend(
-                run_stme(work, RegionSpec(location_ids=work.location_ids), n=n, T=T,
-                         method=method, location_ids=targets)
+                run_stme(observed, RegionSpec(), n=n, T=T, method=method, location_ids=targets)
             )
         if "SINGLE" in estimators:
             for loc in targets:
@@ -313,26 +332,20 @@ def cmd_diagnostics(args, config) -> int:
     band = args.band
     seed = _resolve(args, config, "experiment", "seed", int, default=0)
     stm = extract_stm(sub)
+    exposures = extract_exposures(sub, stm)
     if args.min_stm is not None:
         keep = stm.values > args.min_stm
         if keep.sum() < 3:
             raise UsageError(f"fewer than 3 STM values above {args.min_stm} m")
-        from .catalog import StmSeries
-
         stm = StmSeries(stm.event_ids[keep], stm.values[keep], stm.argmax_location_ids[keep])
-    exposures = extract_exposures(sub, stm) if args.min_stm is None else None
-    if exposures is None:
-        # restrict the matrix to the filtered events
-        full = extract_exposures(sub, extract_stm(sub))
-        mask = np.isin(full.event_ids, stm.event_ids)
-        from .catalog import ExposureMatrix
-
-        exposures = ExposureMatrix(full.event_ids[mask], full.location_ids, full.values[mask])
+        exposures = ExposureMatrix(
+            exposures.event_ids[keep], exposures.location_ids, exposures.values[keep]
+        )
     taus, frac = tau_map(stm, exposures, band=band)
     rng = np.random.default_rng(seed)
-    argmax_locs = {loc.id: loc for loc in sub.locations}
-    lons = np.array([argmax_locs[j].lon for j in stm.argmax_location_ids.tolist()])
-    lats = np.array([argmax_locs[j].lat for j in stm.argmax_location_ids.tolist()])
+    loc_by_id = {loc.id: loc for loc in sub.locations}
+    lons = np.array([loc_by_id[j].lon for j in stm.argmax_location_ids.tolist()])
+    lats = np.array([loc_by_id[j].lat for j in stm.argmax_location_ids.tolist()])
     trend = {}
     for orientation in args.orientation or [0.0, 45.0, 90.0, 135.0]:
         trend[str(orientation)] = trend_permutation_test(
@@ -357,10 +370,7 @@ def cmd_diagnostics(args, config) -> int:
     if len(probs) >= 5:
         stat, p = ks_uniformity(probs)
         report["trend_ks_uniformity"] = {"statistic": stat, "p_value": p}
-    with open(os.path.join(outdir, "diagnostics.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    loc_by_id = {loc.id: loc for loc in sub.locations}
+    _write_json(os.path.join(outdir, "diagnostics.json"), report)
     _write_csv(
         os.path.join(outdir, "tau_map.csv"),
         ["location_id", "lon_deg", "lat_deg", "tau", "flag"],
@@ -381,13 +391,11 @@ def _replicate_path(outdir, index):
     return os.path.join(outdir, "replicates", f"rep_{index:04d}.csv")
 
 
-def _write_replicate(outdir, result: ReplicateResult):
-    rows = []
+def _replicate_rows(result: ReplicateResult):
     for (loc, estimator, method, n), value in sorted(result.estimates.items()):
-        rows.append((result.index, loc, estimator, method, n, value, ""))
+        yield (result.index, loc, estimator, method, n, value, "")
     for (loc, estimator, method, n), reason in sorted(result.failures.items()):
-        rows.append((result.index, loc, estimator, method, n, "", reason))
-    _write_csv(_replicate_path(outdir, result.index), _REPLICATE_HEADER, rows)
+        yield (result.index, loc, estimator, method, n, "", reason)
 
 
 def _read_replicate(outdir, index) -> ReplicateResult:
@@ -400,6 +408,34 @@ def _read_replicate(outdir, index) -> ReplicateResult:
             else:
                 failures[key] = row["flag"]
     return ReplicateResult(index=index, estimates=estimates, failures=failures)
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _check_manifest(outdir, manifest: dict):
+    """Replicate files in `outdir` may be reused only when they were computed
+    from the same inputs and experiment settings as this run."""
+    path = os.path.join(outdir, "manifest.json")
+    if not os.path.exists(path):
+        rep_dir = os.path.join(outdir, "replicates")
+        if os.path.isdir(rep_dir) and os.listdir(rep_dir):
+            raise UsageError(f"{outdir} holds replicate files but no manifest.json")
+        return
+    with open(path, encoding="utf-8") as fh:
+        old = json.load(fh)
+    new = json.loads(json.dumps(manifest))  # tuples -> lists, as read back
+    for key in sorted(set(old) | set(new)):
+        if old.get(key) != new.get(key):
+            raise UsageError(
+                f"{outdir} holds replicates of another experiment: {key} is "
+                f"{old.get(key)!r} there, {new.get(key)!r} now"
+            )
 
 
 def cmd_experiment(args, config) -> int:
@@ -423,32 +459,31 @@ def cmd_experiment(args, config) -> int:
         estimators=estimators, location_ids=loc_ids, master_seed=seed,
     )
     regional = select_region(catalog, region)
-    os.makedirs(os.path.join(outdir, "replicates"), exist_ok=True)
+    manifest = {
+        "footprints_sha256": _sha256(_resolve(args, config, "input", "footprints")),
+        "locations_sha256": _sha256(_resolve(args, config, "input", "locations")),
+        "duration_years": catalog.duration_years,
+        "region": asdict(region),
+        **asdict(exp_config),
+    }
+    _check_manifest(outdir, manifest)
     pending = [i for i in range(replicates) if not os.path.exists(_replicate_path(outdir, i))]
+    fresh = run_replicates(regional, exp_config, pending, jobs)  # checks ids before any write
+    os.makedirs(os.path.join(outdir, "replicates"), exist_ok=True)
+    _write_json(os.path.join(outdir, "manifest.json"), manifest, sort_keys=True)
     done = replicates - len(pending)
     if done:
         print(f"resuming: {done} completed replicates found")
-    if jobs > 1 and pending:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fresh = list(
-                pool.map(_run_replicate, pending, [regional] * len(pending), [exp_config] * len(pending))
-            )
-    else:
-        fresh = []
-        for i in pending:
-            fresh.append(_run_replicate(i, regional, exp_config))
-            print(f"replicate {i + 1}/{replicates} done", file=sys.stderr)
     for result in fresh:
-        _write_replicate(outdir, result)
+        path = _replicate_path(outdir, result.index)
+        _write_csv(path, _REPLICATE_HEADER, _replicate_rows(result))
+        print(f"replicate {result.index + 1}/{replicates} done", file=sys.stderr)
     results = [_read_replicate(outdir, i) for i in range(replicates)]
 
-    rows = []
-    for result in results:
-        for (loc, estimator, method, n), value in sorted(result.estimates.items()):
-            rows.append((result.index, loc, estimator, method, n, value, ""))
-        for (loc, estimator, method, n), reason in sorted(result.failures.items()):
-            rows.append((result.index, loc, estimator, method, n, "", reason))
-    _write_csv(os.path.join(outdir, "results.csv"), _REPLICATE_HEADER, rows)
+    _write_csv(
+        os.path.join(outdir, "results.csv"), _REPLICATE_HEADER,
+        (row for result in results for row in _replicate_rows(result)),
+    )
 
     summary = summarize(results)
     _write_csv(

@@ -47,6 +47,12 @@ def kendall_tau(x, y) -> tuple[float, float]:
     return float(tau), kendall_tau_null_sd(x.size)
 
 
+def _check_same_events(stm: StmSeries, exposures: ExposureMatrix):
+    """The STM series and the exposure matrix must share their rows."""
+    if not np.array_equal(stm.event_ids, exposures.event_ids):
+        raise DiagnosticsError("STM series and exposure matrix cover different events")
+
+
 @dataclass(frozen=True)
 class TauResult:
     location_id: int
@@ -65,15 +71,12 @@ def tau_map(
     fraction (locations outside the band / locations tested)."""
     if not 0.0 < band < 1.0:
         raise DiagnosticsError(f"band {band} outside (0, 1)")
-    stm_by_event = dict(zip(exposures.event_ids.tolist(), range(len(exposures.event_ids))))
-    order = [stm_by_event[e] for e in stm.event_ids.tolist() if e in stm_by_event]
-    if len(order) != len(stm.event_ids):
-        raise DiagnosticsError("STM series and exposure matrix cover different events")
+    _check_same_events(stm, exposures)
     z_crit = stats.norm.ppf(0.5 + band / 2.0)
     results = []
     n_outside = 0
     for k, loc in enumerate(exposures.location_ids.tolist()):
-        col = exposures.values[order, k]
+        col = exposures.values[:, k]
         mask = ~np.isnan(col)
         if mask.sum() < 3:
             continue
@@ -177,13 +180,8 @@ def exposure_kl_test(
         raise DiagnosticsError("need at least 3 events")
     if rng is None:
         rng = np.random.default_rng()
-    row_of = {e: i for i, e in enumerate(exposures.event_ids.tolist())}
-    samples = []
-    for e in stm.event_ids.tolist():
-        if e not in row_of:
-            raise DiagnosticsError(f"event {e} missing from exposure matrix")
-        row = exposures.values[row_of[e]]
-        samples.append(row[~np.isnan(row)])
+    _check_same_events(stm, exposures)
+    samples = [row[~np.isnan(row)] for row in exposures.values]
     i_max = int(np.argmax(stm.values))
     i_min = int(np.argmin(stm.values))
     kl_star = kl_symmetric(samples[i_max], samples[i_min])

@@ -1,9 +1,8 @@
 """Generalised Pareto tail model for space-time maxima.
 
 Provides the GPD CDF/quantile with a numerically stable exponential branch,
-maximum-likelihood and probability-weighted-moment estimation of (scale,
-shape) for threshold excesses, and the full below/above-threshold mixture
-distribution with inverse-transform sampling.
+and maximum-likelihood and probability-weighted-moment estimation of (scale,
+shape) for threshold excesses.
 
 Sign convention: shape xi > 0 gives a heavy upper tail; for xi < 0 the upper
 endpoint threshold - scale/xi is finite.
@@ -120,6 +119,8 @@ class FitReport:
                 "method": self.method,
                 "loglik": self.loglik,
                 "converged": self.converged,
+                "iterations": self.iterations,
+                "message": self.message,
             }
         )
 
@@ -223,79 +224,3 @@ def fit_gpd(exceedances, threshold: float, method: str) -> FitReport:
     if method == "PWM":
         return fit_gpd_pwm(exceedances, threshold)
     raise EvdError(f"unknown fit method {method!r}")
-
-
-@dataclass(frozen=True)
-class StmDistribution:
-    """Full STM distribution: empirical counting estimate below the threshold,
-    GPD exceedance model above, glued at the empirical non-exceedance
-    probability tau of the threshold."""
-
-    gpd: GpdParams
-    below: np.ndarray  # sorted STM values <= threshold
-    n_total: int  # size of the full working set (n0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "below", np.sort(np.asarray(self.below, dtype=float)))
-        if self.n_total < len(self.below):
-            raise EvdError("n_total smaller than below-threshold sample")
-        if np.any(self.below > self.gpd.threshold):
-            raise EvdError("below-threshold sample exceeds the threshold")
-
-    @property
-    def tau(self) -> float:
-        """Empirical non-exceedance probability of the threshold."""
-        return len(self.below) / self.n_total
-
-
-def stm_distribution(values, n: int) -> tuple[StmDistribution | None, FitReport]:
-    """Convenience constructor: fit the top-n tail by MLE and attach the
-    empirical below-threshold component."""
-    from .catalog import threshold_for_top_n
-
-    values = np.asarray(values, dtype=float)
-    psi = threshold_for_top_n(values, n)
-    above = values[values > psi]
-    report = fit_gpd_mle(above, psi)
-    if not report.converged:
-        return None, report
-    dist = StmDistribution(gpd=report.params, below=values[values <= psi], n_total=values.size)
-    return dist, report
-
-
-def mixture_cdf(dist: StmDistribution, s) -> np.ndarray | float:
-    """CDF of the below/above-threshold mixture.
-
-    Empirical counting estimate (denominator n_total) up to the threshold,
-    tau + (1 - tau) * GPD CDF above it; evaluates to tau at the threshold.
-    """
-    s = np.asarray(s, dtype=float)
-    below_part = np.searchsorted(dist.below, s, side="right") / dist.n_total
-    above_part = dist.tau + (1.0 - dist.tau) * np.asarray(gpd_cdf(dist.gpd, np.maximum(s, dist.gpd.threshold)))
-    p = np.where(s <= dist.gpd.threshold, below_part, above_part)
-    return p if p.ndim else float(p)
-
-
-def mixture_quantile(dist: StmDistribution, p) -> np.ndarray | float:
-    """Inverse of mixture_cdf (generalised inverse for the empirical part)."""
-    p = np.asarray(p, dtype=float)
-    if np.any((p < 0.0) | (p >= 1.0)):
-        raise EvdError("quantile probability outside [0, 1)")
-    tau = dist.tau
-    out = np.empty(p.shape if p.ndim else (1,))
-    p_flat = np.atleast_1d(p)
-    for i, pi in enumerate(p_flat):
-        if pi < tau and len(dist.below):
-            k = max(int(math.ceil(pi * dist.n_total)), 1)
-            out[i] = dist.below[min(k, len(dist.below)) - 1]
-        else:
-            out[i] = gpd_quantile(dist.gpd, (pi - tau) / (1.0 - tau))
-    return out if p.ndim else float(out[0])
-
-
-def sample_stm(dist: StmDistribution, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Inverse-transform samples from the mixture distribution."""
-    if count == 0:
-        return np.array([])
-    u = rng.uniform(size=count)
-    return np.asarray(mixture_quantile(dist, u))

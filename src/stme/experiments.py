@@ -12,6 +12,7 @@ tracks and GPD peak intensities provides a desk-scale ground truth.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -21,11 +22,8 @@ from .baselines import location_series, single_location_rv
 from .catalog import (
     CatalogError,
     CycloneCatalog,
-    CycloneEvent,
-    ExposureMatrix,
     Location,
     RegionSpec,
-    StmSeries,
     extract_exposures,
     extract_stm,
     select_region,
@@ -90,13 +88,15 @@ def sample_period(
     uniformly without replacement; the result's duration is T0."""
     if T0 > catalog.duration_years:
         raise CatalogError(f"T0={T0} exceeds catalog duration {catalog.duration_years}")
-    n0 = len(catalog.events)
+    n0 = len(catalog.event_ids)
     m = int(round(n0 * T0 / catalog.duration_years))
     if m == n0:
         return replace(catalog, duration_years=float(T0))
     idx = np.sort(rng.choice(n0, size=m, replace=False))
-    events = tuple(catalog.events[i] for i in idx)
-    return CycloneCatalog(locations=catalog.locations, events=events, duration_years=float(T0))
+    return CycloneCatalog(
+        locations=catalog.locations, event_ids=catalog.event_ids[idx], swh=catalog.swh[idx],
+        duration_years=float(T0),
+    )
 
 
 def _run_replicate(
@@ -148,6 +148,33 @@ def _run_replicate(
     return ReplicateResult(index=index, estimates=estimates, failures=failures)
 
 
+def run_replicates(
+    regional: CycloneCatalog,
+    config: ExperimentConfig,
+    indices: Sequence[int],
+    jobs: int = 1,
+) -> Iterator[ReplicateResult]:
+    """Run the replicates at `indices` on a region catalog, yielding each result
+    in index order as soon as it and every earlier one are done. The location
+    ids are checked before this returns; results do not depend on `jobs`."""
+    if config.location_ids:
+        missing = set(config.location_ids) - set(regional.location_ids)
+        if missing:
+            raise CatalogError(f"locations {sorted(missing)} not in region")
+    if jobs > 1 and indices:
+        return _pooled_replicates(regional, config, indices, jobs)
+    return (_run_replicate(i, regional, config) for i in indices)
+
+
+def _pooled_replicates(regional, config, indices, jobs) -> Iterator[ReplicateResult]:
+    # a generator of its own, so that run_replicates checks its arguments
+    # when called rather than at the first result
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(
+            _run_replicate, indices, [regional] * len(indices), [config] * len(indices)
+        )
+
+
 def run_experiment(
     catalog: CycloneCatalog,
     region: RegionSpec,
@@ -157,19 +184,7 @@ def run_experiment(
     """Run the full replicate grid; results depend only on (catalog, region,
     config), not on the number of workers."""
     regional = select_region(catalog, region)
-    if config.location_ids:
-        missing = set(config.location_ids) - set(regional.location_ids)
-        if missing:
-            raise CatalogError(f"locations {sorted(missing)} not in region")
-    indices = list(range(config.replicates))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_run_replicate, indices, [regional] * len(indices), [config] * len(indices))
-            )
-    else:
-        results = [_run_replicate(i, regional, config) for i in indices]
-    return sorted(results, key=lambda r: r.index)
+    return list(run_replicates(regional, config, range(config.replicates), jobs))
 
 
 @dataclass(frozen=True)
@@ -349,9 +364,8 @@ def synth_catalog(config: SynthWorldConfig) -> CycloneCatalog:
         scale=config.intensity_scale,
         shape=config.intensity_shape,
     )
-    loc_ids = [loc.id for loc in locations]
-    events = []
-    for ev_id in range(1, n_events + 1):
+    swh = np.empty((n_events, len(locations)))
+    for row in swh:
         heading = math.radians(
             config.direction_mean_deg + config.direction_sd_deg * rng.standard_normal()
         )
@@ -366,8 +380,8 @@ def synth_catalog(config: SynthWorldConfig) -> CycloneCatalog:
         factor = np.exp(-dist / config.decay_km)
         if config.noise_sigma_log > 0:
             factor = factor * np.exp(config.noise_sigma_log * rng.standard_normal(len(locations)))
-        swh = peak * factor
-        events.append(CycloneEvent(id=ev_id, footprint=dict(zip(loc_ids, swh.tolist()))))
+        row[:] = peak * factor
     return CycloneCatalog(
-        locations=tuple(locations), events=tuple(events), duration_years=config.duration_years
+        locations=tuple(locations), event_ids=np.arange(1, n_events + 1), swh=swh,
+        duration_years=config.duration_years,
     )

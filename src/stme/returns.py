@@ -76,9 +76,7 @@ def exposure_ecdf(
     skipped). retained_event_ids=None uses all events in the matrix."""
     col = matrix.column(location_id)
     if retained_event_ids is not None:
-        retained = set(int(e) for e in retained_event_ids)
-        mask = np.array([int(e) in retained for e in matrix.event_ids])
-        col = col[mask]
+        col = col[np.isin(matrix.event_ids, retained_event_ids)]
     atoms = col[~np.isnan(col)]
     if atoms.size == 0:
         raise CatalogError(f"location {location_id}: no exposure data among retained events")
@@ -158,7 +156,6 @@ def run_stme(
     T: float,
     method: str = "MLE",
     location_ids=None,
-    use_all_events: bool = False,
 ) -> list[ReturnValueEstimate]:
     """Full STM-E pipeline: region selection, STM extraction, top-n threshold,
     GPD fit, per-location exposure ECDF and return value.
@@ -174,13 +171,12 @@ def run_stme(
     if not report.converged:
         raise EvdError(f"{method} tail fit failed: {report.message}")
     exposures = extract_exposures(sub, stm)
-    retained_ids = None if use_all_events else retained.event_ids
     if location_ids is None:
         location_ids = sub.location_ids
     estimates = []
     for loc in location_ids:
         try:
-            ecdf = exposure_ecdf(exposures, loc, retained_ids)
+            ecdf = exposure_ecdf(exposures, loc, retained.event_ids)
             estimates.append(
                 return_value(
                     report.params, ecdf, T=T, T0=sub.duration_years, n=n,

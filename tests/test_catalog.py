@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stme.baselines import location_series
 from stme.catalog import (
     CatalogError,
     CycloneCatalog,
-    CycloneEvent,
     Location,
     RegionSpec,
     extract_exposures,
@@ -13,16 +17,35 @@ from stme.catalog import (
     select_region,
     top_n_events,
 )
+from stme.experiments import sample_period
 
 
-def make_catalog(footprints, duration=10.0, lons=None):
-    loc_ids = sorted({j for fp in footprints.values() for j in fp})
+def make_catalog(footprints, duration=10.0, lons=None, loc_ids=None):
+    """Dense catalog from {event id: {location id: SWH}}; columns follow
+    loc_ids (default: ascending ids)."""
+    if loc_ids is None:
+        loc_ids = sorted({j for fp in footprints.values() for j in fp})
     locations = tuple(
         Location(id=j, lon=(lons or {}).get(j, -61.0 + 0.01 * j), lat=16.0)
         for j in loc_ids
     )
-    events = tuple(CycloneEvent(id=e, footprint=fp) for e, fp in sorted(footprints.items()))
-    return CycloneCatalog(locations=locations, events=events, duration_years=duration)
+    event_ids = sorted(footprints)
+    swh = np.full((len(event_ids), len(loc_ids)), np.nan)
+    for i, e in enumerate(event_ids):
+        for j, v in footprints[e].items():
+            swh[i, loc_ids.index(j)] = v
+    return CycloneCatalog(
+        locations=locations, event_ids=np.array(event_ids, dtype=int), swh=swh,
+        duration_years=duration,
+    )
+
+
+def footprint_dicts(catalog):
+    """{event id: {location id: SWH}} over the cells with data."""
+    return {
+        e: {j: v for j, v in zip(catalog.location_ids, row.tolist()) if not np.isnan(v)}
+        for e, row in zip(catalog.event_ids.tolist(), catalog.swh)
+    }
 
 
 def random_catalog(rng, n_events, n_locs, missing_frac=0.0):
@@ -47,10 +70,10 @@ class TestLoadCatalog:
             "cyclone_id,location_id,max_swh_m\n1,1,3.5\n1,2,7.0\n2,1,4.0\n"
         )
         cat = load_catalog(tmp_path / "footprints.csv", tmp_path / "locations.csv", 10.0)
-        assert len(cat.events) == 2
+        assert len(cat.event_ids) == 2
         assert cat.locations[0].depth == 120
         assert cat.locations[1].depth is None
-        assert cat.events[0].footprint == {1: 3.5, 2: 7.0}
+        assert footprint_dicts(cat)[1] == {1: 3.5, 2: 7.0}
 
     def test_long_catalog_rate(self, tmp_path):
         rows = ["cyclone_id,location_id,max_swh_m"]
@@ -70,6 +93,18 @@ class TestLoadCatalog:
             "cyclone_id,location_id,max_swh_m\n1,1,3.5\n2,1,-1\n"
         )
         with pytest.raises(CatalogError, match="footprints.csv:3"):
+            load_catalog(tmp_path / "footprints.csv", tmp_path / "locations.csv", 10.0)
+
+    @pytest.mark.parametrize("locations, footprints, where", [
+        ("1,-61.5,16.2,\n", "1,1,3.5\nx5,1,4.0\n", "footprints.csv:3: bad cyclone_id"),
+        ("1,-61.5,16.2,\n", "1,1.0,3.5\n", "footprints.csv:2: bad location_id"),
+        ("1,-61.5,16.2,\n", "1,1\n", "footprints.csv:2: bad max_swh_m"),
+        ("1,-61.5,16.2,\nA2,-61.3,16.0,\n", "1,1,3.5\n", "locations.csv:3: bad location_id"),
+    ])
+    def test_bad_field_rejected_with_line(self, tmp_path, locations, footprints, where):
+        (tmp_path / "locations.csv").write_text("location_id,lon_deg,lat_deg,depth_m\n" + locations)
+        (tmp_path / "footprints.csv").write_text("cyclone_id,location_id,max_swh_m\n" + footprints)
+        with pytest.raises(CatalogError, match=where):
             load_catalog(tmp_path / "footprints.csv", tmp_path / "locations.csv", 10.0)
 
     def test_duplicate_pair_rejected(self, tmp_path):
@@ -111,7 +146,7 @@ class TestLoadCatalog:
         )
         with pytest.warns(UserWarning, match="all-zero footprint"):
             cat = load_catalog(tmp_path / "footprints.csv", tmp_path / "locations.csv", 10.0)
-        assert [ev.id for ev in cat.events] == [2]
+        assert cat.event_ids.tolist() == [2]
 
 
 class TestSelectRegion:
@@ -119,12 +154,12 @@ class TestSelectRegion:
         cat = make_catalog({1: {1: 3.0, 2: 5.0}, 2: {1: 4.0}})
         same = select_region(cat, RegionSpec(location_ids=(1, 2)))
         assert same.location_ids == cat.location_ids
-        assert [ev.footprint for ev in same.events] == [ev.footprint for ev in cat.events]
+        assert footprint_dicts(same) == footprint_dicts(cat)
 
     def test_restriction_keeps_partial_event(self):
         cat = make_catalog({1: {1: 8.0, 2: 12.0}})
         sub = select_region(cat, RegionSpec(location_ids=(1,)))
-        assert sub.events[0].footprint == {1: 8.0}
+        assert footprint_dicts(sub)[1] == {1: 8.0}
 
     def test_bounding_box(self):
         cat = make_catalog(
@@ -136,7 +171,7 @@ class TestSelectRegion:
     def test_events_without_region_data_dropped(self):
         cat = make_catalog({1: {1: 3.0}, 2: {2: 5.0}})
         sub = select_region(cat, RegionSpec(location_ids=(1,)))
-        assert [ev.id for ev in sub.events] == [1]
+        assert sub.event_ids.tolist() == [1]
 
     def test_empty_region_error(self):
         cat = make_catalog({1: {1: 3.0}})
@@ -157,7 +192,7 @@ class TestSelectRegion:
         once = select_region(cat, spec)
         twice = select_region(once, spec)
         assert once.location_ids == twice.location_ids
-        assert [e.footprint for e in once.events] == [e.footprint for e in twice.events]
+        assert footprint_dicts(once) == footprint_dicts(twice)
 
     def test_shrinking_never_increases_stm(self):
         rng = np.random.default_rng(1)
@@ -185,8 +220,8 @@ class TestExtractStm:
         rng = np.random.default_rng(7)
         cat = random_catalog(rng, 50, 10, missing_frac=0.4)
         stm = extract_stm(cat)
-        for i, ev in enumerate(cat.events):
-            best = max(ev.footprint.values())  # exhaustive scan
+        for i, fp in enumerate(footprint_dicts(cat).values()):
+            best = max(fp.values())  # exhaustive scan
             assert stm.values[i] == best
 
 
@@ -203,11 +238,11 @@ class TestExtractExposures:
         cat = random_catalog(rng, 5, 4, missing_frac=0.2)
         stm = extract_stm(cat)
         mat = extract_exposures(cat, stm)
-        for i, ev in enumerate(cat.events):
+        for i, fp in enumerate(footprint_dicts(cat).values()):
             s = stm.values[i]
             for k, j in enumerate(mat.location_ids.tolist()):
-                if j in ev.footprint:
-                    assert mat.values[i, k] * s == pytest.approx(ev.footprint[j], rel=1e-12)
+                if j in fp:
+                    assert mat.values[i, k] * s == pytest.approx(fp[j], rel=1e-12)
                 else:
                     assert np.isnan(mat.values[i, k])
 
@@ -258,3 +293,94 @@ class TestTopNEvents:
         assert len(retained) == 30
         assert set(retained.values.tolist()) == set(np.sort(values)[-30:].tolist())
         assert np.all(retained.values > psi)
+
+
+# --- dense catalog against a per-event dict walk ---------------------------
+
+def reference_select(footprints, keep_ids):
+    out = {}
+    for e, fp in sorted(footprints.items()):
+        sub = {j: v for j, v in fp.items() if j in keep_ids}
+        if sub and max(sub.values()) > 0.0:
+            out[e] = sub
+    return out
+
+
+def reference_argmax(fp):
+    return min(fp, key=lambda j: (-fp[j], j))  # max value, lowest id on ties
+
+
+# missing cells, zeros and repeated values give absent entries, all-zero
+# events and tied maxima
+CELLS = st.one_of(st.none(), st.just(0.0), st.sampled_from([0.5, 2.5]), st.floats(0.01, 20.0))
+
+
+@st.composite
+def footprint_tables(draw):
+    """(location ids in file order, {event id: {location id: SWH}})."""
+    loc_ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True))
+    event_ids = draw(st.lists(st.integers(1, 500), min_size=1, max_size=8, unique=True))
+    footprints = {}
+    for e in event_ids:
+        cells = draw(st.lists(CELLS, min_size=len(loc_ids), max_size=len(loc_ids)))
+        fp = {j: v for j, v in zip(loc_ids, cells) if v is not None}
+        footprints[e] = fp or {loc_ids[0]: 1.0}
+    return loc_ids, footprints
+
+
+class TestDenseCatalogProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(table=footprint_tables(), data=st.data())
+    def test_matches_dict_reference(self, table, data):
+        loc_ids, footprints = table
+        cat = make_catalog(footprints, duration=10.0, loc_ids=loc_ids)
+        keep = data.draw(st.lists(st.sampled_from(loc_ids), min_size=1, unique=True))
+        spec = RegionSpec(location_ids=tuple(keep))
+        expected = reference_select(footprints, set(keep))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            if not expected:
+                with pytest.raises(CatalogError, match="drops all events"):
+                    select_region(cat, spec)
+                return
+            sub = select_region(cat, spec)
+        assert sub.location_ids == tuple(j for j in loc_ids if j in keep)
+        assert footprint_dicts(sub) == expected
+
+        stm = extract_stm(sub)
+        assert stm.event_ids.tolist() == list(expected)
+        for i, fp in enumerate(expected.values()):
+            best = reference_argmax(fp)
+            assert stm.values[i] == fp[best]
+            assert stm.argmax_location_ids[i] == best
+
+        mat = extract_exposures(sub, stm)
+        assert mat.location_ids.tolist() == list(sub.location_ids)
+        for i, fp in enumerate(expected.values()):
+            s = fp[reference_argmax(fp)]
+            for k, j in enumerate(sub.location_ids):
+                if j in fp:
+                    assert mat.values[i, k] == fp[j] / s
+                else:
+                    assert np.isnan(mat.values[i, k])
+
+        for j in sub.location_ids:
+            column = [fp[j] for fp in expected.values() if j in fp]
+            if column:
+                assert location_series(sub, j).values.tolist() == column
+            else:
+                with pytest.raises(CatalogError, match="no footprint data"):
+                    location_series(sub, j)
+
+        T0 = data.draw(st.floats(0.5, 10.0))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        sample = sample_period(sub, T0, np.random.default_rng(seed))
+        ids = list(expected)
+        m = int(round(len(ids) * T0 / 10.0))
+        if m == len(ids):
+            chosen = ids
+        else:
+            rng = np.random.default_rng(seed)
+            chosen = [ids[i] for i in np.sort(rng.choice(len(ids), size=m, replace=False))]
+        assert sample.duration_years == T0
+        assert footprint_dicts(sample) == {e: expected[e] for e in chosen}

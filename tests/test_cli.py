@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from stme.cli import load_config, main, UsageError
+from stme.cli import _write_csv, load_config, main, UsageError
 
 
 def run(argv):
@@ -184,12 +184,58 @@ class TestExperiment:
     def test_resume_skips_completed(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "resume"
         assert self.run_experiment(synth_dir, out) == 0
-        ref = (out / "results.csv").read_bytes()
+        ref = {name: (out / name).read_bytes()
+               for name in ("results.csv", "summary.csv", "metrics.csv")}
         # drop one replicate and rerun: only that one is recomputed
         (out / "replicates" / "rep_0002.csv").unlink()
         assert self.run_experiment(synth_dir, out) == 0
         assert "resuming: 3 completed replicates found" in capsys.readouterr().out
+        assert (out / "results.csv").read_bytes() == ref["results.csv"]
+        # the same with a process pool, which reports progress as well
+        (out / "replicates" / "rep_0000.csv").unlink()
+        (out / "replicates" / "rep_0003.csv").unlink()
+        assert self.run_experiment(synth_dir, out, extra=["--jobs", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "resuming: 2 completed replicates found" in captured.out
+        assert "replicate 1/4 done" in captured.err and "replicate 4/4 done" in captured.err
+        for name, data in ref.items():
+            assert (out / name).read_bytes() == data
+
+    def test_rerun_with_other_config_exit_2(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "mixed"
+        assert self.run_experiment(synth_dir, out) == 0
+        ref = (out / "results.csv").read_bytes()
+        (out / "replicates" / "rep_0001.csv").unlink()
+        assert self.run_experiment(synth_dir, out, extra=["--seed", "10"]) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not (out / "replicates" / "rep_0001.csv").exists()
         assert (out / "results.csv").read_bytes() == ref
+
+    def test_location_outside_region_exit_2(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "outside"
+        code = self.run_experiment(synth_dir, out, extra=["--location-ids", "1", "999"])
+        assert code == 2
+        assert "[999] not in region" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+
+class TestWriteCsv:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def rows():
+            yield (1, 2.5)
+            raise RuntimeError("interrupted")
+
+        path = tmp_path / "table.csv"
+        with pytest.raises(RuntimeError):
+            _write_csv(path, ["a", "b"], rows())
+        assert os.listdir(tmp_path) == []
+        # an existing file is replaced whole or not at all
+        _write_csv(path, ["a", "b"], [(1, 2.5)])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            _write_csv(path, ["a", "b"], rows())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["table.csv"]
 
 
 class TestConfigFile:

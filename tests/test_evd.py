@@ -6,15 +6,11 @@ import pytest
 from stme.evd import (
     EvdError,
     GpdParams,
-    StmDistribution,
     fit_gpd_mle,
     fit_gpd_pwm,
     gpd_cdf,
     gpd_pdf,
     gpd_quantile,
-    mixture_cdf,
-    sample_stm,
-    stm_distribution,
 )
 
 
@@ -175,65 +171,3 @@ class TestPwm:
                     errs.append(abs(report.params.shape - 0.1))
                 errors.append(np.mean(errs))
             assert errors[0] > errors[2]
-
-
-class TestMixture:
-    @pytest.fixture
-    def dist(self):
-        rng = np.random.default_rng(30)
-        values = gpd_sample(GpdParams(1.0, 2.0, 0.1), rng, 100)
-        dist, report = stm_distribution(values, 30)
-        assert report.converged
-        return dist
-
-    def test_below_sample_minimum_is_zero(self, dist):
-        assert mixture_cdf(dist, dist.below.min() - 0.1) == 0.0
-
-    def test_value_at_threshold_is_tau(self, dist):
-        assert mixture_cdf(dist, dist.gpd.threshold) == pytest.approx(dist.tau)
-        assert dist.tau == pytest.approx(0.7)
-
-    def test_continuity_from_above(self, dist):
-        eps = 1e-9
-        above = mixture_cdf(dist, dist.gpd.threshold + eps)
-        assert above == pytest.approx(dist.tau, abs=1e-6)
-
-    def test_monotone_on_grid(self, dist):
-        grid = np.linspace(0.0, 30.0, 1000)
-        probs = np.asarray(mixture_cdf(dist, grid))
-        assert np.all(np.diff(probs) >= 0)
-        assert probs[0] == 0.0
-        assert probs[-1] <= 1.0
-
-
-class TestSampling:
-    def test_exponential_mean(self):
-        dist = StmDistribution(gpd=GpdParams(0.0, 1.0, 0.0), below=np.array([]), n_total=100)
-        assert dist.tau == 0.0
-        rng = np.random.default_rng(40)
-        draws = sample_stm(dist, rng, 100_000)
-        se = draws.std() / math.sqrt(len(draws))
-        assert abs(draws.mean() - 1.0) < 3 * se
-
-    def test_count_zero(self):
-        dist = StmDistribution(gpd=GpdParams(0.0, 1.0, 0.0), below=np.array([]), n_total=10)
-        assert len(sample_stm(dist, np.random.default_rng(0), 0)) == 0
-
-    def test_fixed_seed_reproducible(self):
-        dist = StmDistribution(
-            gpd=GpdParams(5.0, 2.0, 0.1), below=np.array([1.0, 2.0, 4.0]), n_total=10
-        )
-        a = sample_stm(dist, np.random.default_rng(7), 50)
-        b = sample_stm(dist, np.random.default_rng(7), 50)
-        assert np.array_equal(a, b)
-
-    def test_samples_follow_mixture_cdf(self):
-        rng = np.random.default_rng(41)
-        values = gpd_sample(GpdParams(1.0, 2.0, 0.1), rng, 200)
-        dist, report = stm_distribution(values, 50)
-        assert report.converged
-        draws = sample_stm(dist, rng, 100_000)
-        grid = np.sort(draws)
-        ecdf = np.arange(1, len(grid) + 1) / len(grid)
-        model = np.asarray(mixture_cdf(dist, grid))
-        assert np.max(np.abs(ecdf - model)) < 0.01

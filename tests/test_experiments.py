@@ -15,6 +15,7 @@ from stme.experiments import (
     summarize,
     synth_catalog,
 )
+from tests.test_catalog import footprint_dicts
 from tests.test_returns import exposure_world
 
 
@@ -39,18 +40,18 @@ class TestSamplePeriod:
         # 1971 events over 3200 years: a 200-year window keeps round(1971/16)
         cat = exposure_world({1: 1.0}, np.linspace(1, 30, 1971), duration=3200.0)
         sub = sample_period(cat, 200.0, np.random.default_rng(0))
-        assert len(sub.events) == round(1971 * 200 / 3200)
+        assert len(sub.event_ids) == round(1971 * 200 / 3200)
         assert sub.duration_years == 200.0
 
     def test_full_period_identity(self):
         cat = exposure_world({1: 1.0}, [1.0, 2.0, 3.0], duration=100.0)
         sub = sample_period(cat, 100.0, np.random.default_rng(1))
-        assert [e.id for e in sub.events] == [1, 2, 3]
+        assert sub.event_ids.tolist() == [1, 2, 3]
 
     def test_subset_without_replacement_in_order(self):
         cat = exposure_world({1: 1.0}, np.arange(1.0, 41.0), duration=400.0)
         sub = sample_period(cat, 100.0, np.random.default_rng(2))
-        ids = [e.id for e in sub.events]
+        ids = sub.event_ids.tolist()
         assert len(ids) == len(set(ids)) == 10
         assert ids == sorted(ids)
 
@@ -224,19 +225,19 @@ class TestSynthWorld:
 
     def test_event_count_from_rate(self):
         cat = synth_catalog(SynthWorldConfig(duration_years=100.0, seed=0))
-        assert len(cat.events) == 60
+        assert len(cat.event_ids) == 60
 
     def test_seed_reproducible(self):
         a = synth_catalog(SynthWorldConfig(duration_years=50.0, seed=3))
         b = synth_catalog(SynthWorldConfig(duration_years=50.0, seed=3))
-        assert [e.footprint for e in a.events] == [e.footprint for e in b.events]
+        assert footprint_dicts(a) == footprint_dicts(b)
 
     def test_no_decay_no_noise_uniform_footprint(self):
         cfg = SynthWorldConfig(duration_years=50.0, seed=4, decay_km=1e9,
                                noise_sigma_log=0.0)
         cat = synth_catalog(cfg)
-        for ev in cat.events:
-            vals = np.array(list(ev.footprint.values()))
+        for fp in footprint_dicts(cat).values():
+            vals = np.array(list(fp.values()))
             assert np.allclose(vals, vals[0], rtol=1e-6)
             assert vals[0] >= cfg.intensity_threshold
 
@@ -252,14 +253,13 @@ class TestSynthWorld:
         # a location near the track sees more than a far one (no noise)
         cfg = SynthWorldConfig(duration_years=400.0, seed=6, noise_sigma_log=0.0)
         cat = synth_catalog(cfg)
-        for ev in cat.events[:50]:
-            vals = ev.footprint
+        for vals in list(footprint_dicts(cat).values())[:50]:
             assert max(vals.values()) > 0.0
 
     def test_poisson_counts_vary(self):
         counts = {
             len(synth_catalog(SynthWorldConfig(duration_years=100.0, seed=s,
-                                               poisson_counts=True)).events)
+                                               poisson_counts=True)).event_ids)
             for s in range(6)
         }
         assert len(counts) > 1

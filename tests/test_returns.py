@@ -4,7 +4,6 @@ import pytest
 from stme.catalog import (
     CatalogError,
     CycloneCatalog,
-    CycloneEvent,
     Location,
     RegionSpec,
     extract_exposures,
@@ -45,13 +44,12 @@ def exposure_world(exposure_by_loc, stm_values, duration=200.0):
     """Catalog where event e has footprint stm_values[e] * exposure_by_loc[j]."""
     loc_ids = sorted(exposure_by_loc)
     locations = tuple(Location(id=j, lon=-61.0 + 0.01 * j, lat=16.0) for j in loc_ids)
-    events = tuple(
-        CycloneEvent(
-            id=e + 1, footprint={j: s * exposure_by_loc[j] for j in loc_ids}
-        )
-        for e, s in enumerate(stm_values)
+    stm_values = np.asarray(stm_values, dtype=float)
+    swh = stm_values[:, None] * np.array([exposure_by_loc[j] for j in loc_ids], dtype=float)
+    return CycloneCatalog(
+        locations=locations, event_ids=np.arange(1, stm_values.size + 1), swh=swh,
+        duration_years=duration,
     )
-    return CycloneCatalog(locations=locations, events=events, duration_years=duration)
 
 
 class TestExposureEcdf:
