@@ -10,6 +10,7 @@ its footprint value expressed as a fraction of the STM.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -22,6 +23,10 @@ class CatalogError(ValueError):
     """Raised for malformed catalog inputs or invalid catalog operations."""
 
 
+# Ids are stored as 64-bit integers.
+ID_MIN, ID_MAX = -(2**63), 2**63 - 1
+
+
 @dataclass(frozen=True)
 class Location:
     id: int
@@ -30,12 +35,14 @@ class Location:
     depth: float | None = None
 
     def __post_init__(self):
+        if not ID_MIN <= self.id <= ID_MAX:
+            raise CatalogError(f"location id {self.id} outside the 64-bit range")
         if not -180.0 <= self.lon <= 180.0:
             raise CatalogError(f"location {self.id}: lon {self.lon} outside [-180, 180]")
         if not -90.0 <= self.lat <= 90.0:
             raise CatalogError(f"location {self.id}: lat {self.lat} outside [-90, 90]")
-        if self.depth is not None and self.depth < 0:
-            raise CatalogError(f"location {self.id}: negative depth {self.depth}")
+        if self.depth is not None and not 0.0 <= self.depth < math.inf:
+            raise CatalogError(f"location {self.id}: invalid depth {self.depth}")
 
 
 @dataclass(frozen=True)
@@ -106,21 +113,18 @@ class RegionSpec:
 
     def resolve(self, catalog: CycloneCatalog) -> list[int]:
         wanted = set(self.location_ids) if self.location_ids is not None else None
-        out = []
-        for loc in catalog.locations:
-            if wanted is not None and loc.id not in wanted:
-                continue
-            if self.lon_min is not None and loc.lon < self.lon_min:
-                continue
-            if self.lon_max is not None and loc.lon > self.lon_max:
-                continue
-            if self.lat_min is not None and loc.lat < self.lat_min:
-                continue
-            if self.lat_max is not None and loc.lat > self.lat_max:
-                continue
-            if self.min_depth is not None and (loc.depth is None or loc.depth < self.min_depth):
-                continue
-            out.append(loc.id)
+        missing = (wanted or set()) - set(catalog.location_ids)
+        if missing:
+            raise CatalogError(f"region locations {sorted(missing)} not in catalog")
+        out = [
+            loc.id for loc in catalog.locations
+            if (wanted is None or loc.id in wanted)
+            and (self.lon_min is None or loc.lon >= self.lon_min)
+            and (self.lon_max is None or loc.lon <= self.lon_max)
+            and (self.lat_min is None or loc.lat >= self.lat_min)
+            and (self.lat_max is None or loc.lat <= self.lat_max)
+            and (self.min_depth is None or (loc.depth is not None and loc.depth >= self.min_depth))
+        ]
         if not out:
             raise CatalogError("region resolves to no catalog location")
         return out
@@ -169,11 +173,27 @@ class ExposureMatrix:
         return self.values[:, idx[0]]
 
 
-def _parse(cast, text, what: str, path, line_no: int):
+def _parse(cast, text, what: str):
     try:
         return cast(text)
     except (TypeError, ValueError):  # TypeError: field missing from a short row
-        raise CatalogError(f"{path}:{line_no}: bad {what} value {text!r}") from None
+        raise CatalogError(f"bad {what} value {text!r}") from None
+
+
+@contextlib.contextmanager
+def _csv_rows(path, columns: set[str]):
+    """DictReader over a CSV file whose header has `columns`. A CatalogError
+    raised while a row is handled gets the file and line number in front.
+    Bytes that are not UTF-8 are kept as escapes, so a field holding one
+    fails its parser."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not columns.issubset(reader.fieldnames):
+            raise CatalogError(f"{path}: expected header {sorted(columns)}")
+        try:
+            yield reader
+        except (CatalogError, csv.Error) as err:
+            raise CatalogError(f"{path}:{reader.line_num}: {err}") from None
 
 
 def load_catalog(footprint_file, locations_file, duration_years: float) -> CycloneCatalog:
@@ -185,47 +205,37 @@ def load_catalog(footprint_file, locations_file, duration_years: float) -> Cyclo
     exposure information and are dropped with a warning.
     """
     locations = []
-    with open(locations_file, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"location_id", "lon_deg", "lat_deg", "depth_m"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise CatalogError(f"{locations_file}: expected header {sorted(expected)}")
-        for line_no, row in enumerate(reader, start=2):
+    with _csv_rows(locations_file, {"location_id", "lon_deg", "lat_deg", "depth_m"}) as reader:
+        for row in reader:
             depth_text = (row["depth_m"] or "").strip()
             locations.append(
                 Location(
-                    id=_parse(int, row["location_id"], "location_id", locations_file, line_no),
-                    lon=_parse(float, row["lon_deg"], "lon", locations_file, line_no),
-                    lat=_parse(float, row["lat_deg"], "lat", locations_file, line_no),
-                    depth=_parse(float, depth_text, "depth", locations_file, line_no)
-                    if depth_text
-                    else None,
+                    id=_parse(int, row["location_id"], "location_id"),
+                    lon=_parse(float, row["lon_deg"], "lon"),
+                    lat=_parse(float, row["lat_deg"], "lat"),
+                    depth=_parse(float, depth_text, "depth") if depth_text else None,
                 )
             )
     column = {loc.id: k for k, loc in enumerate(locations)}
 
     rows: dict[int, np.ndarray] = {}  # event id -> footprint row, NaN where no entry
-    with open(footprint_file, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"cyclone_id", "location_id", "max_swh_m"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise CatalogError(f"{footprint_file}: expected header {sorted(expected)}")
-        for line_no, row in enumerate(reader, start=2):
-            ev_id = _parse(int, row["cyclone_id"], "cyclone_id", footprint_file, line_no)
-            loc_id = _parse(int, row["location_id"], "location_id", footprint_file, line_no)
-            swh = _parse(float, row["max_swh_m"], "max_swh_m", footprint_file, line_no)
+    with _csv_rows(footprint_file, {"cyclone_id", "location_id", "max_swh_m"}) as reader:
+        for row in reader:
+            ev_id = _parse(int, row["cyclone_id"], "cyclone_id")
+            loc_id = _parse(int, row["location_id"], "location_id")
+            swh = _parse(float, row["max_swh_m"], "max_swh_m")
             if not math.isfinite(swh) or swh < 0:
-                raise CatalogError(f"{footprint_file}:{line_no}: invalid SWH {swh}")
+                raise CatalogError(f"invalid SWH {swh}")
             k = column.get(loc_id)
             if k is None:
-                raise CatalogError(f"{footprint_file}:{line_no}: unknown location id {loc_id}")
+                raise CatalogError(f"unknown location id {loc_id}")
             fp = rows.get(ev_id)
             if fp is None:
+                if not ID_MIN <= ev_id <= ID_MAX:
+                    raise CatalogError(f"cyclone_id {ev_id} outside the 64-bit range")
                 fp = rows[ev_id] = np.full(len(locations), np.nan)
             if not math.isnan(fp[k]):
-                raise CatalogError(
-                    f"{footprint_file}:{line_no}: duplicate (event {ev_id}, location {loc_id})"
-                )
+                raise CatalogError(f"duplicate (event {ev_id}, location {loc_id})")
             fp[k] = swh
 
     event_ids = np.array(sorted(rows), dtype=int)
@@ -316,12 +326,9 @@ def top_n_events(stm: StmSeries, n: int) -> tuple[StmSeries, float]:
     Ties are resolved by retaining exactly n events, preferring lower event
     id, so the selection is deterministic.
     """
-    n0 = len(stm)
-    if not 1 <= n <= n0:
-        raise CatalogError(f"n={n} outside [1, {n0}]")
-    order = sorted(range(n0), key=lambda i: (-stm.values[i], stm.event_ids[i]))
+    psi = threshold_for_top_n(stm.values, n)  # checks 1 <= n <= len(stm)
+    order = sorted(range(len(stm)), key=lambda i: (-stm.values[i], stm.event_ids[i]))
     keep = sorted(order[:n])  # preserve original event order
-    psi = threshold_for_top_n(stm.values, n)
     retained = StmSeries(
         stm.event_ids[keep], stm.values[keep], stm.argmax_location_ids[keep]
     )

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: synth, stm, fit, return-values, diagnostics, experiment.
-Exit codes: 0 success, 1 compute failure, 2 usage/validation error.
+Exit codes: 0 success, 1 compute failure (return-values: no estimate at all),
+2 usage/validation error.
 All outputs go to the --out directory; randomized commands take --seed and
 are reproducible from it (independently of --jobs).
 """
@@ -17,12 +18,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple
 
 import numpy as np
 
 from . import __version__
-from .baselines import empirical_rv, location_series, single_location_rv
+from .baselines import empirical_rv, location_series
 from .catalog import (
     CatalogError,
     ExposureMatrix,
@@ -46,12 +47,13 @@ from .experiments import (
     ExperimentConfig,
     ReplicateResult,
     SynthWorldConfig,
+    analysis_locations,
+    estimate_cells,
     performance_metrics,
     run_replicates,
     summarize,
     synth_catalog,
 )
-from .returns import run_stme
 
 
 class UsageError(ValueError):
@@ -115,7 +117,7 @@ def _cells(event_ids, location_ids, values):
 _CONFIG_SCHEMA = {
     "input": {"footprints", "locations", "duration_years"},
     "region": {"lon_min", "lon_max", "lat_min", "lat_max", "location_ids", "min_depth"},
-    "analysis": {"T", "T0", "n", "n_ladder", "methods", "estimators", "location_ids"},
+    "analysis": {"T", "T0", "n", "n_ladder", "location_ids"},
     "experiment": {"replicates", "seed", "jobs"},
     "synth": {
         "lon_min", "lon_max", "lat_min", "lat_max", "spacing_deg", "rate",
@@ -144,17 +146,13 @@ def load_config(path) -> dict[str, dict[str, str]]:
     return config
 
 
-def _cfg(config, section, key, default=None):
-    return config.get(section, {}).get(key, default)
-
-
 def _resolve(args, config, section, key, cast=str, default=None):
     """CLI flag wins over config file value; both fall back to default."""
     attr = key.replace("-", "_")
     value = getattr(args, attr, None)
     if value is not None:
         return value
-    raw = _cfg(config, section, key)
+    raw = config.get(section, {}).get(key)
     if raw is None:
         return default
     try:
@@ -168,15 +166,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _region_from(args, config) -> RegionSpec:
-    ids = _resolve(args, config, "region", "location_ids", _parse_int_list)
-    if isinstance(ids, list):
-        ids = tuple(ids)
     return RegionSpec(
         lon_min=_resolve(args, config, "region", "lon_min", float),
         lon_max=_resolve(args, config, "region", "lon_max", float),
         lat_min=_resolve(args, config, "region", "lat_min", float),
         lat_max=_resolve(args, config, "region", "lat_max", float),
-        location_ids=ids,
+        location_ids=_resolve(args, config, "region", "location_ids", _parse_int_list),
         min_depth=_resolve(args, config, "region", "min_depth", float),
     )
 
@@ -189,9 +184,6 @@ def _catalog_from(args, config):
         raise UsageError("footprints and locations files are required")
     if duration is None:
         raise UsageError("catalog duration (--duration years) is required")
-    for path in (footprints, locations):
-        if not os.path.exists(path):
-            raise UsageError(f"input file not found: {path}")
     return load_catalog(footprints, locations, duration)
 
 
@@ -203,24 +195,15 @@ def _outdir(args, config) -> str:
     return outdir
 
 
-def _estimate_rows(estimates):
-    for e in estimates:
-        yield (e.location_id, e.estimator, e.method, e.n, e.T, e.T0, e.value, e.flag)
-
-
 _ESTIMATE_HEADER = ["location_id", "estimator", "method", "n", "T_years", "T0_years", "value_m", "flag"]
 
 
 def cmd_synth(args, config) -> int:
     outdir = _outdir(args, config)
+    casts = {"seed": int, "poisson_counts": lambda raw: raw.lower() in ("1", "true", "yes")}
     fields = {}
     for key in _CONFIG_SCHEMA["synth"]:
-        cast = bool if key == "poisson_counts" else (int if key == "seed" else float)
-        if key == "poisson_counts":
-            raw = _resolve(args, config, "synth", key)
-            value = None if raw is None else str(raw).lower() in ("1", "true", "yes")
-        else:
-            value = _resolve(args, config, "synth", key, cast)
+        value = _resolve(args, config, "synth", key, casts.get(key, float))
         if value is not None:
             fields[key] = value
     world = SynthWorldConfig(**fields)
@@ -287,7 +270,7 @@ def cmd_fit(args, config) -> int:
 
 def cmd_return_values(args, config) -> int:
     catalog = _catalog_from(args, config)
-    region = _region_from(args, config)
+    sub = select_region(catalog, _region_from(args, config))
     outdir = _outdir(args, config)
     T = _resolve(args, config, "analysis", "T", float)
     n = _resolve(args, config, "analysis", "n", int)
@@ -295,33 +278,30 @@ def cmd_return_values(args, config) -> int:
         raise UsageError("--T and --n are required")
     T0 = _resolve(args, config, "analysis", "T0", float, default=catalog.duration_years)
     methods = args.method or ["MLE"]
-    estimators = [e.upper() for e in (args.estimator or ["STME"])]
-    if ({"STME", "SINGLE"} & set(estimators)) and not T > T0 > 0:
+    estimators = args.estimator or ["STME"]
+    fitted = [e for e in ("STME", "SINGLE") if e in estimators]
+    if fitted and not T > T0 > 0:
         raise UsageError(f"need T > T0 > 0, got T={T}, T0={T0}")
     loc_ids = _resolve(args, config, "analysis", "location_ids", _parse_int_list)
-    estimates = []
-    sub = select_region(catalog, region)
-    targets = loc_ids or sub.location_ids
-    for method in methods:
-        if "STME" in estimators:
-            observed = replace(sub, duration_years=float(T0))
-            estimates.extend(
-                run_stme(observed, RegionSpec(), n=n, T=T, method=method, location_ids=targets)
-            )
-        if "SINGLE" in estimators:
-            for loc in targets:
-                estimates.append(
-                    single_location_rv(location_series(sub, loc), n=n, T=T, T0=T0, method=method)
-                )
+    targets = analysis_locations(sub, loc_ids)
+    cells = estimate_cells(sub, T, T0, (n,), methods, fitted, targets) if fitted else {}
+    rows = []
+    for key, result in cells.items():
+        value, flag = ("", result) if isinstance(result, str) else (result.value, result.flag)
+        rows.append((*key, T, T0, value, flag))
     if "EMPIRICAL" in estimators:
         for loc in targets:
-            estimates.append(empirical_rv(location_series(sub, loc), T=T, T_L=catalog.duration_years))
-    _write_csv(os.path.join(outdir, "estimates.csv"), _ESTIMATE_HEADER, _estimate_rows(estimates))
+            e = empirical_rv(location_series(sub, loc), T=T, T_L=catalog.duration_years)
+            rows.append((e.location_id, e.estimator, e.method, e.n, e.T, e.T0, e.value, e.flag))
+    _write_csv(os.path.join(outdir, "estimates.csv"), _ESTIMATE_HEADER, rows)
     _write_metadata(
         outdir, "return-values",
         {"T": T, "T0": T0, "n": n, "methods": methods, "estimators": estimators},
     )
-    print(f"wrote {len(estimates)} estimates to {outdir}")
+    failed = sum(isinstance(result, str) for result in cells.values())
+    print(f"wrote {len(rows)} estimates to {outdir} ({failed} without a value)")
+    if failed == len(rows):
+        raise EvdError("no estimate has a value; see the flag column of estimates.csv")
     return 0
 
 
@@ -447,8 +427,8 @@ def cmd_experiment(args, config) -> int:
     ladder = tuple(args.n) if args.n else _resolve(args, config, "analysis", "n_ladder", _parse_int_list)
     if T is None or T0 is None or not ladder:
         raise UsageError("--T, --T0 and at least one --n are required")
-    methods = tuple(m.upper() for m in (args.method or ["MLE", "PWM"]))
-    estimators = tuple(e.upper() for e in (args.estimator or ["STME", "SINGLE"]))
+    methods = tuple(args.method or ["MLE", "PWM"])
+    estimators = tuple(args.estimator or ["STME", "SINGLE"])
     replicates = _resolve(args, config, "experiment", "replicates", int, default=100)
     seed = _resolve(args, config, "experiment", "seed", int, default=0)
     jobs = args.jobs or _resolve(args, config, "experiment", "jobs", int, default=1)
@@ -497,18 +477,13 @@ def cmd_experiment(args, config) -> int:
         ),
     )
 
-    targets = loc_ids or regional.location_ids
     metrics_rows = []
     try:
         empirical = [
             empirical_rv(location_series(regional, loc), T=T, T_L=regional.duration_years)
-            for loc in targets
+            for loc in analysis_locations(regional, loc_ids)
         ]
-        for m in performance_metrics(summary, empirical):
-            metrics_rows.append(
-                (m.estimator, m.method, m.n, m.bias_mean, m.bias_median, m.w50,
-                 m.width_ratio_u, m.n_locations)
-            )
+        metrics_rows = [astuple(m) for m in performance_metrics(summary, empirical)]
     except CatalogError as err:
         print(f"metrics skipped: {err}", file=sys.stderr)
     _write_csv(
@@ -567,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the GPD tail to the STM series")
     add_common(p)
     p.add_argument("--n", type=int, help="number of largest STM values")
-    p.add_argument("--method", action="append", choices=["mle", "pwm", "MLE", "PWM"])
+    p.add_argument("--method", action="append", type=str.upper, choices=["MLE", "PWM"])
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("return-values", help="estimate T-year return values")
@@ -575,9 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", dest="T", type=float, help="return period, years")
     p.add_argument("--T0", dest="T0", type=float, help="observation period, years")
     p.add_argument("--n", type=int)
-    p.add_argument("--method", action="append", choices=["mle", "pwm", "MLE", "PWM"])
-    p.add_argument("--estimator", action="append",
-                   choices=["stme", "single", "empirical", "STME", "SINGLE", "EMPIRICAL"])
+    p.add_argument("--method", action="append", type=str.upper, choices=["MLE", "PWM"])
+    p.add_argument("--estimator", action="append", type=str.upper,
+                   choices=["STME", "SINGLE", "EMPIRICAL"])
     p.set_defaults(func=cmd_return_values)
 
     p = sub.add_parser("diagnostics", help="run STM-E assumption diagnostics")
@@ -596,9 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", dest="T", type=float)
     p.add_argument("--T0", dest="T0", type=float)
     p.add_argument("--n", type=int, action="append", help="sample-size ladder (repeatable)")
-    p.add_argument("--method", action="append", choices=["mle", "pwm", "MLE", "PWM"])
-    p.add_argument("--estimator", action="append",
-                   choices=["stme", "single", "STME", "SINGLE"])
+    p.add_argument("--method", action="append", type=str.upper, choices=["MLE", "PWM"])
+    p.add_argument("--estimator", action="append", type=str.upper, choices=["STME", "SINGLE"])
     p.add_argument("--replicates", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, help="parallel workers (results identical for any value)")
@@ -610,13 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # normalize flag aliases into the config resolution namespace
-    if getattr(args, "method", None):
-        args.method = [m.upper() for m in args.method]
     try:
         config = load_config(args.config) if getattr(args, "config", None) else {}
         return args.func(args, config)
-    except (UsageError, CatalogError, FileNotFoundError) as err:
+    except (UsageError, CatalogError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (EvdError, DiagnosticsError, RuntimeError) as err:

@@ -41,10 +41,9 @@ def kendall_tau(x, y) -> tuple[float, float]:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise DiagnosticsError("length mismatch")
-    if x.size < 3:
-        raise DiagnosticsError(f"need n >= 3, got {x.size}")
+    null_sd = kendall_tau_null_sd(x.size)  # checks n >= 3
     tau = stats.kendalltau(x, y, variant="b").statistic
-    return float(tau), kendall_tau_null_sd(x.size)
+    return float(tau), null_sd
 
 
 def _check_same_events(stm: StmSeries, exposures: ExposureMatrix):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -110,19 +110,9 @@ class FitReport:
     message: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "threshold": self.params.threshold if self.params else None,
-                "scale": self.params.scale if self.params else None,
-                "shape": self.params.shape if self.params else None,
-                "n": self.n,
-                "method": self.method,
-                "loglik": self.loglik,
-                "converged": self.converged,
-                "iterations": self.iterations,
-                "message": self.message,
-            }
-        )
+        fields = asdict(self)
+        params = fields.pop("params") or dict.fromkeys(("threshold", "scale", "shape"))
+        return json.dumps({**params, **fields})
 
 
 def _check_exceedances(exceedances, threshold: float) -> np.ndarray:

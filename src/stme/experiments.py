@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import location_series, single_location_rv
+from .baselines import LocationSeries, location_series, single_location_rv
 from .catalog import (
     CatalogError,
     CycloneCatalog,
@@ -27,10 +27,9 @@ from .catalog import (
     extract_exposures,
     extract_stm,
     select_region,
-    top_n_events,
 )
-from .evd import EvdError, GpdParams, fit_gpd, gpd_quantile
-from .returns import ReturnValueEstimate, exposure_ecdf, return_value
+from .evd import EvdError, GpdParams, gpd_quantile
+from .returns import ReturnValueEstimate, stme_return_values
 
 KM_PER_DEG_LAT = 110.57
 KM_PER_DEG_LON_EQ = 111.32
@@ -99,53 +98,78 @@ def sample_period(
     )
 
 
+def analysis_locations(regional: CycloneCatalog, location_ids) -> tuple[int, ...]:
+    """The analysed location ids: all of the region's when `location_ids` is
+    empty or None, else those ids, each of which must be in the region."""
+    if not location_ids:
+        return regional.location_ids
+    missing = set(location_ids) - set(regional.location_ids)
+    if missing:
+        raise CatalogError(f"locations {sorted(missing)} not in region")
+    return tuple(dict.fromkeys(location_ids))
+
+
+def estimate_cells(
+    catalog: CycloneCatalog,
+    T: float,
+    T0: float,
+    n_ladder: Sequence[int],
+    methods: Sequence[str],
+    estimators: Sequence[str],
+    location_ids: Sequence[int],
+) -> dict[CellKey, ReturnValueEstimate | str]:
+    """Every (location, estimator, method, n) cell of a T0-year catalog,
+    mapped to its T-year estimate or to the reason there is none. Cells come
+    in ladder, then method order; STME before SINGLE, locations innermost."""
+    stm = extract_stm(catalog)
+    exposures = extract_exposures(catalog, stm)
+    series: dict[int, LocationSeries | str] = {}
+    if "SINGLE" in estimators:
+        for loc in location_ids:
+            try:
+                series[loc] = location_series(catalog, loc)
+            except CatalogError as err:
+                series[loc] = str(err)
+    cells: dict[CellKey, ReturnValueEstimate | str] = {}
+    for n in n_ladder:
+        short = f"n={n} exceeds sample size {len(stm)}" if n > len(stm) else ""
+        for method in methods:
+            if "STME" in estimators:
+                found = (
+                    dict.fromkeys(location_ids, short) if short
+                    else stme_return_values(stm, exposures, n, T, T0, method, location_ids)
+                )
+                cells.update(((loc, "STME", method, n), r) for loc, r in found.items())
+            if "SINGLE" in estimators:
+                for loc in location_ids:
+                    cells[(loc, "SINGLE", method, n)] = short or _single(
+                        series[loc], n, T, T0, method
+                    )
+    return cells
+
+
+def _single(series: LocationSeries | str, n, T, T0, method) -> ReturnValueEstimate | str:
+    if isinstance(series, str):
+        return series
+    try:
+        return single_location_rv(series, n=n, T=T, T0=T0, method=method)
+    except (CatalogError, EvdError) as err:
+        return str(err)
+
+
 def _run_replicate(
     index: int, regional: CycloneCatalog, config: ExperimentConfig
 ) -> ReplicateResult:
-    rng = replicate_rng(config.master_seed, index)
-    sample = sample_period(regional, config.T0, rng)
-    stm = extract_stm(sample)
-    exposures = extract_exposures(sample, stm)
-    loc_ids = config.location_ids or sample.location_ids
-    estimates: dict[CellKey, float] = {}
-    failures: dict[CellKey, str] = {}
-    for n in config.n_ladder:
-        if n > len(stm):
-            for method in config.methods:
-                for est in config.estimators:
-                    for loc in loc_ids:
-                        failures[(loc, est, method, n)] = f"n={n} exceeds sample size {len(stm)}"
-            continue
-        retained, psi = top_n_events(stm, n)
-        for method in config.methods:
-            if "STME" in config.estimators:
-                report = fit_gpd(retained.values, psi, method)
-                for loc in loc_ids:
-                    key = (loc, "STME", method, n)
-                    if not report.converged:
-                        failures[key] = f"tail fit failed: {report.message}"
-                        continue
-                    try:
-                        ecdf = exposure_ecdf(exposures, loc, retained.event_ids)
-                        est = return_value(
-                            report.params, ecdf, T=config.T, T0=config.T0, n=n,
-                            method=method, estimator="STME",
-                        )
-                        estimates[key] = est.value
-                    except (CatalogError, EvdError) as err:
-                        failures[key] = str(err)
-            if "SINGLE" in config.estimators:
-                for loc in loc_ids:
-                    key = (loc, "SINGLE", method, n)
-                    try:
-                        series = location_series(sample, loc)
-                        est = single_location_rv(
-                            series, n=n, T=config.T, T0=config.T0, method=method
-                        )
-                        estimates[key] = est.value
-                    except (CatalogError, EvdError) as err:
-                        failures[key] = str(err)
-    return ReplicateResult(index=index, estimates=estimates, failures=failures)
+    sample = sample_period(regional, config.T0, replicate_rng(config.master_seed, index))
+    cells = estimate_cells(
+        sample, config.T, config.T0, config.n_ladder, config.methods, config.estimators,
+        analysis_locations(sample, config.location_ids),
+    )
+    return ReplicateResult(
+        index=index,
+        estimates={k: r.value for k, r in cells.items() if not isinstance(r, str)},
+        failures={k: r for k, r in cells.items() if isinstance(r, str)},
+    )
 
 
 def run_replicates(
@@ -157,10 +181,7 @@ def run_replicates(
     """Run the replicates at `indices` on a region catalog, yielding each result
     in index order as soon as it and every earlier one are done. The location
     ids are checked before this returns; results do not depend on `jobs`."""
-    if config.location_ids:
-        missing = set(config.location_ids) - set(regional.location_ids)
-        if missing:
-            raise CatalogError(f"locations {sorted(missing)} not in region")
+    analysis_locations(regional, config.location_ids)
     if jobs > 1 and indices:
         return _pooled_replicates(regional, config, indices, jobs)
     return (_run_replicate(i, regional, config) for i in indices)
@@ -262,11 +283,8 @@ def performance_metrics(
     for (loc, estimator, method, n), cell in summary.cells.items():
         if loc in emp:
             groups.setdefault((estimator, method, n), []).append((loc, cell))
-    missing = {
-        (estimator, method, n): set(emp) - {loc for loc, _ in cells}
-        for (estimator, method, n), cells in groups.items()
-    }
-    for key, miss in missing.items():
+    for key, cells in groups.items():
+        miss = set(emp) - {loc for loc, _ in cells}
         if miss:
             raise CatalogError(f"cell {key}: no summary at locations {sorted(miss)}")
     other = {"STME": "SINGLE", "SINGLE": "STME"}
@@ -326,15 +344,11 @@ class SynthWorldConfig:
 def _grid_locations(config: SynthWorldConfig) -> list[Location]:
     lons = np.arange(config.lon_min, config.lon_max + 1e-9, config.spacing_deg)
     lats = np.arange(config.lat_min, config.lat_max + 1e-9, config.spacing_deg)
-    locations = []
-    loc_id = 1
-    for lat in lats:
-        for lon in lons:
-            locations.append(
-                Location(id=loc_id, lon=float(lon), lat=float(lat), depth=100.0 + 50.0 * (loc_id - 1))
-            )
-            loc_id += 1
-    return locations
+    grid = [(lon, lat) for lat in lats for lon in lons]
+    return [
+        Location(id=k, lon=float(lon), lat=float(lat), depth=100.0 + 50.0 * (k - 1))
+        for k, (lon, lat) in enumerate(grid, start=1)
+    ]
 
 
 def synth_catalog(config: SynthWorldConfig) -> CycloneCatalog:

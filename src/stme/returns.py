@@ -21,6 +21,7 @@ from .catalog import (
     CycloneCatalog,
     ExposureMatrix,
     RegionSpec,
+    StmSeries,
     extract_exposures,
     extract_stm,
     select_region,
@@ -149,6 +150,34 @@ def return_value(
     )
 
 
+def stme_return_values(
+    stm: StmSeries,
+    exposures: ExposureMatrix,
+    n: int,
+    T: float,
+    T0: float,
+    method: str,
+    location_ids,
+) -> dict[int, ReturnValueEstimate | str]:
+    """One STM-E step: fit the tail of the n largest STM values once and
+    invert the return value at each location. Maps each location id to its
+    estimate or to the reason there is none."""
+    retained, psi = top_n_events(stm, n)
+    report = fit_gpd(retained.values, psi, method)
+    if not report.converged:
+        return dict.fromkeys(location_ids, f"tail fit failed: {report.message}")
+    results: dict[int, ReturnValueEstimate | str] = {}
+    for loc in location_ids:
+        try:
+            ecdf = exposure_ecdf(exposures, loc, retained.event_ids)
+            results[loc] = return_value(
+                report.params, ecdf, T=T, T0=T0, n=n, method=method.upper(), estimator="STME"
+            )
+        except (CatalogError, EvdError) as err:
+            results[loc] = str(err)
+    return results
+
+
 def run_stme(
     catalog: CycloneCatalog,
     region: RegionSpec,
@@ -157,32 +186,21 @@ def run_stme(
     method: str = "MLE",
     location_ids=None,
 ) -> list[ReturnValueEstimate]:
-    """Full STM-E pipeline: region selection, STM extraction, top-n threshold,
-    GPD fit, per-location exposure ECDF and return value.
-
-    T0 is the catalog duration. Per-location failures (no exposure data) are
-    reported as warnings without aborting the other locations; a tail-fit
-    failure aborts with an EvdError since no estimate is possible.
-    """
+    """Full STM-E pipeline: region selection, STM extraction and one
+    stme_return_values step, with T0 the catalog duration. Locations without
+    an estimate are reported as warnings; when no location has one, as after
+    a failed tail fit, an EvdError is raised."""
     sub = select_region(catalog, region)
     stm = extract_stm(sub)
-    retained, psi = top_n_events(stm, n)
-    report = fit_gpd(retained.values, psi, method)
-    if not report.converged:
-        raise EvdError(f"{method} tail fit failed: {report.message}")
-    exposures = extract_exposures(sub, stm)
-    if location_ids is None:
-        location_ids = sub.location_ids
-    estimates = []
-    for loc in location_ids:
-        try:
-            ecdf = exposure_ecdf(exposures, loc, retained.event_ids)
-            estimates.append(
-                return_value(
-                    report.params, ecdf, T=T, T0=sub.duration_years, n=n,
-                    method=method.upper(), estimator="STME",
-                )
-            )
-        except CatalogError as err:
-            warnings.warn(f"location {loc}: {err}", stacklevel=2)
+    results = stme_return_values(
+        stm, extract_exposures(sub, stm), n, T, sub.duration_years, method,
+        sub.location_ids if location_ids is None else location_ids,
+    )
+    estimates = [r for r in results.values() if not isinstance(r, str)]
+    if not estimates:
+        reason = next(iter(results.values()), "no locations")
+        raise EvdError(f"{method} STM-E: no estimate at any location ({reason})")
+    for loc, result in results.items():
+        if isinstance(result, str):
+            warnings.warn(f"location {loc}: {result}", stacklevel=2)
     return estimates

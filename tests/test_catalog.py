@@ -1,3 +1,5 @@
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -149,7 +151,96 @@ class TestLoadCatalog:
         assert cat.event_ids.tolist() == [2]
 
 
+class TestBadInputs:
+    @pytest.mark.parametrize("row, message", [
+        ("2,-61.3,16.0,nan", "locations.csv:3: location 2: invalid depth nan"),
+        ("2,-61.3,16.0,inf", "locations.csv:3: location 2: invalid depth inf"),
+        ("2,nan,16.0,", "locations.csv:3: location 2: lon nan"),
+        ("99999999999999999999,-61.3,16.0,", "locations.csv:3: location id 9+ outside"),
+    ])
+    def test_invalid_location_rejected_with_line(self, tmp_path, row, message):
+        (tmp_path / "locations.csv").write_text(
+            f"location_id,lon_deg,lat_deg,depth_m\n1,-61.5,16.2,\n{row}\n"
+        )
+        (tmp_path / "footprints.csv").write_text("cyclone_id,location_id,max_swh_m\n1,1,3.5\n")
+        with pytest.raises(CatalogError, match=message):
+            load_catalog(tmp_path / "footprints.csv", tmp_path / "locations.csv", 10.0)
+
+    def test_non_finite_depth_rejected(self):
+        for depth in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(CatalogError, match="invalid depth"):
+                Location(id=1, lon=0.0, lat=0.0, depth=depth)
+        assert Location(id=1, lon=0.0, lat=0.0, depth=0.0).depth == 0.0
+
+    @pytest.mark.parametrize("footprints, message", [
+        (b"1,1,3.5\n2,1,\xff4.0\n", "footprints.csv:3: bad max_swh_m"),
+        (b"1,1,3.5\n2\xc3,1,4.0\n", "footprints.csv:3: bad cyclone_id"),
+        (b"1,1,3.5\n99999999999999999999,1,4.0\n", "footprints.csv:3: cyclone_id 9+ outside"),
+    ])
+    def test_bad_footprint_bytes_rejected_with_line(self, tmp_path, footprints, message):
+        (tmp_path / "locations.csv").write_text("location_id,lon_deg,lat_deg,depth_m\n1,-61.5,16.2,\n")
+        (tmp_path / "footprints.csv").write_bytes(b"cyclone_id,location_id,max_swh_m\n" + footprints)
+        with pytest.raises(CatalogError, match=message):
+            load_catalog(tmp_path / "footprints.csv", tmp_path / "locations.csv", 10.0)
+
+
+# location 3 has no footprint rows, so its row can change freely
+VALID_LOCATIONS = b"location_id,lon_deg,lat_deg,depth_m\n1,-61.5,16.2,120\n2,-61.3,16.0,\n3,-61.1,16.4,80\n"
+VALID_FOOTPRINTS = b"cyclone_id,location_id,max_swh_m\n1,1,3.5\n1,2,2.0\n2,2,4.25\n3,1,0\n"
+# bytes and fields that reach the parsers' edge cases
+TOKENS = [b",", b"\n", b"\r", b'"', b"-", b".", b"e", b"\x00", b"\xff", b"\xc3", b"\xef\xbb\xbf",
+          b"nan", b"inf", b"-1", b"1e400", b"99999999999999999999", b"1_0", b" ", b"x"]
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """`data` with up to two fields replaced by tokens, then up to three byte
+    edits (a run of up to three bytes replaced by a token or random bytes)."""
+    lines = [line.split(b",") for line in data.split(b"\n")]
+    for _ in range(draw(st.integers(0, 2))):
+        fields = lines[draw(st.integers(0, len(lines) - 1))]
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TOKENS))
+    out = bytearray(b"\n".join(b",".join(fields) for fields in lines))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(out)))
+        cut = draw(st.integers(0, 3))
+        out[pos:pos + cut] = draw(st.one_of(st.sampled_from(TOKENS), st.binary(max_size=3)))
+    return bytes(out)
+
+
+class TestLoadFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        locations=st.one_of(st.just(VALID_LOCATIONS), mutated(VALID_LOCATIONS)),
+        footprints=st.one_of(st.just(VALID_FOOTPRINTS), mutated(VALID_FOOTPRINTS)),
+    )
+    def test_mutated_csv_loads_or_raises_catalog_error(self, locations, footprints):
+        with tempfile.TemporaryDirectory() as tmp:
+            loc_path = os.path.join(tmp, "locations.csv")
+            fp_path = os.path.join(tmp, "footprints.csv")
+            with open(loc_path, "wb") as fh:
+                fh.write(locations)
+            with open(fp_path, "wb") as fh:
+                fh.write(footprints)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    cat = load_catalog(fp_path, loc_path, 10.0)
+                    # what loads must also go through the first pipeline steps
+                    sub = select_region(cat, RegionSpec())
+                    extract_exposures(sub, extract_stm(sub))
+                except CatalogError:
+                    pass
+
+
 class TestSelectRegion:
+    def test_unknown_region_id_rejected(self):
+        cat = make_catalog({1: {1: 3.0, 2: 5.0}})
+        with pytest.raises(CatalogError, match=r"region locations \[98, 99\] not in catalog"):
+            RegionSpec(location_ids=(99, 1, 98)).resolve(cat)
+        with pytest.raises(CatalogError, match=r"\[99\] not in catalog"):
+            select_region(cat, RegionSpec(location_ids=(1, 99)))
+
     def test_identity(self):
         cat = make_catalog({1: {1: 3.0, 2: 5.0}, 2: {1: 4.0}})
         same = select_region(cat, RegionSpec(location_ids=(1, 2)))

@@ -20,6 +20,23 @@ def synth_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def small_world(tmp_path):
+    """Hand-made catalog: location 1 is hit by all 12 events, location 2 only
+    by the three largest, too few for a single-location fit at n = 6."""
+    swh = [3.1, 4.7, 2.2, 5.9, 3.8, 6.4, 2.9, 7.7, 4.1, 5.2, 9.3, 3.5]
+    rows = [f"{e},1,{v}" for e, v in enumerate(swh, start=1)]
+    rows += [f"{e},2,{0.5 * swh[e - 1]}" for e in (6, 8, 11)]
+    (tmp_path / "footprints.csv").write_text(
+        "cyclone_id,location_id,max_swh_m\n" + "\n".join(rows) + "\n"
+    )
+    (tmp_path / "locations.csv").write_text(
+        "location_id,lon_deg,lat_deg,depth_m\n1,-61.5,16.2,120\n2,-61.3,16.0,80\n"
+    )
+    return ["--footprints", tmp_path / "footprints.csv",
+            "--locations", tmp_path / "locations.csv", "--duration", "20"]
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -71,6 +88,35 @@ class TestStm:
             by_event.setdefault(r["cyclone_id"], []).append(v)
         for vals in by_event.values():
             assert max(vals) == 1.0
+
+    def test_unknown_region_id_exit_2(self, synth_dir, tmp_path, capsys):
+        code = run([
+            "stm", "--footprints", synth_dir / "footprints.csv",
+            "--locations", synth_dir / "locations.csv", "--duration", "800",
+            "--out", tmp_path / "o", "--location-ids", "1", "999",
+        ])
+        assert code == 2
+        assert "region locations [999] not in catalog" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "stm.csv").exists()
+
+    def test_unreadable_inputs_exit_2(self, small_world, tmp_path, capsys):
+        fp = tmp_path / "footprints.csv"
+        inputs = [str(a) for a in small_world]
+        # a directory instead of a file
+        args = ["stm", *inputs, "--out", tmp_path / "o"]
+        args[args.index(str(fp))] = tmp_path
+        assert run(args) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        # a byte that is not UTF-8
+        fp.write_bytes(fp.read_bytes().replace(b"3,1,2.2", b"3,1,2.\xff2"))
+        assert run(["stm", *inputs, "--out", tmp_path / "o"]) == 2
+        assert "footprints.csv:4: bad max_swh_m" in capsys.readouterr().err
+
+    def test_non_finite_depth_exit_2(self, small_world, tmp_path, capsys):
+        loc = tmp_path / "locations.csv"
+        loc.write_text(loc.read_text().replace("80", "nan"))
+        assert run(["stm", *small_world, "--min-depth", "50", "--out", tmp_path / "o"]) == 2
+        assert "locations.csv:3: location 2: invalid depth nan" in capsys.readouterr().err
 
     def test_missing_inputs_exit_2(self, tmp_path):
         code = run(["stm", "--footprints", tmp_path / "nope.csv",
@@ -124,6 +170,44 @@ class TestReturnValues:
         assert kinds == {"STME", "SINGLE", "EMPIRICAL"}
         for r in rows:
             assert float(r["value_m"]) > 0
+
+    def test_failed_cell_is_a_row(self, small_world, tmp_path, capsys):
+        out = tmp_path / "rv"
+        code = run(["return-values", *small_world, "--out", out, "--T", "100", "--n", "6",
+                    "--method", "pwm", "--estimator", "single", "--estimator", "stme"])
+        assert code == 0
+        assert "wrote 4 estimates" in capsys.readouterr().out
+        rows = read_csv(out / "estimates.csv")
+        assert [(r["location_id"], r["estimator"], r["method"]) for r in rows] == [
+            ("1", "STME", "PWM"), ("2", "STME", "PWM"), ("1", "SINGLE", "PWM"),
+            ("2", "SINGLE", "PWM"),
+        ]
+        for r in rows[:3]:
+            assert float(r["value_m"]) > 0 and r["flag"] in ("", "at_upper_bound")
+        assert rows[3]["value_m"] == ""
+        assert rows[3]["flag"] == "location 2: n=6 exceeds 3 values"
+        assert all((r["n"], r["T_years"], r["T0_years"]) == ("6", "100", "20") for r in rows)
+
+    def test_no_value_at_all_exit_1(self, small_world, tmp_path, capsys):
+        cfg = tmp_path / "only2.ini"
+        cfg.write_text("[analysis]\nlocation_ids = 2\n")
+        out = tmp_path / "rv"
+        code = run(["return-values", *small_world, "--config", cfg, "--out", out,
+                    "--T", "100", "--n", "6", "--estimator", "single"])
+        assert code == 1
+        assert "no estimate has a value" in capsys.readouterr().err
+        rows = read_csv(out / "estimates.csv")
+        assert [(r["location_id"], r["value_m"]) for r in rows] == [("2", "")]
+
+    @pytest.mark.parametrize("estimator", ["stme", "single", "empirical"])
+    def test_location_outside_region_exit_2(self, small_world, tmp_path, capsys, estimator):
+        cfg = tmp_path / "ids.ini"
+        cfg.write_text("[analysis]\nlocation_ids = 1 999\n")
+        code = run(["return-values", *small_world, "--config", cfg, "--out", tmp_path / "o",
+                    "--T", "10", "--T0", "5", "--n", "6", "--estimator", estimator])
+        assert code == 2
+        assert "locations [999] not in region" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "estimates.csv").exists()
 
     def test_bad_period_exit_2(self, synth_dir, tmp_path):
         code = run([
@@ -215,7 +299,8 @@ class TestExperiment:
         out = tmp_path / "outside"
         code = self.run_experiment(synth_dir, out, extra=["--location-ids", "1", "999"])
         assert code == 2
-        assert "[999] not in region" in capsys.readouterr().err
+        # --location-ids sets the region too, which is checked first
+        assert "region locations [999] not in catalog" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
 
@@ -275,6 +360,20 @@ class TestConfigFile:
         cfg.write_text("[input]\nfootprintz = x\n")
         with pytest.raises(UsageError, match="unknown config key"):
             load_config(cfg)
+
+    @pytest.mark.parametrize("key, value", [("methods", "PWM"), ("estimators", "single")])
+    def test_unread_analysis_keys_rejected(self, synth_dir, tmp_path, capsys, key, value):
+        cfg = tmp_path / "unread.ini"
+        cfg.write_text(f"[analysis]\n{key} = {value}\n")
+        with pytest.raises(UsageError, match=f"unknown config key '{key}' in \\[analysis\\]"):
+            load_config(cfg)
+        code = run([
+            "return-values", "--config", cfg, "--footprints", synth_dir / "footprints.csv",
+            "--locations", synth_dir / "locations.csv", "--duration", "800",
+            "--out", tmp_path / "o", "--T", "200", "--n", "30",
+        ])
+        assert code == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"

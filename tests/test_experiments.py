@@ -3,11 +3,14 @@ import pytest
 
 from stme.baselines import empirical_rv, location_series
 from stme.catalog import CatalogError, RegionSpec, extract_stm
+import stme.experiments
 from stme.experiments import (
     CellStats,
     ExperimentConfig,
     ReplicateResult,
     SynthWorldConfig,
+    analysis_locations,
+    estimate_cells,
     performance_metrics,
     replicate_rng,
     run_experiment,
@@ -214,6 +217,53 @@ class TestRunExperiment:
                                location_ids=(9999,))
         with pytest.raises(CatalogError, match="not in region"):
             run_experiment(world, RegionSpec(), cfg)
+
+
+class TestEstimateCells:
+    def test_cell_order_and_one_series_per_location(self, monkeypatch):
+        world = synth_catalog(SynthWorldConfig(duration_years=200.0, seed=3))
+        calls = []
+
+        def counted(catalog, loc):
+            calls.append(loc)
+            return location_series(catalog, loc)
+
+        monkeypatch.setattr(stme.experiments, "location_series", counted)
+        cells = estimate_cells(world, 500.0, 200.0, (10, 20), ("MLE", "PWM"),
+                               ("STME", "SINGLE"), (3, 1, 2))
+        assert list(cells) == [
+            (loc, est, method, n)
+            for n in (10, 20)
+            for method in ("MLE", "PWM")
+            for est in ("STME", "SINGLE")
+            for loc in (3, 1, 2)
+        ]
+        assert calls == [3, 1, 2]
+        for (loc, est, method, n), result in cells.items():
+            assert (result.location_id, result.estimator, result.method, result.n) == (
+                loc, est, method, n)
+
+    def test_n_beyond_sample_fails_every_cell(self):
+        world = exposure_world({1: 1.0, 2: 0.5}, [5.0 + 0.1 * k for k in range(12)])
+        cells = estimate_cells(world, 500.0, 200.0, (20,), ("PWM",), ("STME", "SINGLE"), (1, 2))
+        assert len(cells) == 4
+        assert set(cells.values()) == {"n=20 exceeds sample size 12"}
+
+    def test_failed_fit_gives_every_stme_cell_the_reason(self):
+        world = exposure_world({1: 1.0, 2: 0.5}, np.arange(1, 13) ** 6.0)
+        cells = estimate_cells(world, 500.0, 200.0, (10,), ("MLE",), ("STME",), (1, 2))
+        assert cells == {
+            (loc, "STME", "MLE", 10): "tail fit failed: shape at search boundary"
+            for loc in (1, 2)
+        }
+
+    def test_analysis_locations(self):
+        world = exposure_world({1: 1.0, 2: 0.5, 3: 0.2}, [5.0 + 0.1 * k for k in range(12)])
+        assert analysis_locations(world, None) == (1, 2, 3)
+        assert analysis_locations(world, ()) == (1, 2, 3)
+        assert analysis_locations(world, [3, 1, 3]) == (3, 1)
+        with pytest.raises(CatalogError, match=r"\[7, 9\] not in region"):
+            analysis_locations(world, (1, 9, 7))
 
 
 class TestSynthWorld:

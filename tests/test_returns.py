@@ -10,13 +10,14 @@ from stme.catalog import (
     extract_stm,
     top_n_events,
 )
-from stme.evd import GpdParams, fit_gpd, gpd_cdf, gpd_pdf, gpd_quantile
+from stme.evd import EvdError, GpdParams, fit_gpd, gpd_cdf, gpd_pdf, gpd_quantile
 from stme.returns import (
     BISECTION_TOL,
     ExposureEcdf,
     exposure_ecdf,
     return_value,
     run_stme,
+    stme_return_values,
     swh_cdf,
     target_probability,
 )
@@ -242,3 +243,43 @@ class TestRunStme:
         by_loc = {e.location_id: e.value for e in all_three}
         for est in just_two:
             assert est.value == by_loc[est.location_id]
+
+    def test_failed_fit_raises(self):
+        cat = exposure_world({1: 1.0, 2: 0.5}, np.arange(1, 13) ** 6.0)
+        with pytest.raises(EvdError, match="tail fit failed: shape at search boundary"):
+            run_stme(cat, RegionSpec(), n=10, T=500.0, method="MLE")
+
+    def test_location_without_estimate_warns(self):
+        rng = np.random.default_rng(11)
+        stm_values = np.asarray(gpd_quantile(GpdParams(4.0, 2.0, 0.1), rng.uniform(size=60)))
+        cat = exposure_world({1: 1.0, 2: 0.6}, stm_values)
+        with pytest.warns(UserWarning, match="location 7: location 7 not in exposure matrix"):
+            estimates = run_stme(cat, RegionSpec(), n=20, T=500.0, method="PWM",
+                                 location_ids=[1, 7, 2])
+        assert [e.location_id for e in estimates] == [1, 2]
+
+
+class TestStmeReturnValues:
+    def test_matches_return_value_per_location(self):
+        rng = np.random.default_rng(12)
+        stm_values = np.asarray(gpd_quantile(GpdParams(4.0, 2.0, 0.1), rng.uniform(size=60)))
+        cat = exposure_world({1: 1.0, 2: 0.6, 3: 0.3}, stm_values)
+        stm = extract_stm(cat)
+        exposures = extract_exposures(cat, stm)
+        results = stme_return_values(stm, exposures, 20, 500.0, 200.0, "pwm", [3, 1])
+        assert list(results) == [3, 1]
+        retained, psi = top_n_events(stm, 20)
+        report = fit_gpd(retained.values, psi, "PWM")
+        for loc, est in results.items():
+            expected = return_value(
+                report.params, exposure_ecdf(exposures, loc, retained.event_ids),
+                T=500.0, T0=200.0, n=20, method="PWM",
+            )
+            assert est == expected
+
+    def test_failed_fit_gives_every_location_the_reason(self):
+        cat = exposure_world({1: 1.0, 2: 0.5}, np.arange(1, 13) ** 6.0)
+        stm = extract_stm(cat)
+        results = stme_return_values(stm, extract_exposures(cat, stm), 10, 500.0, 200.0, "MLE",
+                                     [1, 2])
+        assert results == dict.fromkeys([1, 2], "tail fit failed: shape at search boundary")
