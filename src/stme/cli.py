@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 compute failure (return-values: no estimate at all),
 2 usage/validation error.
 All outputs go to the --out directory; randomized commands take --seed and
 are reproducible from it (independently of --jobs).
+Each option is declared once, in `_OPTIONS`, which builds both the argument
+parser and the config-file schema.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from . import __version__
 from .baselines import empirical_rv, location_series
 from .catalog import (
     CatalogError,
+    CycloneCatalog,
     ExposureMatrix,
     RegionSpec,
     StmSeries,
@@ -112,101 +115,162 @@ def _cells(event_ids, location_ids, values):
     )
 
 
-# Config file: flat key-value sections mirroring module names; CLI flags
-# override config values; unknown keys rejected.
-_CONFIG_SCHEMA = {
-    "input": {"footprints", "locations", "duration_years"},
-    "region": {"lon_min", "lon_max", "lat_min", "lat_max", "location_ids", "min_depth"},
-    "analysis": {"T", "T0", "n", "n_ladder", "location_ids"},
-    "experiment": {"replicates", "seed", "jobs"},
-    "synth": {
-        "lon_min", "lon_max", "lat_min", "lat_max", "spacing_deg", "rate",
-        "duration_years", "direction_mean_deg", "direction_sd_deg",
-        "intensity_threshold", "intensity_scale", "intensity_shape",
-        "decay_km", "noise_sigma_log", "poisson_counts", "seed",
-    },
-    "output": {"dir"},
-}
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not a boolean: {text!r} (use one of {', '.join(states)})")
+    return states[text.lower()]
+
+
+class Option:
+    """One row of the option table: the flag and/or the config key that set
+    the option, the parser of one flag argument or config item, the commands
+    that take it, its default or whether it is required, and any further
+    `add_argument` keywords. A list option (`nargs` or `action="append"`)
+    splits a config value on commas and spaces."""
+
+    def __init__(self, flag, section, key, type, commands, default=None, required=False, **kwargs):
+        self.flag, self.section, self.key, self.type = flag, section, key, type
+        self.commands, self.default, self.required = commands, default, required
+        self.kwargs = kwargs
+
+    @property
+    def is_list(self) -> bool:
+        return "nargs" in self.kwargs or self.kwargs.get("action") == "append"
+
+
+_CATALOG = ("stm", "fit", "return-values", "diagnostics", "experiment")
+_SYNTH, _RV, _DIAG, _EXP = ("synth",), ("return-values",), ("diagnostics",), ("experiment",)
+_METHODS = ["MLE", "PWM"]
+
+# Every option of every command. A flag wins over its config key, which wins
+# over the default. `--location-ids` sets both the region and the analysed
+# locations; `[analysis] location_ids` only the latter.
+_OPTIONS = (
+    Option("--out", "output", "dir", str, _SYNTH + _CATALOG, required=True,
+           help="output directory"),
+    Option("--footprints", "input", "footprints", str, _CATALOG, required=True,
+           help="footprints CSV"),
+    Option("--locations", "input", "locations", str, _CATALOG, required=True,
+           help="locations CSV"),
+    Option("--duration", "input", "duration_years", float, _CATALOG, required=True,
+           help="catalog duration in years"),
+    *(Option(f"--{key.replace('_', '-')}", "region", key, float, _CATALOG)
+      for key in ("lon_min", "lon_max", "lat_min", "lat_max", "min_depth")),
+    Option("--location-ids", "region", "location_ids", int, _CATALOG, nargs="+"),
+    Option("--location-ids", "analysis", "location_ids", int, _RV + _EXP, nargs="+"),
+    Option("--T", "analysis", "T", float, _RV + _EXP, required=True,
+           help="return period, years"),
+    Option("--T0", "analysis", "T0", float, _RV,
+           help="observation period, years (default: the catalog duration)"),
+    Option("--T0", "analysis", "T0", float, _EXP, required=True,
+           help="observation period, years"),
+    Option("--n", "analysis", "n", int, ("fit",) + _RV, required=True,
+           help="number of largest STM values"),
+    Option("--n", "analysis", "n_ladder", int, _EXP, required=True, action="append",
+           help="sample-size ladder (repeatable)"),
+    Option("--method", None, "method", str.upper, ("fit",) + _RV, ("MLE",),
+           action="append", choices=_METHODS),
+    Option("--method", None, "method", str.upper, _EXP, ("MLE", "PWM"),
+           action="append", choices=_METHODS),
+    Option("--estimator", None, "estimator", str.upper, _RV, ("STME",),
+           action="append", choices=["STME", "SINGLE", "EMPIRICAL"]),
+    Option("--estimator", None, "estimator", str.upper, _EXP, ("STME", "SINGLE"),
+           action="append", choices=["STME", "SINGLE"]),
+    Option("--band", None, "band", float, _DIAG, 0.90, help="tau confidence band level"),
+    Option("--min-stm", None, "min_stm", float, _DIAG,
+           help="keep only events with STM above this (m)"),
+    Option("--orientation", None, "orientation", float, _DIAG, (0.0, 45.0, 90.0, 135.0),
+           action="append", help="transect orientation in degrees (repeatable)"),
+    Option("--n-perm", None, "n_perm", int, _DIAG, 999),
+    Option("--n-null", None, "n_null", int, _DIAG, 1000),
+    Option("--seed", "experiment", "seed", int, _DIAG + _EXP, 0),
+    Option("--replicates", "experiment", "replicates", int, _EXP, 100),
+    Option("--jobs", "experiment", "jobs", _jobs, _EXP, 1,
+           help="parallel workers (results identical for any value)"),
+    # a [synth] key left unset keeps the SynthWorldConfig default
+    *(Option(flag, "synth", key, float, _SYNTH) for flag, key in (
+        (None, "lon_min"), (None, "lon_max"), (None, "lat_min"), (None, "lat_max"),
+        ("--spacing", "spacing_deg"), ("--rate", "rate"), ("--years", "duration_years"),
+        (None, "direction_mean_deg"), (None, "direction_sd_deg"),
+        (None, "intensity_threshold"), (None, "intensity_scale"), (None, "intensity_shape"),
+        ("--decay-km", "decay_km"), ("--noise", "noise_sigma_log"))),
+    Option("--poisson", "synth", "poisson_counts", _boolean, _SYNTH,
+           action="store_const", const=True),
+    Option("--seed", "synth", "seed", int, _SYNTH),
+)
 
 
 def load_config(path) -> dict[str, dict[str, str]]:
+    """Read an INI config file into {section: {key: text}}, rejecting unknown
+    sections and keys. Keys match case-insensitively."""
+    schema: dict[str, dict[str, str]] = {}
+    for opt in _OPTIONS:
+        if opt.section:
+            schema.setdefault(opt.section, {})[opt.key.lower()] = opt.key
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise UsageError(f"config file not found: {path}")
     config: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in schema:
             raise UsageError(f"unknown config section [{section}]")
-        allowed = _CONFIG_SCHEMA[section]
         for key, value in parser.items(section):
-            if key not in allowed:
+            if key not in schema[section]:
                 raise UsageError(f"unknown config key {key!r} in [{section}]")
-            config.setdefault(section, {})[key] = value
+            config.setdefault(section, {})[schema[section][key]] = value
     return config
 
 
-def _resolve(args, config, section, key, cast=str, default=None):
-    """CLI flag wins over config file value; both fall back to default."""
-    attr = key.replace("-", "_")
-    value = getattr(args, attr, None)
-    if value is not None:
-        return value
-    raw = config.get(section, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as err:
-        raise UsageError(f"config [{section}] {key}: {err}") from None
+def _settings(args, config) -> dict[str | None, dict[str, object]]:
+    """Every option of `args.command` by config section (None for flag-only
+    options) and key: the flag's value, else the config value, else the
+    default. A required option that is not given is a usage error."""
+    settings: dict[str | None, dict[str, object]] = {}
+    for opt in _OPTIONS:
+        if args.command not in opt.commands:
+            continue
+        value = getattr(args, opt.flag[2:].replace("-", "_")) if opt.flag else None
+        if value is not None and opt.is_list:
+            value = tuple(value)
+        text = config.get(opt.section, {}).get(opt.key)
+        if value is None and text is not None:
+            try:
+                value = (tuple(opt.type(t) for t in text.replace(",", " ").split())
+                         if opt.is_list else opt.type(text))
+            except (ValueError, argparse.ArgumentTypeError) as err:
+                raise UsageError(f"config [{opt.section}] {opt.key}: {err}") from None
+        if value is None and opt.required:
+            raise UsageError(f"{opt.flag} or [{opt.section}] {opt.key} is required")
+        settings.setdefault(opt.section, {})[opt.key] = opt.default if value is None else value
+    return settings
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.replace(",", " ").split())
+def _region_catalog(s) -> CycloneCatalog:
+    inputs = s["input"]
+    catalog = load_catalog(inputs["footprints"], inputs["locations"], inputs["duration_years"])
+    return select_region(catalog, RegionSpec(**s["region"]))
 
 
-def _region_from(args, config) -> RegionSpec:
-    return RegionSpec(
-        lon_min=_resolve(args, config, "region", "lon_min", float),
-        lon_max=_resolve(args, config, "region", "lon_max", float),
-        lat_min=_resolve(args, config, "region", "lat_min", float),
-        lat_max=_resolve(args, config, "region", "lat_max", float),
-        location_ids=_resolve(args, config, "region", "location_ids", _parse_int_list),
-        min_depth=_resolve(args, config, "region", "min_depth", float),
-    )
-
-
-def _catalog_from(args, config):
-    footprints = _resolve(args, config, "input", "footprints")
-    locations = _resolve(args, config, "input", "locations")
-    duration = _resolve(args, config, "input", "duration_years", float)
-    if footprints is None or locations is None:
-        raise UsageError("footprints and locations files are required")
-    if duration is None:
-        raise UsageError("catalog duration (--duration years) is required")
-    return load_catalog(footprints, locations, duration)
-
-
-def _outdir(args, config) -> str:
-    outdir = _resolve(args, config, "output", "dir")
-    if outdir is None:
-        raise UsageError("output directory (--out) is required")
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
+def _outdir(s) -> str:
+    os.makedirs(s["output"]["dir"], exist_ok=True)
+    return s["output"]["dir"]
 
 
 _ESTIMATE_HEADER = ["location_id", "estimator", "method", "n", "T_years", "T0_years", "value_m", "flag"]
 
 
-def cmd_synth(args, config) -> int:
-    outdir = _outdir(args, config)
-    casts = {"seed": int, "poisson_counts": lambda raw: raw.lower() in ("1", "true", "yes")}
-    fields = {}
-    for key in _CONFIG_SCHEMA["synth"]:
-        value = _resolve(args, config, "synth", key, casts.get(key, float))
-        if value is not None:
-            fields[key] = value
-    world = SynthWorldConfig(**fields)
+def cmd_synth(s) -> int:
+    outdir = _outdir(s)
+    world = SynthWorldConfig(**{k: v for k, v in s["synth"].items() if v is not None})
     catalog = synth_catalog(world)
     _write_csv(
         os.path.join(outdir, "locations.csv"),
@@ -226,10 +290,9 @@ def cmd_synth(args, config) -> int:
     return 0
 
 
-def cmd_stm(args, config) -> int:
-    catalog = _catalog_from(args, config)
-    sub = select_region(catalog, _region_from(args, config))
-    outdir = _outdir(args, config)
+def cmd_stm(s) -> int:
+    sub = _region_catalog(s)
+    outdir = _outdir(s)
     stm = extract_stm(sub)
     exposures = extract_exposures(sub, stm)
     _write_csv(
@@ -248,17 +311,12 @@ def cmd_stm(args, config) -> int:
     return 0
 
 
-def cmd_fit(args, config) -> int:
-    catalog = _catalog_from(args, config)
-    sub = select_region(catalog, _region_from(args, config))
-    outdir = _outdir(args, config)
-    n = _resolve(args, config, "analysis", "n", int)
-    if n is None:
-        raise UsageError("sample size --n is required")
-    stm = extract_stm(sub)
-    retained, psi = top_n_events(stm, n)
+def cmd_fit(s) -> int:
+    sub = _region_catalog(s)
+    outdir = _outdir(s)
+    retained, psi = top_n_events(extract_stm(sub), s["analysis"]["n"])
     reports = []
-    for method in args.method or ["MLE"]:
+    for method in s[None]["method"]:
         report = fit_gpd(retained.values, psi, method)
         reports.append(json.loads(report.to_json()))
         print(report.to_json())
@@ -268,22 +326,18 @@ def cmd_fit(args, config) -> int:
     return 0
 
 
-def cmd_return_values(args, config) -> int:
-    catalog = _catalog_from(args, config)
-    sub = select_region(catalog, _region_from(args, config))
-    outdir = _outdir(args, config)
-    T = _resolve(args, config, "analysis", "T", float)
-    n = _resolve(args, config, "analysis", "n", int)
-    if T is None or n is None:
-        raise UsageError("--T and --n are required")
-    T0 = _resolve(args, config, "analysis", "T0", float, default=catalog.duration_years)
-    methods = args.method or ["MLE"]
-    estimators = args.estimator or ["STME"]
+def cmd_return_values(s) -> int:
+    sub = _region_catalog(s)
+    outdir = _outdir(s)
+    analysis, methods, estimators = s["analysis"], s[None]["method"], s[None]["estimator"]
+    T, n, T_L = analysis["T"], analysis["n"], sub.duration_years
+    T0 = T_L if analysis["T0"] is None else analysis["T0"]
     fitted = [e for e in ("STME", "SINGLE") if e in estimators]
     if fitted and not T > T0 > 0:
         raise UsageError(f"need T > T0 > 0, got T={T}, T0={T0}")
-    loc_ids = _resolve(args, config, "analysis", "location_ids", _parse_int_list)
-    targets = analysis_locations(sub, loc_ids)
+    if "EMPIRICAL" in estimators and not T_L > T > 0:
+        raise UsageError(f"need T_L > T > 0, got T_L={T_L}, T={T}")
+    targets = analysis_locations(sub, analysis["location_ids"])
     cells = estimate_cells(sub, T, T0, (n,), methods, fitted, targets) if fitted else {}
     rows = []
     for key, result in cells.items():
@@ -291,32 +345,34 @@ def cmd_return_values(args, config) -> int:
         rows.append((*key, T, T0, value, flag))
     if "EMPIRICAL" in estimators:
         for loc in targets:
-            e = empirical_rv(location_series(sub, loc), T=T, T_L=catalog.duration_years)
-            rows.append((e.location_id, e.estimator, e.method, e.n, e.T, e.T0, e.value, e.flag))
+            try:
+                e = empirical_rv(location_series(sub, loc), T=T, T_L=T_L)
+            except CatalogError as err:
+                rows.append((loc, "EMPIRICAL", "", "", T, T_L, "", str(err)))
+            else:
+                rows.append((e.location_id, e.estimator, e.method, e.n, e.T, e.T0, e.value, e.flag))
     _write_csv(os.path.join(outdir, "estimates.csv"), _ESTIMATE_HEADER, rows)
     _write_metadata(
         outdir, "return-values",
         {"T": T, "T0": T0, "n": n, "methods": methods, "estimators": estimators},
     )
-    failed = sum(isinstance(result, str) for result in cells.values())
+    failed = sum(value == "" for *_, value, flag in rows)
     print(f"wrote {len(rows)} estimates to {outdir} ({failed} without a value)")
     if failed == len(rows):
         raise EvdError("no estimate has a value; see the flag column of estimates.csv")
     return 0
 
 
-def cmd_diagnostics(args, config) -> int:
-    catalog = _catalog_from(args, config)
-    sub = select_region(catalog, _region_from(args, config))
-    outdir = _outdir(args, config)
-    band = args.band
-    seed = _resolve(args, config, "experiment", "seed", int, default=0)
+def cmd_diagnostics(s) -> int:
+    sub = _region_catalog(s)
+    outdir = _outdir(s)
+    band, min_stm, seed = s[None]["band"], s[None]["min_stm"], s["experiment"]["seed"]
     stm = extract_stm(sub)
     exposures = extract_exposures(sub, stm)
-    if args.min_stm is not None:
-        keep = stm.values > args.min_stm
+    if min_stm is not None:
+        keep = stm.values > min_stm
         if keep.sum() < 3:
-            raise UsageError(f"fewer than 3 STM values above {args.min_stm} m")
+            raise UsageError(f"fewer than 3 STM values above {min_stm} m")
         stm = StmSeries(stm.event_ids[keep], stm.values[keep], stm.argmax_location_ids[keep])
         exposures = ExposureMatrix(
             exposures.event_ids[keep], exposures.location_ids, exposures.values[keep]
@@ -327,12 +383,12 @@ def cmd_diagnostics(args, config) -> int:
     lons = np.array([loc_by_id[j].lon for j in stm.argmax_location_ids.tolist()])
     lats = np.array([loc_by_id[j].lat for j in stm.argmax_location_ids.tolist()])
     trend = {}
-    for orientation in args.orientation or [0.0, 45.0, 90.0, 135.0]:
+    for orientation in s[None]["orientation"]:
         trend[str(orientation)] = trend_permutation_test(
-            stm, lons, lats, orientation, n_perm=args.n_perm, rng=rng
+            stm, lons, lats, orientation, n_perm=s[None]["n_perm"], rng=rng
         )
     kl = exposure_kl_test(
-        exposures, stm, location_id=taus[0].location_id, n_null=args.n_null, rng=rng
+        exposures, stm, location_id=taus[0].location_id, n_null=s[None]["n_null"], rng=rng
     )
     report = {
         "band": band,
@@ -359,7 +415,7 @@ def cmd_diagnostics(args, config) -> int:
             for t in taus
         ),
     )
-    _write_metadata(outdir, "diagnostics", {"band": band, "seed": seed, "min_stm": args.min_stm})
+    _write_metadata(outdir, "diagnostics", {"band": band, "seed": seed, "min_stm": min_stm})
     print(f"tau band exceedance fraction: {frac:.3f}")
     return 0
 
@@ -418,37 +474,28 @@ def _check_manifest(outdir, manifest: dict):
             )
 
 
-def cmd_experiment(args, config) -> int:
-    catalog = _catalog_from(args, config)
-    region = _region_from(args, config)
-    outdir = _outdir(args, config)
-    T = _resolve(args, config, "analysis", "T", float)
-    T0 = _resolve(args, config, "analysis", "T0", float)
-    ladder = tuple(args.n) if args.n else _resolve(args, config, "analysis", "n_ladder", _parse_int_list)
-    if T is None or T0 is None or not ladder:
-        raise UsageError("--T, --T0 and at least one --n are required")
-    methods = tuple(args.method or ["MLE", "PWM"])
-    estimators = tuple(args.estimator or ["STME", "SINGLE"])
-    replicates = _resolve(args, config, "experiment", "replicates", int, default=100)
-    seed = _resolve(args, config, "experiment", "seed", int, default=0)
-    jobs = args.jobs or _resolve(args, config, "experiment", "jobs", int, default=1)
-    loc_ids = _resolve(args, config, "analysis", "location_ids", _parse_int_list)
-    loc_ids = tuple(loc_ids) if loc_ids else None
+def cmd_experiment(s) -> int:
+    regional = _region_catalog(s)
+    outdir = _outdir(s)
+    analysis, experiment = s["analysis"], s["experiment"]
+    T, T0, ladder = analysis["T"], analysis["T0"], analysis["n_ladder"]
+    methods, estimators = s[None]["method"], s[None]["estimator"]
+    replicates, seed = experiment["replicates"], experiment["seed"]
     exp_config = ExperimentConfig(
         T0=T0, T=T, n_ladder=ladder, replicates=replicates, methods=methods,
-        estimators=estimators, location_ids=loc_ids, master_seed=seed,
+        estimators=estimators, location_ids=analysis["location_ids"] or None, master_seed=seed,
     )
-    regional = select_region(catalog, region)
     manifest = {
-        "footprints_sha256": _sha256(_resolve(args, config, "input", "footprints")),
-        "locations_sha256": _sha256(_resolve(args, config, "input", "locations")),
-        "duration_years": catalog.duration_years,
-        "region": asdict(region),
+        "footprints_sha256": _sha256(s["input"]["footprints"]),
+        "locations_sha256": _sha256(s["input"]["locations"]),
+        "duration_years": regional.duration_years,
+        "region": s["region"],
         **asdict(exp_config),
     }
     _check_manifest(outdir, manifest)
     pending = [i for i in range(replicates) if not os.path.exists(_replicate_path(outdir, i))]
-    fresh = run_replicates(regional, exp_config, pending, jobs)  # checks ids before any write
+    # run_replicates checks the ids before any write
+    fresh = run_replicates(regional, exp_config, pending, experiment["jobs"])
     os.makedirs(os.path.join(outdir, "replicates"), exist_ok=True)
     _write_json(os.path.join(outdir, "manifest.json"), manifest, sort_keys=True)
     done = replicates - len(pending)
@@ -481,7 +528,7 @@ def cmd_experiment(args, config) -> int:
     try:
         empirical = [
             empirical_rv(location_series(regional, loc), T=T, T_L=regional.duration_years)
-            for loc in analysis_locations(regional, loc_ids)
+            for loc in analysis_locations(regional, exp_config.location_ids)
         ]
         metrics_rows = [astuple(m) for m in performance_metrics(summary, empirical)]
     except CatalogError as err:
@@ -494,11 +541,21 @@ def cmd_experiment(args, config) -> int:
     )
     _write_metadata(
         outdir, "experiment",
-        {"T": T, "T0": T0, "n_ladder": list(ladder), "replicates": replicates,
-         "methods": list(methods), "estimators": list(estimators), "seed": seed},
+        {"T": T, "T0": T0, "n_ladder": ladder, "replicates": replicates,
+         "methods": methods, "estimators": estimators, "seed": seed},
     )
     print(f"experiment complete: {replicates} replicates, outputs in {outdir}")
     return 0
+
+
+_COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic cyclone catalog"),
+    "stm": (cmd_stm, "extract STM series and exposure matrix"),
+    "fit": (cmd_fit, "fit the GPD tail to the STM series"),
+    "return-values": (cmd_return_values, "estimate T-year return values"),
+    "diagnostics": (cmd_diagnostics, "run STM-E assumption diagnostics"),
+    "experiment": (cmd_experiment, "run the resampling experiment"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,76 +565,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, catalog=True):
+    for command, (func, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="config file (flat key-value sections)")
-        p.add_argument("--out", dest="dir", help="output directory")
-        if catalog:
-            p.add_argument("--footprints", help="footprints CSV")
-            p.add_argument("--locations", help="locations CSV")
-            p.add_argument("--duration", dest="duration_years", type=float,
-                           help="catalog duration in years")
-            p.add_argument("--lon-min", type=float)
-            p.add_argument("--lon-max", type=float)
-            p.add_argument("--lat-min", type=float)
-            p.add_argument("--lat-max", type=float)
-            p.add_argument("--min-depth", type=float)
-            p.add_argument("--location-ids", dest="location_ids", type=int, nargs="+")
-
-    p = sub.add_parser("synth", help="generate a synthetic cyclone catalog")
-    add_common(p, catalog=False)
-    p.add_argument("--years", dest="duration_years", type=float)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--spacing", dest="spacing_deg", type=float)
-    p.add_argument("--decay-km", dest="decay_km", type=float)
-    p.add_argument("--noise", dest="noise_sigma_log", type=float)
-    p.add_argument("--poisson", dest="poisson_counts", action="store_const", const=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("stm", help="extract STM series and exposure matrix")
-    add_common(p)
-    p.set_defaults(func=cmd_stm)
-
-    p = sub.add_parser("fit", help="fit the GPD tail to the STM series")
-    add_common(p)
-    p.add_argument("--n", type=int, help="number of largest STM values")
-    p.add_argument("--method", action="append", type=str.upper, choices=["MLE", "PWM"])
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("return-values", help="estimate T-year return values")
-    add_common(p)
-    p.add_argument("--T", dest="T", type=float, help="return period, years")
-    p.add_argument("--T0", dest="T0", type=float, help="observation period, years")
-    p.add_argument("--n", type=int)
-    p.add_argument("--method", action="append", type=str.upper, choices=["MLE", "PWM"])
-    p.add_argument("--estimator", action="append", type=str.upper,
-                   choices=["STME", "SINGLE", "EMPIRICAL"])
-    p.set_defaults(func=cmd_return_values)
-
-    p = sub.add_parser("diagnostics", help="run STM-E assumption diagnostics")
-    add_common(p)
-    p.add_argument("--band", type=float, default=0.90, help="tau confidence band level")
-    p.add_argument("--min-stm", type=float, help="keep only events with STM above this (m)")
-    p.add_argument("--orientation", type=float, action="append",
-                   help="transect orientation in degrees (repeatable)")
-    p.add_argument("--n-perm", type=int, default=999)
-    p.add_argument("--n-null", type=int, default=1000)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_diagnostics)
-
-    p = sub.add_parser("experiment", help="run the resampling experiment")
-    add_common(p)
-    p.add_argument("--T", dest="T", type=float)
-    p.add_argument("--T0", dest="T0", type=float)
-    p.add_argument("--n", type=int, action="append", help="sample-size ladder (repeatable)")
-    p.add_argument("--method", action="append", type=str.upper, choices=["MLE", "PWM"])
-    p.add_argument("--estimator", action="append", type=str.upper, choices=["STME", "SINGLE"])
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, help="parallel workers (results identical for any value)")
-    p.set_defaults(func=cmd_experiment)
-
+        added = set()
+        for opt in _OPTIONS:
+            if opt.flag and command in opt.commands and opt.flag not in added:
+                added.add(opt.flag)
+                typed = {} if opt.kwargs.get("action") == "store_const" else {"type": opt.type}
+                p.add_argument(opt.flag, **typed, **opt.kwargs)
     return parser
 
 
@@ -585,8 +582,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config) if getattr(args, "config", None) else {}
-        return args.func(args, config)
+        config = load_config(args.config) if args.config else {}
+        return args.func(_settings(args, config))
     except (UsageError, CatalogError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

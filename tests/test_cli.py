@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from stme.cli import _write_csv, load_config, main, UsageError
+from stme.cli import _OPTIONS, _settings, _write_csv, build_parser, load_config, main, UsageError
 
 
 def run(argv):
@@ -141,13 +143,16 @@ class TestFit:
             assert r["n"] == 60
             assert r["scale"] > 0
 
-    def test_missing_n_exit_2(self, synth_dir, tmp_path):
+    def test_missing_n_exit_2(self, synth_dir, tmp_path, capsys):
         code = run([
             "fit", "--footprints", synth_dir / "footprints.csv",
             "--locations", synth_dir / "locations.csv", "--duration", "800",
             "--out", tmp_path / "o",
         ])
         assert code == 2
+        assert "error: --n or [analysis] n is required" in capsys.readouterr().err
+        # options are checked before any input is read or output written
+        assert not (tmp_path / "o").exists()
 
 
 class TestReturnValues:
@@ -198,6 +203,33 @@ class TestReturnValues:
         assert "no estimate has a value" in capsys.readouterr().err
         rows = read_csv(out / "estimates.csv")
         assert [(r["location_id"], r["value_m"]) for r in rows] == [("2", "")]
+
+    def test_empirical_failure_is_a_row(self, small_world, tmp_path, capsys):
+        out = tmp_path / "rv"
+        args = ["return-values", *small_world, "--T", "8", "--T0", "5", "--n", "6",
+                "--method", "pwm", "--estimator", "stme", "--estimator", "empirical"]
+        assert run([*args, "--out", out]) == 0
+        assert "wrote 4 estimates to" in capsys.readouterr().out
+        rows = read_csv(out / "estimates.csv")
+        assert [(r["location_id"], r["estimator"]) for r in rows] == [
+            ("1", "STME"), ("2", "STME"), ("1", "EMPIRICAL"), ("2", "EMPIRICAL"),
+        ]
+        assert all(float(r["value_m"]) > 0 for r in rows[:3])
+        assert (rows[3]["value_m"], rows[3]["flag"]) == (
+            "", "location 2: series too short (3 <= ceil(2.5))"
+        )
+        # a failed EMPIRICAL row counts toward "no value at all"
+        cfg = tmp_path / "only2.ini"
+        cfg.write_text("[analysis]\nlocation_ids = 2\n")
+        code = run(["return-values", *small_world, "--config", cfg, "--out", tmp_path / "o2",
+                    "--T", "8", "--n", "6", "--estimator", "empirical"])
+        assert code == 1
+        # a return period the catalog does not span is an error of the command
+        code = run(["return-values", *small_world, "--out", tmp_path / "o3", "--T", "20",
+                    "--n", "6", "--estimator", "empirical"])
+        assert code == 2
+        assert "need T_L > T > 0, got T_L=20.0, T=20.0" in capsys.readouterr().err
+        assert not (tmp_path / "o3" / "estimates.csv").exists()
 
     @pytest.mark.parametrize("estimator", ["stme", "single", "empirical"])
     def test_location_outside_region_exit_2(self, small_world, tmp_path, capsys, estimator):
@@ -295,6 +327,21 @@ class TestExperiment:
         assert not (out / "replicates" / "rep_0001.csv").exists()
         assert (out / "results.csv").read_bytes() == ref
 
+    @pytest.mark.parametrize("flags, ini", [
+        (["--jobs", "0"], ""), (["--jobs", "-1"], ""), ([], "[experiment]\njobs = 0\n"),
+    ], ids=["flag-0", "flag-minus-1", "config-0"])
+    def test_jobs_below_1_exit_2(self, synth_dir, tmp_path, capsys, flags, ini):
+        cfg = tmp_path / "jobs.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "jobs"
+        try:
+            code = self.run_experiment(synth_dir, out, extra=["--config", cfg, *flags])
+        except SystemExit as exit:  # argparse rejects the flag itself
+            code = exit.code
+        assert code == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not (out / "replicates").exists()
+
     def test_location_outside_region_exit_2(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "outside"
         code = self.run_experiment(synth_dir, out, extra=["--location-ids", "1", "999"])
@@ -375,6 +422,32 @@ class TestConfigFile:
         assert code == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err
 
+    def test_analysis_periods_from_config(self, synth_dir, tmp_path):
+        cfg = tmp_path / "periods.ini"
+        cfg.write_text("[analysis]\nT = 300\nT0 = 100\nn = 20\n")
+        out = tmp_path / "rv"
+        code = run([
+            "return-values", "--config", cfg, "--footprints", synth_dir / "footprints.csv",
+            "--locations", synth_dir / "locations.csv", "--duration", "800", "--out", out,
+        ])
+        assert code == 0
+        rows = read_csv(out / "estimates.csv")
+        assert {(r["n"], r["T_years"], r["T0_years"]) for r in rows} == {("20", "300", "100")}
+
+    @pytest.mark.parametrize("text, expected", [("on", True), ("Off", False), ("maybe", None)])
+    def test_poisson_counts_is_a_strict_boolean(self, tmp_path, capsys, text, expected):
+        cfg = tmp_path / "synth.ini"
+        cfg.write_text(f"[synth]\nduration_years = 20\npoisson_counts = {text}\n")
+        code = run(["synth", "--config", cfg, "--out", tmp_path / "w"])
+        if expected is None:
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "config [synth] poisson_counts: not a boolean: 'maybe'" in err
+        else:
+            assert code == 0
+            meta = json.loads((tmp_path / "w" / "metadata.json").read_text())
+            assert meta["config"]["poisson_counts"] is expected
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[wat]\nx = 1\n")
@@ -384,3 +457,128 @@ class TestConfigFile:
     def test_missing_config_exit_2(self, tmp_path):
         code = run(["fit", "--config", tmp_path / "none.ini", "--out", tmp_path / "o"])
         assert code == 2
+
+
+# Two samples per option: (flag arguments, config text, setting). A flag that
+# stores a constant has no flag arguments for its second sample.
+_SCALARS = {int: ("3", "4", 3, 4), float: ("2.5", "7.25", 2.5, 7.25), str: ("a", "b", "a", "b")}
+
+
+def option_samples(opt):
+    if opt.kwargs.get("action") == "store_const":
+        return [([opt.flag], "yes", True), (None, "off", False)]
+    if "choices" in opt.kwargs:
+        return [([opt.flag, c.lower()], None, (c,)) for c in opt.kwargs["choices"][:2]]
+    text0, text1, value0, value1 = _SCALARS[int if opt.key == "jobs" else opt.type]
+    if opt.kwargs.get("nargs") == "+":
+        return [([opt.flag, text0, text1], f"{text0}, {text1}", (value0, value1)),
+                ([opt.flag, text1], text1, (value1,))]
+    if opt.kwargs.get("action") == "append":
+        return [([opt.flag, text0, opt.flag, text1], f"{text0} {text1}", (value0, value1)),
+                ([opt.flag, text1], text1, (value1,))]
+    return [([opt.flag, text0], text0, value0), ([opt.flag, text1], text1, value1)]
+
+
+def resolve(command, argv=(), config=None):
+    return _settings(build_parser().parse_args([command, *argv]), config or {})
+
+
+class TestOptionTable:
+    FLAGS = {
+        "synth": {"--config", "--out", "--years", "--rate", "--seed", "--spacing", "--decay-km",
+                  "--noise", "--poisson"},
+        "stm": {"--config", "--out", "--footprints", "--locations", "--duration", "--lon-min",
+                "--lon-max", "--lat-min", "--lat-max", "--min-depth", "--location-ids"},
+    }
+    FLAGS["fit"] = FLAGS["stm"] | {"--n", "--method"}
+    FLAGS["return-values"] = FLAGS["stm"] | {"--T", "--T0", "--n", "--method", "--estimator"}
+    FLAGS["diagnostics"] = FLAGS["stm"] | {"--band", "--min-stm", "--orientation", "--n-perm",
+                                           "--n-null", "--seed"}
+    FLAGS["experiment"] = FLAGS["stm"] | {"--T", "--T0", "--n", "--method", "--estimator",
+                                          "--replicates", "--seed", "--jobs"}
+    CONFIG_KEYS = {
+        "input": {"footprints", "locations", "duration_years"},
+        "region": {"lon_min", "lon_max", "lat_min", "lat_max", "location_ids", "min_depth"},
+        "analysis": {"T", "T0", "n", "n_ladder", "location_ids"},
+        "experiment": {"replicates", "seed", "jobs"},
+        "synth": {"lon_min", "lon_max", "lat_min", "lat_max", "spacing_deg", "rate",
+                  "duration_years", "direction_mean_deg", "direction_sd_deg",
+                  "intensity_threshold", "intensity_scale", "intensity_shape", "decay_km",
+                  "noise_sigma_log", "poisson_counts", "seed"},
+        "output": {"dir"},
+    }
+
+    def test_flags_per_command(self):
+        (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+        declared = {
+            command: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for command, p in subparsers.choices.items()
+        }
+        assert {command: set(flags) for command, flags in declared.items()} == self.FLAGS
+        assert sum(len(flags) for flags in declared.values()) == 85
+
+    def test_config_keys(self, tmp_path):
+        keys = {}
+        for opt in _OPTIONS:
+            if opt.section:
+                keys.setdefault(opt.section, set()).add(opt.key)
+        assert keys == self.CONFIG_KEYS
+        assert sum(len(k) for k in keys.values()) == 34
+        # every key is read back under its own name, whatever its case in the file
+        cfg = tmp_path / "all.ini"
+        cfg.write_text("".join(
+            f"[{section}]\n" + "".join(f"{key} = 1\n" for key in sorted(names))
+            for section, names in self.CONFIG_KEYS.items()
+        ))
+        assert {s: set(v) for s, v in load_config(cfg).items()} == self.CONFIG_KEYS
+
+    @pytest.mark.parametrize("opt, command", [
+        pytest.param(opt, command, id=f"{command}:{opt.flag}:[{opt.section}]{opt.key}")
+        for opt in _OPTIONS for command in opt.commands
+    ])
+    def test_flag_then_config_then_default(self, opt, command):
+        (flag0, text0, value0), (_, text1, _) = option_samples(opt)
+        required = {}
+        for other in _OPTIONS:
+            if other.required and command in other.commands and other is not opt:
+                required.setdefault(other.section, {})[other.key] = "1"
+
+        def setting(argv=(), text=None):
+            config = {section: dict(keys) for section, keys in required.items()}
+            if text is not None:
+                config.setdefault(opt.section, {})[opt.key] = text
+            return repr(resolve(command, argv, config)[opt.section][opt.key])
+
+        if opt.flag:
+            assert setting(flag0) == repr(value0)
+        if opt.section:
+            assert setting(text=text0) == repr(value0)
+        if opt.flag and opt.section:
+            assert setting(flag0, text1) == repr(value0)
+        if opt.required:
+            with pytest.raises(UsageError, match=re.escape(
+                f"{opt.flag} or [{opt.section}] {opt.key} is required"
+            )):
+                setting()
+        else:
+            assert setting() == repr(opt.default)
+
+    def test_location_ids_flag_sets_region_and_analysis(self):
+        required = {"input": {"footprints": "f", "locations": "l", "duration_years": "1"},
+                    "output": {"dir": "o"}, "analysis": {"T": "1", "n": "3"}}
+        both = resolve("return-values", ["--location-ids", "1", "2"], required)
+        assert both["region"]["location_ids"] == both["analysis"]["location_ids"] == (1, 2)
+        required["analysis"]["location_ids"] = "1 2"
+        analysed = resolve("return-values", (), required)
+        assert analysed["region"]["location_ids"] is None
+        assert analysed["analysis"]["location_ids"] == (1, 2)
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        for opt in _OPTIONS:
+            if not opt.section:
+                continue
+            lines = [line for line in readme if line.startswith(f"| `[{opt.section}] {opt.key}` |")]
+            assert len(lines) == 1, (opt.section, opt.key)
+            if opt.flag:
+                assert f"`{opt.flag}`" in lines[0]
