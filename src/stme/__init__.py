@@ -23,6 +23,7 @@ from .evd import (
     fit_gpd,
     fit_gpd_mle,
     fit_gpd_pwm,
+    fit_gpd_rows,
     gpd_cdf,
     gpd_pdf,
     gpd_quantile,
@@ -32,11 +33,18 @@ from .returns import (
     ReturnValueEstimate,
     exposure_ecdf,
     return_value,
+    return_values,
     run_stme,
     swh_cdf,
     target_probability,
 )
-from .baselines import LocationSeries, empirical_rv, location_series, single_location_rv
+from .baselines import (
+    LocationSeries,
+    empirical_rv,
+    location_series,
+    single_location_rv,
+    single_location_rvs,
+)
 from .diagnostics import (
     DiagnosticsError,
     KlResult,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogError, CycloneCatalog, threshold_for_top_n
-from .evd import EvdError, fit_gpd, gpd_quantile
+from .evd import EvdError, fit_gpd_rows, gpd_quantile
 from .returns import ReturnValueEstimate, target_probability
 
 
@@ -42,28 +42,52 @@ def location_series(catalog: CycloneCatalog, location_id: int) -> LocationSeries
     return LocationSeries(location_id=int(location_id), values=values)
 
 
+def single_location_rvs(
+    series, n: int, T: float, T0: float, method: str = "MLE"
+) -> list[ReturnValueEstimate | CatalogError | EvdError]:
+    """Conventional single-location POT analysis at each of `series`: a GPD
+    fit to the location's own n largest values, all locations in one batched
+    fit, and the quantile at p* = 1 - (T0/n)/T. A location without a value
+    maps to the error saying why."""
+    if n < 5:
+        return [CatalogError(f"n={n} too small for a tail fit")] * len(series)
+    results: list[ReturnValueEstimate | CatalogError | EvdError | None] = [
+        CatalogError(f"location {s.location_id}: n={n} exceeds {len(s)} values")
+        if len(s) < n else None
+        for s in series
+    ]
+    fitted = [i for i, r in enumerate(results) if r is None]
+    tails = np.array([np.sort(series[i].values)[::-1][:n] for i in fitted]).reshape(-1, n)
+    thresholds = [threshold_for_top_n(series[i].values, n) for i in fitted]
+    try:
+        p_target = target_probability(T, T0, n)
+    except CatalogError as err:
+        p_target = err
+    for i, report in zip(fitted, fit_gpd_rows(tails, thresholds, method)):
+        location = series[i].location_id
+        if isinstance(report, EvdError):
+            results[i] = report
+        elif not report.converged:
+            results[i] = EvdError(f"location {location}: {method} fit failed: {report.message}")
+        elif isinstance(p_target, CatalogError):
+            results[i] = p_target
+        else:
+            results[i] = ReturnValueEstimate(
+                location_id=location, T=float(T), T0=float(T0), n=int(n),
+                value=float(gpd_quantile(report.params, p_target)),
+                method=method.upper(), estimator="SINGLE",
+            )
+    return results
+
+
 def single_location_rv(
     series: LocationSeries, n: int, T: float, T0: float, method: str = "MLE"
 ) -> ReturnValueEstimate:
-    """Conventional single-location POT analysis: GPD fit to the location's own
-    n largest values, quantile at p* = 1 - (T0/n)/T."""
-    if n < 5:
-        raise CatalogError(f"n={n} too small for a tail fit")
-    if len(series) < n:
-        raise CatalogError(f"location {series.location_id}: n={n} exceeds {len(series)} values")
-    psi = threshold_for_top_n(series.values, n)
-    desc = np.sort(series.values)[::-1]
-    report = fit_gpd(desc[:n], psi, method)
-    if not report.converged:
-        raise EvdError(
-            f"location {series.location_id}: {method} fit failed: {report.message}"
-        )
-    p_target = target_probability(T, T0, n)
-    return ReturnValueEstimate(
-        location_id=series.location_id, T=float(T), T0=float(T0), n=int(n),
-        value=float(gpd_quantile(report.params, p_target)),
-        method=method.upper(), estimator="SINGLE",
-    )
+    """Single-location return value at one location; see single_location_rvs."""
+    (result,) = single_location_rvs([series], n, T, T0, method)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def empirical_rv(series: LocationSeries, T: float, T_L: float) -> ReturnValueEstimate:

@@ -132,9 +132,10 @@ def _boolean(text: str) -> bool:
 class Option:
     """One row of the option table: the flag and/or the config key that set
     the option, the parser of one flag argument or config item, the commands
-    that take it, its default or whether it is required, and any further
-    `add_argument` keywords. A list option (`nargs` or `action="append"`)
-    splits a config value on commas and spaces."""
+    that take it, its default or whether it is required (True, or a test of
+    the command's other settings), and any further `add_argument` keywords.
+    A list option (`nargs` or `action="append"`) splits a config value on
+    commas and spaces."""
 
     def __init__(self, flag, section, key, type, commands, default=None, required=False, **kwargs):
         self.flag, self.section, self.key, self.type = flag, section, key, type
@@ -144,6 +145,11 @@ class Option:
     @property
     def is_list(self) -> bool:
         return "nargs" in self.kwargs or self.kwargs.get("action") == "append"
+
+
+def _fits_a_tail(s) -> bool:
+    """False only for return-values with the EMPIRICAL estimator alone."""
+    return set(s[None].get("estimator", ())) != {"EMPIRICAL"}
 
 
 _CATALOG = ("stm", "fit", "return-values", "diagnostics", "experiment")
@@ -172,7 +178,7 @@ _OPTIONS = (
            help="observation period, years (default: the catalog duration)"),
     Option("--T0", "analysis", "T0", float, _EXP, required=True,
            help="observation period, years"),
-    Option("--n", "analysis", "n", int, ("fit",) + _RV, required=True,
+    Option("--n", "analysis", "n", int, ("fit",) + _RV, required=_fits_a_tail,
            help="number of largest STM values"),
     Option("--n", "analysis", "n_ladder", int, _EXP, required=True, action="append",
            help="sample-size ladder (repeatable)"),
@@ -235,6 +241,7 @@ def _settings(args, config) -> dict[str | None, dict[str, object]]:
     options) and key: the flag's value, else the config value, else the
     default. A required option that is not given is a usage error."""
     settings: dict[str | None, dict[str, object]] = {}
+    missing = []
     for opt in _OPTIONS:
         if args.command not in opt.commands:
             continue
@@ -249,8 +256,11 @@ def _settings(args, config) -> dict[str | None, dict[str, object]]:
             except (ValueError, argparse.ArgumentTypeError) as err:
                 raise UsageError(f"config [{opt.section}] {opt.key}: {err}") from None
         if value is None and opt.required:
-            raise UsageError(f"{opt.flag} or [{opt.section}] {opt.key} is required")
+            missing.append(opt)
         settings.setdefault(opt.section, {})[opt.key] = opt.default if value is None else value
+    for opt in missing:
+        if opt.required is True or opt.required(settings):
+            raise UsageError(f"{opt.flag} or [{opt.section}] {opt.key} is required")
     return settings
 
 

@@ -6,6 +6,9 @@ Kendall's tau between STM and exposure against its Gaussian null band,
 permutation tests for linear STM trends along oriented transects, a
 Kullback-Leibler comparison of extreme-STM exposure profiles against a
 random-pair null, and KS aggregation of the resulting probabilities.
+
+scipy.stats is imported inside the functions that use it, so that the
+other commands never pay for importing scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .catalog import ExposureMatrix, StmSeries
 
@@ -42,6 +44,8 @@ def kendall_tau(x, y) -> tuple[float, float]:
     if x.shape != y.shape:
         raise DiagnosticsError("length mismatch")
     null_sd = kendall_tau_null_sd(x.size)  # checks n >= 3
+    from scipy import stats
+
     tau = stats.kendalltau(x, y, variant="b").statistic
     return float(tau), null_sd
 
@@ -71,6 +75,8 @@ def tau_map(
     if not 0.0 < band < 1.0:
         raise DiagnosticsError(f"band {band} outside (0, 1)")
     _check_same_events(stm, exposures)
+    from scipy import stats
+
     z_crit = stats.norm.ppf(0.5 + band / 2.0)
     results = []
     n_outside = 0
@@ -202,5 +208,7 @@ def ks_uniformity(probs) -> tuple[float, float]:
         raise DiagnosticsError(f"need >= 5 probabilities, got {probs.size}")
     if np.any((probs < 0.0) | (probs > 1.0)):
         raise DiagnosticsError("probabilities outside [0, 1]")
+    from scipy import stats
+
     res = stats.kstest(probs, "uniform")
     return float(res.statistic), float(res.pvalue)

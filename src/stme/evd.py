@@ -15,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 # Below this |xi| the exponential (xi -> 0) form is used to avoid
 # cancellation in (1 + xi z)^(-1/xi).
@@ -24,6 +23,14 @@ XI_SWITCH = 1e-6
 # MLE search box for the shape; hitting a boundary is reported as
 # non-convergence (the xi <= -1 likelihood is unbounded).
 XI_MIN, XI_MAX = -0.9, 2.0
+
+# The MLE search samples the profile likelihood at GRID_POINTS on each side
+# of theta = shape / scale = 0 and refines the best point it climbs to by
+# GOLDEN_STEPS golden-section steps. theta stays POLE_GAP (relative) above
+# the pole -1 / max(excess), where log1p(theta * excess) loses precision.
+GRID_POINTS = 32
+GOLDEN_STEPS = 40
+POLE_GAP = 1e-8
 
 
 class EvdError(ValueError):
@@ -115,96 +122,194 @@ class FitReport:
         return json.dumps({**params, **fields})
 
 
-def _check_exceedances(exceedances, threshold: float) -> np.ndarray:
-    y = np.asarray(exceedances, dtype=float) - threshold
-    if y.size and np.all(y == y[0]):
-        raise EvdError("degenerate sample: all exceedances equal")
-    if y.size < 5:
-        raise EvdError(f"need at least 5 exceedances, got {y.size}")
-    if np.any(y <= 0):
-        raise EvdError("exceedances must lie strictly above the threshold")
-    return y
+def _row_errors(y: np.ndarray) -> list[str]:
+    """Why each row of excesses y cannot be fitted, or "" when it can."""
+    n = y.shape[1]
+    degenerate = np.all(y == y[:, :1], axis=1) if n else np.zeros(len(y), bool)
+    return [
+        "degenerate sample: all exceedances equal" if equal
+        else f"need at least 5 exceedances, got {n}" if n < 5
+        else "exceedances must lie strictly above the threshold" if below
+        else ""
+        for equal, below in zip(degenerate.tolist(), np.any(y <= 0, axis=1).tolist())
+    ]
 
 
-def _nll(xi: float, log_sigma: float, y: np.ndarray) -> float:
-    sigma = math.exp(log_sigma)
-    if not (XI_MIN <= xi <= XI_MAX):
-        return math.inf
-    if abs(xi) <= XI_SWITCH:
-        return y.size * log_sigma + float(np.sum(y)) / sigma
-    arg = 1.0 + xi * y / sigma
-    if np.any(arg <= 0.0):
-        return math.inf
-    return y.size * log_sigma + (1.0 + 1.0 / xi) * float(np.sum(np.log(arg)))
-
-
-def _pwm_estimates(y: np.ndarray) -> tuple[float, float, float, float]:
-    """Return (b0, b1, xi_hat, sigma_hat) from the excess sample y.
+def _pwm_estimates(y: np.ndarray):
+    """Return (b0, b1, xi_hat, sigma_hat) for each excess sample along the
+    last axis of y.
 
     b0 is the sample mean, b1 the probability-weighted moment estimating
     E[Y (1 - F(Y))] via the (n - i)/(n - 1) plotting positions on ascending
-    order statistics. Estimator is undefined when b0 - 2 b1 <= 0.
+    order statistics. Estimator is undefined (NaN) when b0 - 2 b1 <= 0.
     """
-    y_sorted = np.sort(y)
-    n = y_sorted.size
-    b0 = float(np.mean(y_sorted))
+    y_sorted = np.sort(y, axis=-1)
+    n = y_sorted.shape[-1]
+    b0 = np.mean(y_sorted, axis=-1)
     w = (n - 1.0 - np.arange(n)) / (n - 1.0)
-    b1 = float(np.sum(w * y_sorted)) / n
+    b1 = np.sum(w * y_sorted, axis=-1) / n
     d = b0 - 2.0 * b1
-    if d <= 0.0:
-        return b0, b1, math.nan, math.nan
-    k = b0 / d - 2.0
-    sigma = 2.0 * b0 * b1 / d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(d > 0.0, b0 / d - 2.0, np.nan)
+        sigma = np.where(d > 0.0, 2.0 * b0 * b1 / d, np.nan)
     return b0, b1, -k, sigma
+
+
+def _profile(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row's GPD log-likelihood at theta = shape / scale, maximised over
+    the rest (Grimshaw 1993), less the constant n*log(n) - n: with s =
+    sum(log1p(theta * y)), the shape is s / n and the scale s / (n * theta).
+    theta must not be 0."""
+    s = np.log1p(theta[:, None] * y).sum(axis=1)
+    return -y.shape[1] * np.log(s / theta) - s
+
+
+def _theta_for_shape(target: float, y: np.ndarray) -> np.ndarray:
+    """The theta at which each row's profile shape mean(log1p(theta * y))
+    equals target, by Newton's method from theta = 0. The shape increases
+    and is concave in theta, so every step lands left of the root, and from
+    there the steps rise to it. Theta stays above the floor
+    (1 - POLE_GAP) * (-1 / max(y)), next to the pole where log1p(theta * y)
+    loses precision: no step goes more than halfway to it, and a row whose
+    root lies beyond it yields the floor."""
+    n = y.shape[1]
+    floor = -(1.0 - POLE_GAP) / np.max(y, axis=1)
+    done = np.log1p(floor[:, None] * y).sum(axis=1) / n >= target
+    theta = np.where(done, floor, 0.0)
+    for _ in range(100):
+        u = theta[:, None] * y
+        gap = target - np.log1p(u).sum(axis=1) / n
+        done |= np.abs(gap) <= 1e-13
+        if done.all():
+            break
+        step = gap / (y / (1.0 + u)).sum(axis=1) * n
+        theta = np.where(done, theta, np.maximum(theta + step, 0.5 * (theta + floor)))
+    return theta
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _mle_rows(y: np.ndarray, xi0: np.ndarray, sigma0: np.ndarray):
+    """Maximum-likelihood (shape, scale, log-likelihood, iterations) of each
+    row of excesses y, by a local search of the profile likelihood in theta =
+    shape / scale over the theta interval that maps to [XI_MIN, XI_MAX].
+
+    The search starts at the grid point nearest theta0 = xi0 / sigma0, climbs
+    the grid to the nearest local maximum, and refines it by golden-section
+    steps between that point's neighbours. iterations counts the grid steps
+    climbed and the golden-section steps. Only one theta per row is
+    evaluated at a time, so memory stays that of y.
+
+    Where the pole gap cuts the interval short of XI_MIN, nothing is lost:
+    there the shape's derivative in theta is so large that the likelihood,
+    for shapes above -1, falls toward the pole, so no maximum lies beyond.
+    """
+    rows = np.arange(len(y))
+    n = y.shape[1]
+    lo, hi = _theta_for_shape(XI_MIN, y), _theta_for_shape(XI_MAX, y)
+    side = np.linspace(0.0, 1.0, GRID_POINTS + 1)[1:]
+    grid = np.column_stack([lo[:, None] * side[::-1], np.zeros(len(y)), hi[:, None] * side])
+    loglik = np.column_stack(
+        [_profile(theta, y) for theta in grid[:, :GRID_POINTS].T]
+        + [-n * np.log(np.sum(y, axis=1))]  # the exponential limit at theta = 0
+        + [_profile(theta, y) for theta in grid[:, GRID_POINTS + 1 :].T]
+    )
+    start = np.argmin(np.abs(grid - np.clip(xi0 / sigma0, lo, hi)[:, None]), axis=1)
+    at = start
+    last = grid.shape[1] - 1
+    while True:
+        left = loglik[rows, np.maximum(at - 1, 0)]
+        right = loglik[rows, np.minimum(at + 1, last)]
+        here = loglik[rows, at]
+        step = np.where((right > here) & (right >= left), 1, np.where(left > here, -1, 0))
+        if not step.any():
+            break
+        at = at + step
+    a, b = grid[rows, np.maximum(at - 1, 0)], grid[rows, np.minimum(at + 1, last)]
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = _profile(c, y), _profile(d, y)
+    for _ in range(GOLDEN_STEPS):
+        left = fc > fd  # the maximum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_new = _profile(new, y)
+        c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
+        d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
+    theta = np.where(fc > fd, c, d)
+    xi = np.log1p(theta[:, None] * y).sum(axis=1) / n
+    sigma = xi / theta
+    loglik = -n * np.log(sigma) - n * (1.0 + xi)
+    return xi, sigma, loglik, np.abs(at - start) + GOLDEN_STEPS
+
+
+def fit_gpd_rows(exceedances, thresholds, method: str) -> list[FitReport | EvdError]:
+    """Fit the GPD to each row of a k x n array of exceedances over its own
+    threshold, by maximum likelihood ("MLE") or probability-weighted moments
+    ("PWM"). A row that cannot be fitted maps to the EvdError saying why.
+
+    MLE starts from the PWM estimate when that is valid, inside the search
+    box and supports the sample, else from (0.1, mean excess); see _mle_rows.
+    A shape within 1e-6 of XI_MIN or XI_MAX is reported as non-convergence.
+    """
+    method = method.upper()
+    if method not in ("MLE", "PWM"):
+        raise EvdError(f"unknown fit method {method!r}")
+    x = np.asarray(exceedances, dtype=float)
+    thresholds = np.asarray(thresholds, dtype=float)
+    y_all = x - thresholds[:, None]
+    errors = _row_errors(y_all)
+    reports: list[FitReport | EvdError] = [EvdError(e) for e in errors]
+    ok = np.array([not e for e in errors], dtype=bool)
+    if not ok.any():
+        return reports
+    y = y_all[ok]
+    _, _, xi, sigma = _pwm_estimates(y)
+    if method == "MLE":
+        with np.errstate(invalid="ignore"):
+            feasible = np.all(1.0 + xi[:, None] * y / sigma[:, None] > 0.0, axis=1)
+            start = (np.isfinite(xi) & (XI_MIN < xi) & (xi < XI_MAX) & (sigma > 0)
+                     & ((np.abs(xi) <= XI_SWITCH) | feasible))
+        xi0 = np.where(start, xi, 0.1)
+        sigma0 = np.where(start, sigma, np.mean(y, axis=1))
+        xi, sigma, loglik, iterations = _mle_rows(y, xi0, sigma0)
+    n = y_all.shape[1]
+    for row, i in enumerate(np.flatnonzero(ok)):
+        shape, scale = float(xi[row]), float(sigma[row])
+        message = ""
+        if method == "PWM" and not (np.isfinite(shape) and scale > 0):
+            message = "PWM estimator undefined (b0 - 2*b1 <= 0)"
+        elif method == "MLE" and min(abs(shape - XI_MIN), abs(shape - XI_MAX)) < 1e-6:
+            message = "shape at search boundary"
+        reports[i] = FitReport(
+            params=None if message else GpdParams(float(thresholds[i]), scale, shape),
+            n=n, method=method,
+            loglik=float(loglik[row]) if method == "MLE" and not message else None,
+            converged=not message,
+            iterations=int(iterations[row]) if method == "MLE" else 0,
+            message=message,
+        )
+    return reports
+
+
+def _fit_one(exceedances, threshold: float, method: str) -> FitReport:
+    x = np.asarray(exceedances, dtype=float).reshape(1, -1)
+    (report,) = fit_gpd_rows(x, [threshold], method)
+    if isinstance(report, EvdError):
+        raise report
+    return report
 
 
 def fit_gpd_pwm(exceedances, threshold: float) -> FitReport:
     """Probability-weighted-moments fit of the GPD to threshold exceedances."""
-    y = _check_exceedances(exceedances, threshold)
-    b0, b1, xi, sigma = _pwm_estimates(y)
-    if not np.isfinite(xi) or sigma <= 0:
-        return FitReport(
-            params=None, n=y.size, method="PWM", loglik=None, converged=False,
-            iterations=0, message="PWM estimator undefined (b0 - 2*b1 <= 0)",
-        )
-    return FitReport(
-        params=GpdParams(threshold=float(threshold), scale=sigma, shape=xi),
-        n=y.size, method="PWM", loglik=None, converged=True, iterations=0,
-    )
+    return _fit_one(exceedances, threshold, "PWM")
 
 
 def fit_gpd_mle(exceedances, threshold: float) -> FitReport:
-    """Maximum-likelihood fit of the GPD to threshold exceedances.
-
-    Nelder-Mead over (shape, log scale) starting from the PWM estimate when
-    that is valid and inside the search box, else from (0.1, mean excess).
-    The support constraint is enforced by an infinite objective outside the
-    feasible set; boundary-hitting in shape is reported as non-convergence.
-    """
-    y = _check_exceedances(exceedances, threshold)
-    _, _, xi0, sigma0 = _pwm_estimates(y)
-    if not (np.isfinite(xi0) and XI_MIN < xi0 < XI_MAX and sigma0 > 0
-            and _nll(xi0, math.log(sigma0), y) < math.inf):
-        xi0, sigma0 = 0.1, float(np.mean(y))
-    res = minimize(
-        lambda t: _nll(t[0], t[1], y),
-        x0=np.array([xi0, math.log(sigma0)]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000},
-    )
-    xi, log_sigma = float(res.x[0]), float(res.x[1])
-    at_boundary = min(abs(xi - XI_MIN), abs(xi - XI_MAX)) < 1e-6
-    if not res.success or at_boundary or not np.isfinite(res.fun):
-        return FitReport(
-            params=None, n=y.size, method="MLE", loglik=None, converged=False,
-            iterations=int(res.nit),
-            message="shape at search boundary" if at_boundary else str(res.message),
-        )
-    return FitReport(
-        params=GpdParams(threshold=float(threshold), scale=math.exp(log_sigma), shape=xi),
-        n=y.size, method="MLE", loglik=-float(res.fun), converged=True,
-        iterations=int(res.nit),
-    )
+    """Maximum-likelihood fit of the GPD to threshold exceedances; see
+    fit_gpd_rows."""
+    return _fit_one(exceedances, threshold, "MLE")
 
 
 def fit_gpd(exceedances, threshold: float, method: str) -> FitReport:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import LocationSeries, location_series, single_location_rv
+from .baselines import LocationSeries, location_series, single_location_rvs
 from .catalog import (
     CatalogError,
     CycloneCatalog,
@@ -28,7 +28,7 @@ from .catalog import (
     extract_stm,
     select_region,
 )
-from .evd import EvdError, GpdParams, gpd_quantile
+from .evd import GpdParams, gpd_quantile
 from .returns import ReturnValueEstimate, stme_return_values
 
 KM_PER_DEG_LAT = 110.57
@@ -141,20 +141,21 @@ def estimate_cells(
                 )
                 cells.update(((loc, "STME", method, n), r) for loc, r in found.items())
             if "SINGLE" in estimators:
-                for loc in location_ids:
-                    cells[(loc, "SINGLE", method, n)] = short or _single(
-                        series[loc], n, T, T0, method
-                    )
+                found = dict.fromkeys(location_ids, short) if short else _single(
+                    series, n, T, T0, method
+                )
+                cells.update(((loc, "SINGLE", method, n), r) for loc, r in found.items())
     return cells
 
 
-def _single(series: LocationSeries | str, n, T, T0, method) -> ReturnValueEstimate | str:
-    if isinstance(series, str):
-        return series
-    try:
-        return single_location_rv(series, n=n, T=T, T0=T0, method=method)
-    except (CatalogError, EvdError) as err:
-        return str(err)
+def _single(series: dict[int, LocationSeries | str], n, T, T0, method):
+    """SINGLE estimate or reason at each location, with one batched fit."""
+    found: dict[int, ReturnValueEstimate | str] = dict(series)
+    fitted = [loc for loc, s in series.items() if not isinstance(s, str)]
+    estimates = single_location_rvs([series[loc] for loc in fitted], n, T, T0, method)
+    for loc, result in zip(fitted, estimates):
+        found[loc] = str(result) if isinstance(result, Exception) else result
+    return found
 
 
 def _run_replicate(
@@ -187,13 +188,27 @@ def run_replicates(
     return (_run_replicate(i, regional, config) for i in indices)
 
 
+# The region catalog and config of this worker process, set once by the
+# pool initializer so that each task sends only its replicate index.
+_worker_args: tuple[CycloneCatalog, ExperimentConfig] | None = None
+
+
+def _init_worker(regional: CycloneCatalog, config: ExperimentConfig):
+    global _worker_args
+    _worker_args = (regional, config)
+
+
+def _worker_replicate(index: int) -> ReplicateResult:
+    return _run_replicate(index, *_worker_args)
+
+
 def _pooled_replicates(regional, config, indices, jobs) -> Iterator[ReplicateResult]:
     # a generator of its own, so that run_replicates checks its arguments
     # when called rather than at the first result
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(
-            _run_replicate, indices, [regional] * len(indices), [config] * len(indices)
-        )
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(regional, config)
+    ) as pool:
+        yield from pool.map(_worker_replicate, indices)
 
 
 def run_experiment(

@@ -84,6 +84,29 @@ def exposure_ecdf(
     return ExposureEcdf(location_id=int(location_id), atoms=atoms)
 
 
+class _AtomRows:
+    """The exposure atoms of several locations as one matrix: each row holds
+    a location's positive atoms in ascending order, padded with ones that a
+    mask excludes, next to its counts of zero atoms and of all atoms."""
+
+    def __init__(self, ecdfs):
+        positive = [e.atoms[e.atoms > 0.0] for e in ecdfs]
+        self.scale = np.ones((len(positive), max([1] + [p.size for p in positive])))
+        self.mask = np.zeros(self.scale.shape, dtype=bool)
+        for row, atoms in enumerate(positive):
+            self.scale[row, : atoms.size] = atoms
+            self.mask[row, : atoms.size] = True
+        self.size = np.array([e.atoms.size for e in ecdfs])
+        self.n_zero = self.size - self.mask.sum(axis=1)
+
+    def cdf(self, fit: GpdParams, h: np.ndarray) -> np.ndarray:
+        """SWH CDF of row r at h[r]; with a single row, its CDF at every h."""
+        p = np.where(self.mask, gpd_cdf(fit, h[:, None] / self.scale), 0.0)
+        # a running sum, so that the padding at the end of a row leaves its
+        # total bit-identical to the sum over its own atoms alone
+        return (np.cumsum(p, axis=1)[:, -1] + self.n_zero) / self.size
+
+
 def swh_cdf(fit: GpdParams, ecdf: ExposureEcdf, h) -> np.ndarray | float:
     """CDF of SWH at the location: mean of the conditional-on-retention GPD
     CDF over exposure atoms; zero atoms contribute 1 (no wave reaches the
@@ -91,11 +114,7 @@ def swh_cdf(fit: GpdParams, ecdf: ExposureEcdf, h) -> np.ndarray | float:
     h = np.asarray(h, dtype=float)
     if np.any(h < 0):
         raise CatalogError("SWH evaluation point must be >= 0")
-    atoms = ecdf.atoms
-    pos = atoms[atoms > 0.0]
-    n_zero = atoms.size - pos.size
-    scaled = h[..., None] / pos if h.ndim else h / pos
-    p = (np.sum(np.asarray(gpd_cdf(fit, scaled)), axis=-1) + n_zero) / atoms.size
+    p = _AtomRows([ecdf]).cdf(fit, h.reshape(-1)).reshape(h.shape)
     return p if h.ndim else float(p)
 
 
@@ -109,6 +128,62 @@ def target_probability(T: float, T0: float, n: int) -> float:
     return p
 
 
+def return_values(
+    fit: GpdParams,
+    ecdfs,
+    T: float,
+    T0: float,
+    n: int,
+    method: str = "",
+    estimator: str = "STME",
+) -> list[ReturnValueEstimate | CatalogError | EvdError]:
+    """T-year return value at each location of `ecdfs`: the swh_cdf
+    quantile at p* = 1 - (T0/n)/T, found for all locations at once by
+    bracketing and bisection (1e-6 m). A location without a value maps to
+    the error saying why. For shape < 0 the bracket is the location's upper
+    bound, and a quantile within 1e-6 m of it is flagged "at_upper_bound"."""
+    p_target = target_probability(T, T0, n)
+    rows = _AtomRows(ecdfs)
+    e_max = np.array([float(e.atoms[-1]) for e in ecdfs])
+    errors: list[CatalogError | EvdError | None] = [
+        CatalogError(f"location {e.location_id}: all exposures zero") if e.atoms[-1] == 0.0
+        else None
+        for e in ecdfs
+    ]
+    at_bound = np.zeros(len(ecdfs), dtype=bool)
+    if fit.shape < 0:
+        hi = e_max * fit.upper_endpoint
+        at_bound = rows.cdf(fit, np.maximum(hi - BISECTION_TOL, 0.0)) < p_target
+    else:
+        hi = np.maximum(1.0, e_max * (fit.threshold + fit.scale))
+        low = rows.cdf(fit, hi) < p_target
+        while low.any():
+            hi = np.where(low, 2.0 * hi, hi)
+            for row in np.flatnonzero(low & (hi > 1e12)):
+                errors[row] = EvdError("return-value bracket exceeded 1e12 m")
+            low &= hi <= 1e12
+            low &= rows.cdf(fit, hi) < p_target
+    lo = np.zeros_like(hi)
+    for _ in range(BISECTION_MAX_ITER):
+        active = hi - lo > BISECTION_TOL
+        if not active.any():
+            break
+        mid = 0.5 * (lo + hi)
+        above = rows.cdf(fit, mid) >= p_target
+        hi = np.where(active & above, mid, hi)
+        lo = np.where(active & ~above, mid, lo)
+    results: list[ReturnValueEstimate | CatalogError | EvdError] = []
+    for ecdf, error, value, flag in zip(ecdfs, errors, hi.tolist(), at_bound.tolist()):
+        try:
+            results.append(error or ReturnValueEstimate(
+                location_id=ecdf.location_id, T=float(T), T0=float(T0), n=int(n), value=value,
+                method=method, estimator=estimator, flag="at_upper_bound" if flag else "",
+            ))
+        except CatalogError as err:
+            results.append(err)
+    return results
+
+
 def return_value(
     fit: GpdParams,
     ecdf: ExposureEcdf,
@@ -118,36 +193,11 @@ def return_value(
     method: str = "",
     estimator: str = "STME",
 ) -> ReturnValueEstimate:
-    """T-year return value at a location: the swh_cdf quantile at
-    p* = 1 - (T0/n)/T, found by bracketing and bisection (1e-6 m)."""
-    p_target = target_probability(T, T0, n)
-    e_max = float(ecdf.atoms[-1])
-    if e_max == 0.0:
-        raise CatalogError(f"location {ecdf.location_id}: all exposures zero")
-    flag = ""
-    if fit.shape < 0:
-        hi = e_max * fit.upper_endpoint
-        if swh_cdf(fit, ecdf, max(hi - BISECTION_TOL, 0.0)) < p_target:
-            flag = "at_upper_bound"
-    else:
-        hi = max(1.0, e_max * (fit.threshold + fit.scale))
-        while swh_cdf(fit, ecdf, hi) < p_target:
-            hi *= 2.0
-            if hi > 1e12:
-                raise EvdError("return-value bracket exceeded 1e12 m")
-    lo = 0.0
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if swh_cdf(fit, ecdf, mid) >= p_target:
-            hi = mid
-        else:
-            lo = mid
-    return ReturnValueEstimate(
-        location_id=ecdf.location_id, T=float(T), T0=float(T0), n=int(n),
-        value=hi, method=method, estimator=estimator, flag=flag,
-    )
+    """T-year return value at one location; see return_values."""
+    (result,) = return_values(fit, [ecdf], T, T0, n, method, estimator)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def stme_return_values(
@@ -166,15 +216,21 @@ def stme_return_values(
     report = fit_gpd(retained.values, psi, method)
     if not report.converged:
         return dict.fromkeys(location_ids, f"tail fit failed: {report.message}")
-    results: dict[int, ReturnValueEstimate | str] = {}
-    for loc in location_ids:
+    results: dict[int, ReturnValueEstimate | str] = dict.fromkeys(location_ids, "")
+    ecdfs = {}
+    for loc in results:
         try:
-            ecdf = exposure_ecdf(exposures, loc, retained.event_ids)
-            results[loc] = return_value(
-                report.params, ecdf, T=T, T0=T0, n=n, method=method.upper(), estimator="STME"
-            )
-        except (CatalogError, EvdError) as err:
+            ecdfs[loc] = exposure_ecdf(exposures, loc, retained.event_ids)
+        except CatalogError as err:
             results[loc] = str(err)
+    try:
+        found = return_values(
+            report.params, list(ecdfs.values()), T, T0, n, method=method.upper(), estimator="STME"
+        )
+    except CatalogError as err:
+        found = [err] * len(ecdfs)
+    for loc, result in zip(ecdfs, found):
+        results[loc] = str(result) if isinstance(result, Exception) else result
     return results
 
 

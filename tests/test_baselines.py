@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from stme.baselines import empirical_rv, location_series, single_location_rv
+from stme.baselines import (
+    empirical_rv,
+    location_series,
+    single_location_rv,
+    single_location_rvs,
+)
 from stme.catalog import CatalogError, RegionSpec
-from stme.evd import GpdParams, fit_gpd, gpd_quantile
+from stme.evd import EvdError, GpdParams, fit_gpd, gpd_quantile
+from stme.experiments import SynthWorldConfig, synth_catalog
 from stme.returns import BISECTION_TOL, run_stme, target_probability
 from tests.test_returns import exposure_world
 
@@ -124,3 +130,22 @@ class TestEmpiricalRv:
         series = location_series(exposure_world({1: 1.0}, list(range(1, 20)), duration=100.0), 1)
         with pytest.raises(CatalogError):
             empirical_rv(series, T=200.0, T_L=100.0)
+
+
+class TestSingleLocationRvs:
+    @pytest.mark.parametrize("method", ["MLE", "PWM"])
+    @pytest.mark.parametrize("n", [4, 10, 30])
+    def test_equals_single_location_rv(self, method, n):
+        world = synth_catalog(SynthWorldConfig(duration_years=60.0, seed=4))
+        series = [location_series(world, loc) for loc in world.location_ids]
+        batch = single_location_rvs(series, n, T=500.0, T0=60.0, method=method)
+        assert len(batch) == len(series)
+        for s, got in zip(series, batch):
+            try:
+                want = single_location_rv(s, n, T=500.0, T0=60.0, method=method)
+            except (CatalogError, EvdError) as err:
+                assert type(got) is type(err) and str(got) == str(err)
+            else:
+                assert got.location_id == want.location_id and got.flag == want.flag
+                assert got.value == pytest.approx(want.value, rel=1e-9, abs=0)
+

@@ -13,10 +13,12 @@ from stme.catalog import (
     CycloneCatalog,
     Location,
     RegionSpec,
+    StmSeries,
     extract_exposures,
     extract_stm,
     load_catalog,
     select_region,
+    threshold_for_top_n,
     top_n_events,
 )
 from stme.experiments import sample_period
@@ -387,6 +389,28 @@ class TestTopNEvents:
 
 
 # --- dense catalog against a per-event dict walk ---------------------------
+
+class TestThresholdForTopN:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 1e6)),
+                        min_size=1, max_size=60),
+        data=st.data(),
+    )
+    def test_keeps_exactly_n_values(self, values, data):
+        n = data.draw(st.integers(1, len(values)))
+        values = np.asarray(values)
+        psi = threshold_for_top_n(values, n)
+        desc = np.sort(values)[::-1]
+        assert desc[n - 1] > psi  # the n largest lie above the threshold
+        if n == values.size or desc[n - 1] > desc[n]:
+            assert int(np.sum(values > psi)) == n
+        # a tie across the n-th largest keeps all tied values above psi;
+        # top_n_events then retains exactly n of them
+        stm = StmSeries(np.arange(1, values.size + 1), values, np.ones(values.size, dtype=int))
+        retained, same_psi = top_n_events(stm, n)
+        assert len(retained) == n and same_psi == psi
+
 
 def reference_select(footprints, keep_ids):
     out = {}

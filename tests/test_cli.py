@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -231,6 +233,27 @@ class TestReturnValues:
         assert "need T_L > T > 0, got T_L=20.0, T=20.0" in capsys.readouterr().err
         assert not (tmp_path / "o3" / "estimates.csv").exists()
 
+    def test_empirical_alone_needs_no_n(self, small_world, tmp_path):
+        out = tmp_path / "rv"
+        code = run(["return-values", *small_world, "--out", out, "--T", "8",
+                    "--estimator", "empirical"])
+        assert code == 0
+        rows = read_csv(out / "estimates.csv")
+        assert [(r["location_id"], r["estimator"]) for r in rows] == [
+            ("1", "EMPIRICAL"), ("2", "EMPIRICAL")]
+        assert json.loads((out / "metadata.json").read_text())["config"]["n"] is None
+
+    @pytest.mark.parametrize("estimators", [["stme"], ["single"], ["empirical", "stme"]])
+    def test_fitted_estimator_needs_n_before_reading_input(self, tmp_path, capsys, estimators):
+        out = tmp_path / "rv"
+        code = run(["return-values", "--footprints", tmp_path / "missing.csv",
+                    "--locations", tmp_path / "missing.csv", "--duration", "20",
+                    "--out", out, "--T", "8",
+                    *[a for e in estimators for a in ("--estimator", e)]])
+        assert code == 2
+        assert "--n or [analysis] n is required" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("estimator", ["stme", "single", "empirical"])
     def test_location_outside_region_exit_2(self, small_world, tmp_path, capsys, estimator):
         cfg = tmp_path / "ids.ini"
@@ -266,6 +289,33 @@ class TestDiagnostics:
         assert 0.0 <= report["kl"]["non_exceedance"] <= 1.0
         tau_rows = read_csv(out / "tau_map.csv")
         assert {r["flag"] for r in tau_rows} <= {"inside", "above", "below"}
+
+
+class TestImports:
+    def test_cli_does_not_import_scipy(self):
+        code = "import sys, stme.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_diagnostics_same_with_scipy_imported_late(self, synth_dir, tmp_path):
+        # a fresh process imports scipy only inside the diagnostics; this
+        # process has it imported already
+        import scipy.stats  # noqa: F401
+
+        args = ["diagnostics", "--footprints", synth_dir / "footprints.csv",
+                "--locations", synth_dir / "locations.csv", "--duration", "800",
+                "--n-perm", "99", "--n-null", "100", "--seed", "3"]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        fresh = subprocess.run(
+            [sys.executable, "-m", "stme.cli", *map(str, args), "--out", str(tmp_path / "a")],
+            capture_output=True, env=env,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert run([*args, "--out", tmp_path / "b"]) == 0
+        for name in ("diagnostics.json", "tau_map.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestExperiment:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stme.evd import (
+    XI_MIN,
     EvdError,
     GpdParams,
     fit_gpd_mle,
     fit_gpd_pwm,
+    fit_gpd_rows,
     gpd_cdf,
     gpd_pdf,
     gpd_quantile,
@@ -120,6 +124,111 @@ class TestMle:
         a = fit_gpd_mle(sample, 3.0)
         b = fit_gpd_mle(sample, 3.0)
         assert a == b
+
+
+def gpd_loglik(y, shape, scale):
+    """GPD log-likelihood of excesses y, written out independently of the fit."""
+    z = 1.0 + shape * y / scale
+    if np.any(z <= 0):
+        return -math.inf
+    return -y.size * math.log(scale) - (1.0 + 1.0 / shape) * float(np.sum(np.log(z)))
+
+
+# The 20 largest STM values of one T0 = 50 experiment sample. Its
+# likelihood is higher at the XI_MIN edge than at the interior maximum near
+# shape -0.2437 that a local search from the PWM start reaches.
+EDGE_HIGHER_SAMPLE = np.array([
+    13.52320607, 13.32103724, 13.20748061, 13.15815711, 12.96928674, 10.44206449,
+    9.875357054, 9.643506423, 8.274401183, 7.916321792, 7.902917881, 7.842640362,
+    7.790039929, 7.781635507, 7.771938591, 7.563438454, 7.307555542, 7.134420203,
+    6.937768337, 6.852483175,
+])
+EDGE_HIGHER_THRESHOLD = 6.842232384
+
+
+class TestMleSearch:
+    def test_interior_maximum_is_a_local_maximum_of_the_likelihood(self):
+        # independent of the profile-likelihood formula: no nearby (shape,
+        # scale) in the plane has a higher likelihood
+        rng = np.random.default_rng(31)
+        for shape in (-0.4, -0.1, 0.05, 0.3, 0.8):
+            sample = gpd_sample(GpdParams(0.0, 1.5, shape), rng, 40)
+            report = fit_gpd_mle(sample, 0.0)
+            assert report.converged
+            xi, sigma = report.params.shape, report.params.scale
+            best = gpd_loglik(sample, xi, sigma)
+            assert report.loglik == pytest.approx(best, abs=1e-9)
+            for dxi in (-1e-3, 0.0, 1e-3):
+                for ds in (-1e-3, 0.0, 1e-3):
+                    assert gpd_loglik(sample, xi + dxi, sigma * (1 + ds)) <= best + 1e-12
+
+    def test_search_climbs_from_the_start_not_to_the_global_maximum(self):
+        report = fit_gpd_mle(EDGE_HIGHER_SAMPLE, EDGE_HIGHER_THRESHOLD)
+        assert report.converged
+        assert report.params.shape == pytest.approx(-0.24368, abs=1e-5)
+        y = EDGE_HIGHER_SAMPLE - EDGE_HIGHER_THRESHOLD
+        scales = -XI_MIN * y.max() * (1.0 + np.logspace(-8, 1, 2000))
+        edge = max(gpd_loglik(y, XI_MIN, s) for s in scales)
+        assert edge > report.loglik + 0.1
+
+    @pytest.mark.parametrize("sample, threshold", [
+        pytest.param(np.arange(2, 13) ** 6.0, 1.0, id="XI_MAX"),
+        # the 10 largest STM values of a T0 = 50 experiment sample
+        pytest.param(np.array([7.962161543, 7.370385372, 6.6650925, 6.462856665, 6.353783057,
+                               6.170963296, 5.743603751, 5.498495289, 4.613458087, 4.333423853]),
+                     3.877133059, id="XI_MIN"),
+    ])
+    def test_shape_at_search_boundary(self, sample, threshold):
+        report = fit_gpd_mle(sample, threshold)
+        assert not report.converged and report.params is None
+        assert report.message == "shape at search boundary"
+
+    def test_rows_fail_one_by_one(self):
+        rng = np.random.default_rng(32)
+        good = gpd_sample(GpdParams(0.0, 1.0, 0.1), rng, 8)
+        reports = fit_gpd_rows(
+            np.array([good, np.full(8, 2.0), good - good.min()]), [0.0, 0.0, 0.0], "MLE"
+        )
+        assert reports[0] == fit_gpd_mle(good, 0.0)
+        assert str(reports[1]) == "degenerate sample: all exceedances equal"
+        assert str(reports[2]) == "exceedances must lie strictly above the threshold"
+        assert isinstance(reports[1], EvdError) and isinstance(reports[2], EvdError)
+
+    def test_unknown_method(self):
+        with pytest.raises(EvdError, match="unknown fit method"):
+            fit_gpd_rows(np.ones((1, 5)), [0.0], "LSQ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 6),
+        n=st.integers(5, 40),
+        method=st.sampled_from(["MLE", "PWM"]),
+        degenerate=st.booleans(),
+    )
+    def test_batched_fit_equals_single_fits(self, seed, k, n, method, degenerate):
+        rng = np.random.default_rng(seed)
+        shapes = rng.uniform(-0.6, 1.2, size=k)
+        thresholds = rng.uniform(0.0, 10.0, size=k)
+        rows = np.array([
+            t + gpd_sample(GpdParams(0.0, rng.uniform(0.2, 5.0), xi), rng, n)
+            for t, xi in zip(thresholds, shapes)
+        ])
+        if degenerate:
+            rows[0] = thresholds[0] + 1.0
+        batch = fit_gpd_rows(rows, thresholds, method)
+        fitter = fit_gpd_mle if method == "MLE" else fit_gpd_pwm
+        for row, threshold, got in zip(rows, thresholds, batch):
+            try:
+                want = fitter(row, threshold)
+            except EvdError as err:
+                assert isinstance(got, EvdError) and str(got) == str(err)
+                continue
+            assert (got.converged, got.message, got.iterations) == (
+                want.converged, want.message, want.iterations)
+            if want.converged:
+                assert abs(got.params.shape - want.params.shape) <= 1e-9
+                assert got.params.scale == pytest.approx(want.params.scale, rel=1e-9)
 
 
 class TestPwm:

@@ -199,6 +199,23 @@ class TestRunExperiment:
         parallel = run_experiment(world, RegionSpec(), cfg, jobs=3)
         assert serial == parallel
 
+    def test_pool_tasks_carry_only_the_index(self, world, monkeypatch):
+        # the catalog and config reach each worker once, through the pool
+        # initializer; each task is one replicate index
+        tasks = []
+
+        class RecordingPool(stme.experiments.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                tasks.extend(zip(*iterables))
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(stme.experiments, "ProcessPoolExecutor", RecordingPool)
+        cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10,), replicates=3,
+                               methods=("MLE",), location_ids=(1, 2), master_seed=5)
+        parallel = run_experiment(world, RegionSpec(), cfg, jobs=2)
+        assert tasks == [(0,), (1,), (2,)]
+        assert parallel == run_experiment(world, RegionSpec(), cfg, jobs=1)
+
     def test_grid_coverage(self, world):
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10, 15), replicates=3,
                                methods=("PWM", "MLE"), location_ids=(1,), master_seed=6)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stme.catalog import (
     CatalogError,
@@ -16,6 +18,7 @@ from stme.returns import (
     ExposureEcdf,
     exposure_ecdf,
     return_value,
+    return_values,
     run_stme,
     stme_return_values,
     swh_cdf,
@@ -124,6 +127,60 @@ class TestSwhCdf:
         params = GpdParams(5.0, 2.0, 0.1)
         ecdf = ExposureEcdf(1, np.array([0.0, 1.0]))
         assert swh_cdf(params, ecdf, 0.0) == pytest.approx(0.5)
+
+
+fits = st.builds(
+    GpdParams,
+    threshold=st.floats(0.0, 10.0),
+    scale=st.floats(0.05, 5.0),
+    shape=st.one_of(st.just(0.0), st.floats(-0.8, 1.5)),
+)
+atom_sets = st.lists(
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 1.0)), min_size=1, max_size=25
+)
+
+
+class TestSwhCdfProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(fit=fits, atoms=atom_sets, h=st.lists(st.floats(0.0, 200.0), min_size=2, max_size=30))
+    def test_monotone_and_in_unit_interval(self, fit, atoms, h):
+        grid = np.sort(np.asarray(h))
+        probs = np.asarray(swh_cdf(fit, ExposureEcdf(1, np.asarray(atoms)), grid))
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+        assert np.all(np.diff(probs) >= 0.0)
+
+
+class TestReturnValues:
+    @settings(max_examples=200, deadline=None)
+    @given(fit=fits, atom_lists=st.lists(atom_sets, min_size=1, max_size=8),
+           n=st.integers(5, 60), T=st.floats(300.0, 5000.0))
+    def test_equals_return_value_per_location(self, fit, atom_lists, n, T):
+        ecdfs = [ExposureEcdf(j, np.asarray(a)) for j, a in enumerate(atom_lists, start=1)]
+        batch = return_values(fit, ecdfs, T, 200.0, n, method="MLE", estimator="STME")
+        for ecdf, got in zip(ecdfs, batch):
+            try:
+                want = return_value(fit, ecdf, T, 200.0, n, method="MLE", estimator="STME")
+            except (CatalogError, EvdError) as err:
+                assert type(got) is type(err) and str(got) == str(err)
+            else:
+                assert got == want  # value and flag, bit for bit
+
+    def test_location_errors_stay_per_location(self):
+        params = GpdParams(5.0, 2.0, 0.1)
+        ecdfs = [ExposureEcdf(1, np.array([0.5, 1.0])), ExposureEcdf(2, np.array([0.0, 0.0]))]
+        good, bad = return_values(params, ecdfs, 500.0, 200.0, 30)
+        assert good == return_value(params, ecdfs[0], 500.0, 200.0, 30)
+        assert isinstance(bad, CatalogError) and str(bad) == "location 2: all exposures zero"
+
+    def test_upper_bound_flag(self):
+        # survival (1 - 2 z)^(1/2) near the upper endpoint 6: the quantile
+        # at p* = 1 - 6.7e-6 lies within 1e-6 m of it
+        params = GpdParams(5.0, 2.0, -2.0)
+        ecdfs = [ExposureEcdf(1, np.array([1.0])), ExposureEcdf(2, np.array([0.0, 0.5]))]
+        first, second = return_values(params, ecdfs, 1e6, 200.0, 30)
+        assert (first.flag, second.flag) == ("at_upper_bound", "at_upper_bound")
+        assert first.value == pytest.approx(6.0, abs=2 * BISECTION_TOL)
+        assert second.value == pytest.approx(3.0, abs=2 * BISECTION_TOL)
 
 
 class TestReturnValue:
