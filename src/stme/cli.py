@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, astuple
 
 import numpy as np
@@ -105,14 +106,23 @@ def _write_metadata(outdir, command, args_echo):
     _write_json(os.path.join(outdir, "metadata.json"), payload, sort_keys=True)
 
 
+# Cells that _cells turns into Python objects at a time: bounds the memory
+# that writing a large events x locations table takes.
+_CHUNK_CELLS = 1 << 14
+
+
 def _cells(event_ids, location_ids, values):
     """(event id, location id, value) for every non-NaN cell of an events x
-    locations table, row by row."""
-    rows, cols = np.nonzero(~np.isnan(values))
-    return zip(
-        event_ids[rows].tolist(), np.asarray(location_ids)[cols].tolist(),
-        values[rows, cols].tolist(),
-    )
+    locations table, row by row, converted a block of rows at a time."""
+    location_ids = np.asarray(location_ids)
+    step = max(1, _CHUNK_CELLS // max(1, values.shape[1]))
+    for start in range(0, len(values), step):
+        block = values[start : start + step]
+        rows, cols = np.nonzero(~np.isnan(block))
+        yield from zip(
+            event_ids[start + rows].tolist(), location_ids[cols].tolist(),
+            block[rows, cols].tolist(),
+        )
 
 
 def _jobs(text: str) -> int:
@@ -540,9 +550,14 @@ def cmd_experiment(s) -> int:
             empirical_rv(location_series(regional, loc), T=T, T_L=regional.duration_years)
             for loc in analysis_locations(regional, exp_config.location_ids)
         ]
-        metrics_rows = [astuple(m) for m in performance_metrics(summary, empirical)]
     except CatalogError as err:
         print(f"metrics skipped: {err}", file=sys.stderr)
+    else:
+        with warnings.catch_warnings(record=True) as skipped:
+            warnings.simplefilter("always")
+            metrics_rows = [astuple(m) for m in performance_metrics(summary, empirical)]
+        for warning in skipped:
+            print(f"metrics row skipped: {warning.message}", file=sys.stderr)
     _write_csv(
         os.path.join(outdir, "metrics.csv"),
         ["estimator", "method", "n", "bias_mean_m", "bias_median_m", "w50_m",

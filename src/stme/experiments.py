@@ -12,6 +12,7 @@ tracks and GPD peak intensities provides a desk-scale ground truth.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -292,16 +293,19 @@ def performance_metrics(
 ) -> list[PerformanceMetrics]:
     """Bias and uncertainty per (estimator, method, n) averaged over the
     locations covered by the empirical estimates. The width ratio uses the
-    competing estimator's 50% interval at the same (method, n) as reference."""
+    competing estimator's 50% interval at the same (method, n) as reference.
+    A row without a summary at one of those locations is left out with a
+    warning."""
     emp = {e.location_id: e.value for e in empirical}
     groups: dict[tuple[str, str, int], list[tuple[int, CellStats]]] = {}
     for (loc, estimator, method, n), cell in summary.cells.items():
         if loc in emp:
             groups.setdefault((estimator, method, n), []).append((loc, cell))
-    for key, cells in groups.items():
+    for key, cells in list(groups.items()):
         miss = set(emp) - {loc for loc, _ in cells}
         if miss:
-            raise CatalogError(f"cell {key}: no summary at locations {sorted(miss)}")
+            warnings.warn(f"cell {key}: no summary at locations {sorted(miss)}", stacklevel=2)
+            del groups[key]
     other = {"STME": "SINGLE", "SINGLE": "STME"}
     metrics = []
     for (estimator, method, n), cells in sorted(groups.items()):

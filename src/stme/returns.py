@@ -31,6 +31,7 @@ from .evd import EvdError, GpdParams, fit_gpd, gpd_cdf
 
 BISECTION_TOL = 1e-6  # metres
 BISECTION_MAX_ITER = 200
+BRACKET_MAX = 1e12  # metres
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,9 @@ def return_values(
     """T-year return value at each location of `ecdfs`: the swh_cdf
     quantile at p* = 1 - (T0/n)/T, found for all locations at once by
     bracketing and bisection (1e-6 m). A location without a value maps to
-    the error saying why. For shape < 0 the bracket is the location's upper
-    bound, and a quantile within 1e-6 m of it is flagged "at_upper_bound"."""
+    the error saying why. For shape < 0 with an upper bound within 1e12 m
+    the bracket is the location's upper bound, and a quantile within 1e-6 m
+    of it is flagged "at_upper_bound"."""
     p_target = target_probability(T, T0, n)
     rows = _AtomRows(ecdfs)
     e_max = np.array([float(e.atoms[-1]) for e in ecdfs])
@@ -151,7 +153,9 @@ def return_values(
         for e in ecdfs
     ]
     at_bound = np.zeros(len(ecdfs), dtype=bool)
-    if fit.shape < 0:
+    # a shape just below zero puts the upper bound out of bisection's reach
+    # (or overflows it to inf); such a fit is bracketed as if unbounded
+    if fit.shape < 0 and fit.upper_endpoint <= BRACKET_MAX:
         hi = e_max * fit.upper_endpoint
         at_bound = rows.cdf(fit, np.maximum(hi - BISECTION_TOL, 0.0)) < p_target
     else:
@@ -159,9 +163,9 @@ def return_values(
         low = rows.cdf(fit, hi) < p_target
         while low.any():
             hi = np.where(low, 2.0 * hi, hi)
-            for row in np.flatnonzero(low & (hi > 1e12)):
+            for row in np.flatnonzero(low & (hi > BRACKET_MAX)):
                 errors[row] = EvdError("return-value bracket exceeded 1e12 m")
-            low &= hi <= 1e12
+            low &= hi <= BRACKET_MAX
             low &= rows.cdf(fit, hi) < p_target
     lo = np.zeros_like(hi)
     for _ in range(BISECTION_MAX_ITER):
@@ -217,10 +221,12 @@ def stme_return_values(
     if not report.converged:
         return dict.fromkeys(location_ids, f"tail fit failed: {report.message}")
     results: dict[int, ReturnValueEstimate | str] = dict.fromkeys(location_ids, "")
+    rows = np.isin(exposures.event_ids, retained.event_ids)
+    kept = ExposureMatrix(exposures.event_ids[rows], exposures.location_ids, exposures.values[rows])
     ecdfs = {}
     for loc in results:
         try:
-            ecdfs[loc] = exposure_ecdf(exposures, loc, retained.event_ids)
+            ecdfs[loc] = exposure_ecdf(kept, loc)
         except CatalogError as err:
             results[loc] = str(err)
     try:

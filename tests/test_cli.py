@@ -299,6 +299,30 @@ class TestImports:
                              env=env, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_diagnostics_does_not_import_scipy(self, synth_dir, tmp_path):
+        # with the default four orientations nothing needs scipy; five or more
+        # add the KS aggregation of the trend p-values, which imports it
+        code = (
+            "import sys; from stme.cli import main; code = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy'))); sys.exit(code)"
+        )
+        args = ["diagnostics", "--footprints", synth_dir / "footprints.csv",
+                "--locations", synth_dir / "locations.csv", "--duration", "800",
+                "--n-perm", "99", "--n-null", "100"]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", code, *map(str, args), "--out", str(tmp_path / "a")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+        assert "trend_ks_uniformity" not in json.loads(
+            (tmp_path / "a" / "diagnostics.json").read_text())
+        five = [f"--orientation={d}" for d in (0, 30, 60, 90, 120)]
+        assert run([*args, *five, "--out", tmp_path / "b"]) == 0
+        report = json.loads((tmp_path / "b" / "diagnostics.json").read_text())
+        assert len(report["trend_p_values"]) == 5
+        assert 0.0 <= report["trend_ks_uniformity"]["p_value"] <= 1.0
+
     def test_diagnostics_same_with_scipy_imported_late(self, synth_dir, tmp_path):
         # a fresh process imports scipy only inside the diagnostics; this
         # process has it imported already
@@ -391,6 +415,32 @@ class TestExperiment:
         assert code == 2
         assert "jobs must be at least 1" in capsys.readouterr().err
         assert not (out / "replicates").exists()
+
+    def test_metrics_row_without_summary_skipped(self, synth_dir, tmp_path, capsys,
+                                                 monkeypatch):
+        import stme.cli
+        from stme.experiments import SummaryStats
+
+        ref = tmp_path / "ref"
+        assert self.run_experiment(synth_dir, ref) == 0
+        ref_rows = read_csv(ref / "metrics.csv")
+        capsys.readouterr()
+
+        # drop one summary cell, as when every replicate fails at a location
+        summarize = stme.cli.summarize
+        missing = (2, "STME", "PWM", 10)
+        monkeypatch.setattr(stme.cli, "summarize", lambda results: SummaryStats(
+            cells={k: v for k, v in summarize(results).cells.items() if k != missing}))
+        out = tmp_path / "out"
+        assert self.run_experiment(synth_dir, out) == 0
+        err = capsys.readouterr().err
+        assert "metrics row skipped: cell ('STME', 'PWM', 10): no summary at locations [2]" in err
+        assert err.count("metrics row skipped") == 1
+        rows = read_csv(out / "metrics.csv")
+        assert [r["estimator"] for r in rows] == ["SINGLE"]
+        # its width ratio now has an STME reference at location 1 only
+        assert {k: v for k, v in rows[0].items() if k != "width_ratio_u"} == {
+            k: v for k, v in ref_rows[0].items() if k != "width_ratio_u"}
 
     def test_location_outside_region_exit_2(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "outside"

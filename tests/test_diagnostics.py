@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stme.catalog import ExposureMatrix, StmSeries
 from stme.diagnostics import (
@@ -73,6 +75,81 @@ class TestKendallTau:
         with pytest.raises(DiagnosticsError):
             kendall_tau([1, 2], [3, 4])
 
+    def test_nan_propagates(self):
+        tau, _ = kendall_tau([1.0, 2.0, np.nan, 4.0], [1.0, 3.0, 2.0, 4.0])
+        assert math.isnan(tau)
+
+
+def draw_values(draw, shape, levels):
+    """Floats, or few distinct levels (many ties) when `levels` is small."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if levels:
+        return rng.integers(0, levels, size=shape).astype(float)
+    return rng.normal(size=shape)
+
+
+@st.composite
+def tau_cases(draw):
+    """An STM-like x and an exposure-like matrix with ties in x and y, NaN
+    cells, constant columns and columns with fewer than 3 valid rows."""
+    n_events = draw(st.integers(3, 70))
+    n_cols = draw(st.integers(1, 7))
+    x = draw_values(draw, n_events, draw(st.sampled_from([0, 1, 2, 3, 6])))
+    y = draw_values(draw, (n_events, n_cols), draw(st.sampled_from([0, 1, 2, 4, 9])))
+    nan_share = draw(st.sampled_from([0.0, 0.2, 0.6, 0.95]))
+    mask_seed = draw(st.integers(0, 2**32 - 1))
+    y[np.random.default_rng(mask_seed).uniform(size=y.shape) < nan_share] = np.nan
+    return x, y
+
+
+class TestTauBAgainstScipy:
+    """scipy is the oracle: the batched tau-b must equal
+    scipy.stats.kendalltau(variant="b") bit for bit."""
+
+    @staticmethod
+    def scipy_tau(x, y):
+        from scipy import stats
+
+        return stats.kendalltau(x, y, variant="b").statistic
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tau_cases())
+    def test_tau_map_equals_scipy(self, case):
+        x, y = case
+        loc_ids = np.arange(1, y.shape[1] + 1)
+        exposures = ExposureMatrix(np.arange(1, len(x) + 1), loc_ids, y)
+        counts = (~np.isnan(y)).sum(axis=0)
+        if counts.max() < 3:
+            with pytest.raises(DiagnosticsError, match="no location"):
+                tau_map(stm_series(x), exposures)
+            return
+        results, _ = tau_map(stm_series(x), exposures)
+        assert [r.location_id for r in results] == loc_ids[counts >= 3].tolist()
+        for r in results:
+            col = y[:, r.location_id - 1]
+            keep = ~np.isnan(col)
+            assert r.n_events == keep.sum()
+            np.testing.assert_array_equal(r.tau, self.scipy_tau(x[keep], col[keep]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tau_cases())
+    def test_kendall_tau_equals_scipy(self, case):
+        x, y = case
+        tau, _ = kendall_tau(x, y[:, 0])
+        np.testing.assert_array_equal(tau, self.scipy_tau(x, y[:, 0]))
+
+    def test_larger_than_one_block(self):
+        # 1,000 events pad to 1,024 rows: 16 columns per block, 3 blocks
+        rng = np.random.default_rng(4)
+        x = np.round(rng.uniform(5, 20, size=1000), 1)
+        y = np.round(rng.uniform(0, 1, size=(1000, 40)), 2)
+        y[rng.uniform(size=y.shape) < 0.3] = np.nan
+        results, _ = tau_map(stm_series(x), ExposureMatrix(np.arange(1, 1001), np.arange(40), y))
+        for r in results:
+            keep = ~np.isnan(y[:, r.location_id])
+            assert r.tau == self.scipy_tau(x[keep], y[keep, r.location_id])
+
 
 class TestTauMap:
     def test_independent_exposures_calibrated(self):
@@ -106,6 +183,24 @@ class TestTauMap:
         stm = stm_series([1.0, 2.0, 3.0])
         with pytest.raises(DiagnosticsError):
             tau_map(stm, matrix({1: [0.1, 0.2, 0.3]}), band=1.5)
+
+    def test_flags_match_scipy_critical_value(self):
+        # the acceptance-criterion-5 world: 500 independent locations
+        from scipy import stats
+
+        rng = np.random.default_rng(500)
+        stm = stm_series(rng.uniform(5, 20, size=60))
+        cols = {j: rng.uniform(0, 1, size=60) for j in range(1, 501)}
+        for band in (0.5, 0.9, 0.99):
+            results, frac = tau_map(stm, matrix(cols), band=band)
+            z_crit = stats.norm.ppf(0.5 + band / 2.0)
+            expected = [
+                "above" if r.tau > z_crit * r.null_sd
+                else "below" if r.tau < -z_crit * r.null_sd else "inside"
+                for r in results
+            ]
+            assert [r.flag for r in results] == expected
+            assert frac == sum(f != "inside" for f in expected) / len(results)
 
 
 class TestTrendPermutation:
@@ -216,6 +311,32 @@ class TestExposureKlTest:
         stm = stm_series([1.0, 2.0, 3.0])
         with pytest.raises(DiagnosticsError):
             exposure_kl_test(matrix({1: [0.1, 0.5, 1.0]}), stm, 1, n_null=10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_events=st.integers(3, 40),
+        n_locs=st.integers(1, 12),
+        nan_share=st.sampled_from([0.0, 0.3, 0.8]),
+    )
+    def test_equals_per_pair_recomputation(self, seed, n_events, n_locs, nan_share):
+        rng = np.random.default_rng(seed)
+        stm = stm_series(rng.uniform(5, 20, size=n_events))
+        values = rng.uniform(0, 1, size=(n_events, n_locs))
+        values[rng.uniform(size=values.shape) < nan_share] = np.nan
+        values[rng.uniform(size=values.shape) < 0.1] = 1.0  # the last bin edge
+        exposures = ExposureMatrix(stm.event_ids, np.arange(n_locs), values)
+        res = exposure_kl_test(exposures, stm, 0, n_null=100, rng=np.random.default_rng(seed))
+        samples = [row[~np.isnan(row)] for row in values]
+        draw = np.random.default_rng(seed)
+        expected = []
+        for _ in range(100):
+            i, j = draw.choice(n_events, size=2, replace=False)
+            expected.append(kl_symmetric(samples[i], samples[j]))
+        np.testing.assert_array_equal(res.null_sample, expected)
+        assert res.kl_star == kl_symmetric(
+            samples[int(np.argmax(stm.values))], samples[int(np.argmin(stm.values))]
+        )
 
 
 class TestKsUniformity:

@@ -162,7 +162,7 @@ class TestPerformanceMetrics:
         assert m1.bias_mean - m0.bias_mean == pytest.approx(3.0)
         assert m1.w50 == m0.w50
 
-    def test_missing_location_raises(self):
+    def test_missing_location_skips_row(self):
         from stme.experiments import SummaryStats
 
         def cell(median, w):
@@ -170,13 +170,26 @@ class TestPerformanceMetrics:
                              q75=median + w / 2, q025=median - w, q975=median + w,
                              outliers=())
 
-        summary = SummaryStats(cells={(1, "STME", "MLE", 20): cell(10.0, 1.0)})
+        # SINGLE has no summary at location 2: only its row is left out
+        summary = SummaryStats(cells={
+            (1, "STME", "MLE", 20): cell(10.0, 1.0),
+            (2, "STME", "MLE", 20): cell(12.0, 2.0),
+            (1, "SINGLE", "MLE", 20): cell(11.0, 2.0),
+        })
         emp = [empirical_rv(location_series(
             exposure_world({1: 1.0, 2: 1.0}, [5.0 + 0.1 * k for k in range(40)],
                            duration=640.0), loc), T=100.0, T_L=640.0)
             for loc in (1, 2)]
-        with pytest.raises(CatalogError, match="no summary"):
-            performance_metrics(summary, emp)
+        with pytest.warns(UserWarning, match=r"cell \('SINGLE', 'MLE', 20\): no summary "
+                                             r"at locations \[2\]") as record:
+            metrics = performance_metrics(summary, emp)
+        assert len(record) == 1
+        assert [(m.estimator, m.method, m.n, m.n_locations) for m in metrics] == [
+            ("STME", "MLE", 20, 2)
+        ]
+        assert metrics[0].w50 == pytest.approx(1.5)
+        # the skipped row still serves as the reference width at location 1
+        assert metrics[0].width_ratio_u == pytest.approx(0.5 - 1)
 
 
 class TestRunExperiment:

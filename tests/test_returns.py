@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stme.catalog import (
@@ -154,6 +154,7 @@ class TestReturnValues:
     @settings(max_examples=200, deadline=None)
     @given(fit=fits, atom_lists=st.lists(atom_sets, min_size=1, max_size=8),
            n=st.integers(5, 60), T=st.floats(300.0, 5000.0))
+    @example(fit=GpdParams(0.0, 4.0, -2.2250738585072014e-308), atom_lists=[[0.0]], n=5, T=300.0)
     def test_equals_return_value_per_location(self, fit, atom_lists, n, T):
         ecdfs = [ExposureEcdf(j, np.asarray(a)) for j, a in enumerate(atom_lists, start=1)]
         batch = return_values(fit, ecdfs, T, 200.0, n, method="MLE", estimator="STME")
@@ -170,6 +171,13 @@ class TestReturnValues:
         ecdfs = [ExposureEcdf(1, np.array([0.5, 1.0])), ExposureEcdf(2, np.array([0.0, 0.0]))]
         good, bad = return_values(params, ecdfs, 500.0, 200.0, 30)
         assert good == return_value(params, ecdfs[0], 500.0, 200.0, 30)
+        assert isinstance(bad, CatalogError) and str(bad) == "location 2: all exposures zero"
+
+    def test_shape_just_below_zero_bracketed_as_exponential(self):
+        # the upper endpoint 5 + 2 / 1e-300 overflows to inf
+        ecdfs = [ExposureEcdf(1, np.array([0.5, 1.0])), ExposureEcdf(2, np.array([0.0]))]
+        tiny, bad = return_values(GpdParams(5.0, 2.0, -1e-300), ecdfs, 500.0, 200.0, 30)
+        assert tiny == return_value(GpdParams(5.0, 2.0, 0.0), ecdfs[0], 500.0, 200.0, 30)
         assert isinstance(bad, CatalogError) and str(bad) == "location 2: all exposures zero"
 
     def test_upper_bound_flag(self):
