@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CatalogError, CycloneCatalog, threshold_for_top_n
+from .catalog import CatalogError, CycloneCatalog, tail_thresholds
 from .evd import EvdError, fit_gpd_rows, gpd_quantile
 from .returns import ReturnValueEstimate, target_probability
 
@@ -32,10 +32,7 @@ class LocationSeries:
 
 def location_series(catalog: CycloneCatalog, location_id: int) -> LocationSeries:
     """Collect the per-event footprint values at one location."""
-    loc_ids = catalog.location_ids
-    if location_id not in loc_ids:
-        raise CatalogError(f"unknown location id {location_id}")
-    column = catalog.swh[:, loc_ids.index(location_id)]
+    column = catalog.swh[:, catalog.columns([location_id])[0]]
     values = column[~np.isnan(column)]
     if not values.size:
         raise CatalogError(f"location {location_id}: no footprint data")
@@ -43,36 +40,44 @@ def location_series(catalog: CycloneCatalog, location_id: int) -> LocationSeries
 
 
 def single_location_rvs(
-    series, n: int, T: float, T0: float, method: str = "MLE"
+    samples: np.ndarray, location_ids, n: int, T: float, T0: float, method: str = "MLE"
 ) -> list[ReturnValueEstimate | CatalogError | EvdError]:
-    """Conventional single-location POT analysis at each of `series`: a GPD
-    fit to the location's own n largest values, all locations in one batched
-    fit, and the quantile at p* = 1 - (T0/n)/T. A location without a value
-    maps to the error saying why."""
-    if n < 5:
-        return [CatalogError(f"n={n} too small for a tail fit")] * len(series)
+    """Conventional single-location POT analysis at each column of the events x
+    locations block `samples` (NaN where an event has no value), column k
+    belonging to location_ids[k]: a GPD fit to the column's own n largest
+    values, all columns in one batched fit, and the quantile at
+    p* = 1 - (T0/n)/T. A location without a value maps to the error saying why."""
+    samples = np.asarray(samples, dtype=float)
+    counts = np.count_nonzero(~np.isnan(samples), axis=0).tolist()
     results: list[ReturnValueEstimate | CatalogError | EvdError | None] = [
-        CatalogError(f"location {s.location_id}: n={n} exceeds {len(s)} values")
-        if len(s) < n else None
-        for s in series
+        CatalogError(f"location {loc}: no footprint data") if not count
+        else CatalogError(f"n={n} too small for a tail fit") if n < 5
+        else CatalogError(f"location {loc}: n={n} exceeds {count} values") if count < n
+        else None
+        for loc, count in zip(location_ids, counts)
     ]
-    fitted = [i for i, r in enumerate(results) if r is None]
-    tails = np.array([np.sort(series[i].values)[::-1][:n] for i in fitted]).reshape(-1, n)
-    thresholds = [threshold_for_top_n(series[i].values, n) for i in fitted]
+    fitted = [k for k, r in enumerate(results) if r is None]
+    if not fitted:
+        return results
+    desc = samples.T[fitted]  # a location per row, negated in place to sort NaN last
+    desc *= -1
+    desc.sort(axis=1)
+    desc *= -1
     try:
         p_target = target_probability(T, T0, n)
     except CatalogError as err:
         p_target = err
-    for i, report in zip(fitted, fit_gpd_rows(tails, thresholds, method)):
-        location = series[i].location_id
+    reports = fit_gpd_rows(desc[:, :n], tail_thresholds(desc, n), method)
+    for k, report in zip(fitted, reports):
+        location = location_ids[k]
         if isinstance(report, EvdError):
-            results[i] = report
+            results[k] = report
         elif not report.converged:
-            results[i] = EvdError(f"location {location}: {method} fit failed: {report.message}")
+            results[k] = EvdError(f"location {location}: {method} fit failed: {report.message}")
         elif isinstance(p_target, CatalogError):
-            results[i] = p_target
+            results[k] = p_target
         else:
-            results[i] = ReturnValueEstimate(
+            results[k] = ReturnValueEstimate(
                 location_id=location, T=float(T), T0=float(T0), n=int(n),
                 value=float(gpd_quantile(report.params, p_target)),
                 method=method.upper(), estimator="SINGLE",
@@ -84,7 +89,7 @@ def single_location_rv(
     series: LocationSeries, n: int, T: float, T0: float, method: str = "MLE"
 ) -> ReturnValueEstimate:
     """Single-location return value at one location; see single_location_rvs."""
-    (result,) = single_location_rvs([series], n, T, T0, method)
+    (result,) = single_location_rvs(series.values[:, None], [series.location_id], n, T, T0, method)
     if isinstance(result, Exception):
         raise result
     return result

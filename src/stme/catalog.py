@@ -64,8 +64,8 @@ class CycloneCatalog:
         swh = np.asarray(self.swh, dtype=float)
         object.__setattr__(self, "event_ids", event_ids)
         object.__setattr__(self, "swh", swh)
-        if self.duration_years <= 0:
-            raise CatalogError(f"non-positive duration {self.duration_years}")
+        if not 0 < self.duration_years < math.inf:
+            raise CatalogError(f"duration {self.duration_years} is not positive and finite")
         ids = [loc.id for loc in self.locations]
         if len(set(ids)) != len(ids):
             raise CatalogError("duplicate location ids in catalog")
@@ -94,6 +94,14 @@ class CycloneCatalog:
     @property
     def location_ids(self) -> tuple[int, ...]:
         return tuple(loc.id for loc in self.locations)
+
+    def columns(self, location_ids) -> np.ndarray:
+        """The column of `swh` that holds each of `location_ids`, in order."""
+        column = {loc.id: k for k, loc in enumerate(self.locations)}
+        try:
+            return np.array([column[j] for j in location_ids], dtype=int)
+        except KeyError as err:
+            raise CatalogError(f"unknown location id {err.args[0]}") from None
 
 
 @dataclass(frozen=True)
@@ -298,26 +306,22 @@ def extract_exposures(catalog: CycloneCatalog, stm: StmSeries) -> ExposureMatrix
     return ExposureMatrix(catalog.event_ids, catalog.location_ids, catalog.swh / stm.values[:, None])
 
 
-def threshold_for_top_n(values: np.ndarray, n: int) -> float:
-    """Peaks-over-threshold level leaving the n largest values above it.
+def tail_thresholds(desc: np.ndarray, n: int) -> np.ndarray:
+    """Peaks-over-threshold level of each row of `desc`, which holds values in
+    descending order along its last axis with NaN past a row's last value,
+    that leaves the row's n largest values strictly above it: the (n+1)-th
+    largest value, or the n-th largest less a machine-scale margin when the
+    two tie or there is no (n+1)-th."""
+    if not 1 <= n <= desc.shape[-1]:
+        raise CatalogError(f"n={n} outside [1, {desc.shape[-1]}]")
+    nth = desc[..., n - 1]
+    below = desc[..., n] if n < desc.shape[-1] else np.nan
+    return np.where(below < nth, below, nth - np.maximum(1e-12, np.abs(nth) * 1e-12))
 
-    For n < len(values) this is the (n+1)-th largest value; for n equal to the
-    sample size it is the sample minimum less a machine-scale margin. When the
-    n-th and (n+1)-th largest tie, the level is nudged below the tie so that
-    the n retained values strictly exceed it.
-    """
-    values = np.asarray(values, dtype=float)
-    n0 = values.size
-    if not 1 <= n <= n0:
-        raise CatalogError(f"n={n} outside [1, {n0}]")
-    desc = np.sort(values)[::-1]
-    if n == n0:
-        m = desc[-1]
-        return m - max(1e-12, abs(m) * 1e-12)
-    psi = desc[n]
-    if psi == desc[n - 1]:  # tie at the threshold
-        psi = psi - max(1e-12, abs(psi) * 1e-12)
-    return float(psi)
+
+def threshold_for_top_n(values: np.ndarray, n: int) -> float:
+    """Peaks-over-threshold level leaving the n largest values above it; see tail_thresholds."""
+    return float(tail_thresholds(np.sort(np.asarray(values, dtype=float))[::-1], n))
 
 
 def top_n_events(stm: StmSeries, n: int) -> tuple[StmSeries, float]:
@@ -326,9 +330,9 @@ def top_n_events(stm: StmSeries, n: int) -> tuple[StmSeries, float]:
     Ties are resolved by retaining exactly n events, preferring lower event
     id, so the selection is deterministic.
     """
-    psi = threshold_for_top_n(stm.values, n)  # checks 1 <= n <= len(stm)
-    order = sorted(range(len(stm)), key=lambda i: (-stm.values[i], stm.event_ids[i]))
-    keep = sorted(order[:n])  # preserve original event order
+    order = np.lexsort((stm.event_ids, -stm.values))
+    psi = float(tail_thresholds(stm.values[order], n))  # checks 1 <= n <= len(stm)
+    keep = np.sort(order[:n])  # preserve original event order
     retained = StmSeries(
         stm.event_ids[keep], stm.values[keep], stm.argmax_location_ids[keep]
     )

@@ -2,7 +2,7 @@
 
 Subcommands: synth, stm, fit, return-values, diagnostics, experiment.
 Exit codes: 0 success, 1 compute failure (return-values: no estimate at all),
-2 usage/validation error.
+2 usage/validation error, including a number that is not finite.
 All outputs go to the --out directory; randomized commands take --seed and
 are reproducible from it (independently of --jobs).
 Each option is declared once, in `_OPTIONS`, which builds both the argument
@@ -16,23 +16,23 @@ import configparser
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 
 from . import __version__
-from .baselines import empirical_rv, location_series
 from .catalog import (
     CatalogError,
     CycloneCatalog,
-    ExposureMatrix,
     RegionSpec,
-    StmSeries,
+    _csv_rows,
+    _parse,
     extract_exposures,
     extract_stm,
     load_catalog,
@@ -46,12 +46,14 @@ from .diagnostics import (
     tau_map,
     trend_permutation_test,
 )
-from .evd import EvdError, fit_gpd
+from .evd import METHODS, EvdError, fit_gpd
 from .experiments import (
+    ESTIMATORS,
     ExperimentConfig,
     ReplicateResult,
     SynthWorldConfig,
     analysis_locations,
+    empirical_estimates,
     estimate_cells,
     performance_metrics,
     run_replicates,
@@ -132,6 +134,14 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def finite(text: str) -> float:
+    """A finite float; argparse names the type `finite` in its messages."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _boolean(text: str) -> bool:
     states = configparser.ConfigParser.BOOLEAN_STATES
     if text.lower() not in states:
@@ -164,7 +174,6 @@ def _fits_a_tail(s) -> bool:
 
 _CATALOG = ("stm", "fit", "return-values", "diagnostics", "experiment")
 _SYNTH, _RV, _DIAG, _EXP = ("synth",), ("return-values",), ("diagnostics",), ("experiment",)
-_METHODS = ["MLE", "PWM"]
 
 # Every option of every command. A flag wins over its config key, which wins
 # over the default. `--location-ids` sets both the region and the analysed
@@ -176,34 +185,34 @@ _OPTIONS = (
            help="footprints CSV"),
     Option("--locations", "input", "locations", str, _CATALOG, required=True,
            help="locations CSV"),
-    Option("--duration", "input", "duration_years", float, _CATALOG, required=True,
+    Option("--duration", "input", "duration_years", finite, _CATALOG, required=True,
            help="catalog duration in years"),
-    *(Option(f"--{key.replace('_', '-')}", "region", key, float, _CATALOG)
+    *(Option(f"--{key.replace('_', '-')}", "region", key, finite, _CATALOG)
       for key in ("lon_min", "lon_max", "lat_min", "lat_max", "min_depth")),
     Option("--location-ids", "region", "location_ids", int, _CATALOG, nargs="+"),
     Option("--location-ids", "analysis", "location_ids", int, _RV + _EXP, nargs="+"),
-    Option("--T", "analysis", "T", float, _RV + _EXP, required=True,
+    Option("--T", "analysis", "T", finite, _RV + _EXP, required=True,
            help="return period, years"),
-    Option("--T0", "analysis", "T0", float, _RV,
+    Option("--T0", "analysis", "T0", finite, _RV,
            help="observation period, years (default: the catalog duration)"),
-    Option("--T0", "analysis", "T0", float, _EXP, required=True,
+    Option("--T0", "analysis", "T0", finite, _EXP, required=True,
            help="observation period, years"),
     Option("--n", "analysis", "n", int, ("fit",) + _RV, required=_fits_a_tail,
            help="number of largest STM values"),
     Option("--n", "analysis", "n_ladder", int, _EXP, required=True, action="append",
            help="sample-size ladder (repeatable)"),
-    Option("--method", None, "method", str.upper, ("fit",) + _RV, ("MLE",),
-           action="append", choices=_METHODS),
-    Option("--method", None, "method", str.upper, _EXP, ("MLE", "PWM"),
-           action="append", choices=_METHODS),
-    Option("--estimator", None, "estimator", str.upper, _RV, ("STME",),
-           action="append", choices=["STME", "SINGLE", "EMPIRICAL"]),
-    Option("--estimator", None, "estimator", str.upper, _EXP, ("STME", "SINGLE"),
-           action="append", choices=["STME", "SINGLE"]),
-    Option("--band", None, "band", float, _DIAG, 0.90, help="tau confidence band level"),
-    Option("--min-stm", None, "min_stm", float, _DIAG,
+    Option("--method", None, "method", str.upper, ("fit",) + _RV, METHODS[:1],
+           action="append", choices=METHODS),
+    Option("--method", None, "method", str.upper, _EXP, METHODS,
+           action="append", choices=METHODS),
+    Option("--estimator", None, "estimator", str.upper, _RV, ESTIMATORS[:1],
+           action="append", choices=(*ESTIMATORS, "EMPIRICAL")),
+    Option("--estimator", None, "estimator", str.upper, _EXP, ESTIMATORS,
+           action="append", choices=ESTIMATORS),
+    Option("--band", None, "band", finite, _DIAG, 0.90, help="tau confidence band level"),
+    Option("--min-stm", None, "min_stm", finite, _DIAG,
            help="keep only events with STM above this (m)"),
-    Option("--orientation", None, "orientation", float, _DIAG, (0.0, 45.0, 90.0, 135.0),
+    Option("--orientation", None, "orientation", finite, _DIAG, (0.0, 45.0, 90.0, 135.0),
            action="append", help="transect orientation in degrees (repeatable)"),
     Option("--n-perm", None, "n_perm", int, _DIAG, 999),
     Option("--n-null", None, "n_null", int, _DIAG, 1000),
@@ -212,7 +221,7 @@ _OPTIONS = (
     Option("--jobs", "experiment", "jobs", _jobs, _EXP, 1,
            help="parallel workers (results identical for any value)"),
     # a [synth] key left unset keeps the SynthWorldConfig default
-    *(Option(flag, "synth", key, float, _SYNTH) for flag, key in (
+    *(Option(flag, "synth", key, finite, _SYNTH) for flag, key in (
         (None, "lon_min"), (None, "lon_max"), (None, "lat_min"), (None, "lat_max"),
         ("--spacing", "spacing_deg"), ("--rate", "rate"), ("--years", "duration_years"),
         (None, "direction_mean_deg"), (None, "direction_sd_deg"),
@@ -352,25 +361,19 @@ def cmd_return_values(s) -> int:
     analysis, methods, estimators = s["analysis"], s[None]["method"], s[None]["estimator"]
     T, n, T_L = analysis["T"], analysis["n"], sub.duration_years
     T0 = T_L if analysis["T0"] is None else analysis["T0"]
-    fitted = [e for e in ("STME", "SINGLE") if e in estimators]
+    fitted = [e for e in ESTIMATORS if e in estimators]
     if fitted and not T > T0 > 0:
         raise UsageError(f"need T > T0 > 0, got T={T}, T0={T0}")
-    if "EMPIRICAL" in estimators and not T_L > T > 0:
-        raise UsageError(f"need T_L > T > 0, got T_L={T_L}, T={T}")
     targets = analysis_locations(sub, analysis["location_ids"])
+    empirical = empirical_estimates(sub, T, targets) if "EMPIRICAL" in estimators else {}
     cells = estimate_cells(sub, T, T0, (n,), methods, fitted, targets) if fitted else {}
     rows = []
     for key, result in cells.items():
         value, flag = ("", result) if isinstance(result, str) else (result.value, result.flag)
         rows.append((*key, T, T0, value, flag))
-    if "EMPIRICAL" in estimators:
-        for loc in targets:
-            try:
-                e = empirical_rv(location_series(sub, loc), T=T, T_L=T_L)
-            except CatalogError as err:
-                rows.append((loc, "EMPIRICAL", "", "", T, T_L, "", str(err)))
-            else:
-                rows.append((e.location_id, e.estimator, e.method, e.n, e.T, e.T0, e.value, e.flag))
+    for loc, e in empirical.items():
+        n_e, value, flag = ("", "", e) if isinstance(e, str) else (e.n, e.value, e.flag)
+        rows.append((loc, "EMPIRICAL", "", n_e, T, T_L, value, flag))
     _write_csv(os.path.join(outdir, "estimates.csv"), _ESTIMATE_HEADER, rows)
     _write_metadata(
         outdir, "return-values",
@@ -387,16 +390,13 @@ def cmd_diagnostics(s) -> int:
     sub = _region_catalog(s)
     outdir = _outdir(s)
     band, min_stm, seed = s[None]["band"], s[None]["min_stm"], s["experiment"]["seed"]
-    stm = extract_stm(sub)
-    exposures = extract_exposures(sub, stm)
     if min_stm is not None:
-        keep = stm.values > min_stm
+        keep = extract_stm(sub).values > min_stm
         if keep.sum() < 3:
             raise UsageError(f"fewer than 3 STM values above {min_stm} m")
-        stm = StmSeries(stm.event_ids[keep], stm.values[keep], stm.argmax_location_ids[keep])
-        exposures = ExposureMatrix(
-            exposures.event_ids[keep], exposures.location_ids, exposures.values[keep]
-        )
+        sub = replace(sub, event_ids=sub.event_ids[keep], swh=sub.swh[keep])
+    stm = extract_stm(sub)
+    exposures = extract_exposures(sub, stm)
     taus, frac = tau_map(stm, exposures, band=band)
     rng = np.random.default_rng(seed)
     loc_by_id = {loc.id: loc for loc in sub.locations}
@@ -415,12 +415,7 @@ def cmd_diagnostics(s) -> int:
         "tau": [asdict(t) for t in taus],
         "tau_exceedance_fraction": frac,
         "trend_p_values": trend,
-        "kl": {
-            "location_id": kl.location_id,
-            "n_events": kl.n_events,
-            "kl_star": kl.kl_star,
-            "non_exceedance": kl.non_exceedance,
-        },
+        "kl": {k: v for k, v in asdict(kl).items() if k != "null_sample"},
     }
     probs = list(trend.values())
     if len(probs) >= 5:
@@ -454,15 +449,28 @@ def _replicate_rows(result: ReplicateResult):
         yield (result.index, loc, estimator, method, n, "", reason)
 
 
-def _read_replicate(outdir, index) -> ReplicateResult:
+def _read_replicate(outdir, index, cells) -> ReplicateResult:
+    """Replicate `index` from its file, which must hold one row for each of
+    `cells` and no other row."""
+    path = _replicate_path(outdir, index)
     estimates, failures = {}, {}
-    with open(_replicate_path(outdir, index), newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (int(row["location_id"]), row["estimator"], row["method"], int(row["n"]))
+    with _csv_rows(path, set(_REPLICATE_HEADER)) as rows:
+        for row in rows:
+            if None in row or None in row.values():
+                raise CatalogError(f"expected {len(_REPLICATE_HEADER)} fields")
+            if _parse(int, row["replicate"], "replicate") != index:
+                raise CatalogError(f"row of replicate {row['replicate']} in the file of {index}")
+            key = (_parse(int, row["location_id"], "location_id"), row["estimator"],
+                   row["method"], _parse(int, row["n"], "n"))
+            if key not in cells or key in estimates or key in failures:
+                raise CatalogError(f"cell {key} is not in this experiment or repeated")
             if row["value_m"]:
-                estimates[key] = float(row["value_m"])
+                estimates[key] = _parse(finite, row["value_m"], "value_m")
             else:
                 failures[key] = row["flag"]
+    missing = cells - set(estimates) - set(failures)
+    if missing:
+        raise CatalogError(f"{path}: no row for {len(missing)} cells, such as {min(missing)}")
     return ReplicateResult(index=index, estimates=estimates, failures=failures)
 
 
@@ -525,7 +533,10 @@ def cmd_experiment(s) -> int:
         path = _replicate_path(outdir, result.index)
         _write_csv(path, _REPLICATE_HEADER, _replicate_rows(result))
         print(f"replicate {result.index + 1}/{replicates} done", file=sys.stderr)
-    results = [_read_replicate(outdir, i) for i in range(replicates)]
+    locations = analysis_locations(regional, exp_config.location_ids)
+    cells = set(itertools.product(
+        locations, exp_config.estimators, exp_config.methods, exp_config.n_ladder))
+    results = [_read_replicate(outdir, i, cells) for i in range(replicates)]
 
     _write_csv(
         os.path.join(outdir, "results.csv"), _REPLICATE_HEADER,
@@ -546,13 +557,13 @@ def cmd_experiment(s) -> int:
 
     metrics_rows = []
     try:
-        empirical = [
-            empirical_rv(location_series(regional, loc), T=T, T_L=regional.duration_years)
-            for loc in analysis_locations(regional, exp_config.location_ids)
-        ]
+        empirical = empirical_estimates(regional, T, locations)
     except CatalogError as err:
         print(f"metrics skipped: {err}", file=sys.stderr)
     else:
+        for reason in (e for e in empirical.values() if isinstance(e, str)):
+            print(f"metrics location skipped: {reason}", file=sys.stderr)
+        empirical = [e for e in empirical.values() if not isinstance(e, str)]
         with warnings.catch_warnings(record=True) as skipped:
             warnings.simplefilter("always")
             metrics_rows = [astuple(m) for m in performance_metrics(summary, empirical)]
@@ -609,10 +620,10 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else {}
         return args.func(_settings(args, config))
-    except (UsageError, CatalogError, OSError) as err:
+    except (UsageError, CatalogError, DiagnosticsError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (EvdError, DiagnosticsError, RuntimeError) as err:
+    except (EvdError, RuntimeError) as err:
         print(f"compute error: {err}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+METHODS = ("MLE", "PWM")
+
 # Below this |xi| the exponential (xi -> 0) form is used to avoid
 # cancellation in (1 + xi z)^(-1/xi).
 XI_SWITCH = 1e-6
@@ -254,7 +256,7 @@ def fit_gpd_rows(exceedances, thresholds, method: str) -> list[FitReport | EvdEr
     A shape within 1e-6 of XI_MIN or XI_MAX is reported as non-convergence.
     """
     method = method.upper()
-    if method not in ("MLE", "PWM"):
+    if method not in METHODS:
         raise EvdError(f"unknown fit method {method!r}")
     x = np.asarray(exceedances, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)

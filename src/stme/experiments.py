@@ -15,11 +15,11 @@ import math
 import warnings
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .baselines import LocationSeries, location_series, single_location_rvs
+from .baselines import empirical_rv, location_series, single_location_rvs
 from .catalog import (
     CatalogError,
     CycloneCatalog,
@@ -29,8 +29,11 @@ from .catalog import (
     extract_stm,
     select_region,
 )
-from .evd import GpdParams, gpd_quantile
+from .evd import METHODS, GpdParams, gpd_quantile
 from .returns import ReturnValueEstimate, stme_return_values
+
+# The estimators that fit a tail, in the order their cells come.
+ESTIMATORS = ("STME", "SINGLE")
 
 KM_PER_DEG_LAT = 110.57
 KM_PER_DEG_LON_EQ = 111.32
@@ -42,8 +45,8 @@ class ExperimentConfig:
     T: float
     n_ladder: tuple[int, ...]
     replicates: int = 100
-    methods: tuple[str, ...] = ("MLE", "PWM")
-    estimators: tuple[str, ...] = ("STME", "SINGLE")
+    methods: tuple[str, ...] = METHODS
+    estimators: tuple[str, ...] = ESTIMATORS
     location_ids: tuple[int, ...] | None = None  # None = all region locations
     master_seed: int = 0
 
@@ -54,15 +57,12 @@ class ExperimentConfig:
             raise CatalogError(f"need >= 2 replicates, got {self.replicates}")
         if any(n < 5 for n in self.n_ladder):
             raise CatalogError("every n on the ladder must be >= 5")
-        bad = set(m.upper() for m in self.methods) - {"MLE", "PWM"}
-        if bad:
-            raise CatalogError(f"unknown methods {sorted(bad)}")
-        bad = set(e.upper() for e in self.estimators) - {"STME", "SINGLE"}
-        if bad:
-            raise CatalogError(f"unknown estimators {sorted(bad)}")
         object.__setattr__(self, "n_ladder", tuple(int(n) for n in self.n_ladder))
-        object.__setattr__(self, "methods", tuple(m.upper() for m in self.methods))
-        object.__setattr__(self, "estimators", tuple(e.upper() for e in self.estimators))
+        for field, known in (("methods", METHODS), ("estimators", ESTIMATORS)):
+            names = tuple(name.upper() for name in getattr(self, field))
+            if set(names) - set(known):
+                raise CatalogError(f"unknown {field} {sorted(set(names) - set(known))}")
+            object.__setattr__(self, field, names)
 
 
 # Cell key: (location_id, estimator, method, n)
@@ -124,13 +124,8 @@ def estimate_cells(
     in ladder, then method order; STME before SINGLE, locations innermost."""
     stm = extract_stm(catalog)
     exposures = extract_exposures(catalog, stm)
-    series: dict[int, LocationSeries | str] = {}
     if "SINGLE" in estimators:
-        for loc in location_ids:
-            try:
-                series[loc] = location_series(catalog, loc)
-            except CatalogError as err:
-                series[loc] = str(err)
+        samples = catalog.swh[:, catalog.columns(location_ids)]
     cells: dict[CellKey, ReturnValueEstimate | str] = {}
     for n in n_ladder:
         short = f"n={n} exceeds sample size {len(stm)}" if n > len(stm) else ""
@@ -142,20 +137,29 @@ def estimate_cells(
                 )
                 cells.update(((loc, "STME", method, n), r) for loc, r in found.items())
             if "SINGLE" in estimators:
-                found = dict.fromkeys(location_ids, short) if short else _single(
-                    series, n, T, T0, method
-                )
+                found = dict.fromkeys(location_ids, short) if short else {
+                    loc: str(r) if isinstance(r, Exception) else r for loc, r in
+                    zip(location_ids, single_location_rvs(samples, location_ids, n, T, T0, method))
+                }
                 cells.update(((loc, "SINGLE", method, n), r) for loc, r in found.items())
     return cells
 
 
-def _single(series: dict[int, LocationSeries | str], n, T, T0, method):
-    """SINGLE estimate or reason at each location, with one batched fit."""
-    found: dict[int, ReturnValueEstimate | str] = dict(series)
-    fitted = [loc for loc, s in series.items() if not isinstance(s, str)]
-    estimates = single_location_rvs([series[loc] for loc in fitted], n, T, T0, method)
-    for loc, result in zip(fitted, estimates):
-        found[loc] = str(result) if isinstance(result, Exception) else result
+def empirical_estimates(
+    catalog: CycloneCatalog, T: float, location_ids: Sequence[int]
+) -> dict[int, ReturnValueEstimate | str]:
+    """The direct empirical T-year estimate at each location from the whole
+    catalog, or the reason there is none. Raises CatalogError when the
+    catalog does not span T years."""
+    T_L = catalog.duration_years
+    if not T_L > T > 0:
+        raise CatalogError(f"need T_L > T > 0, got T_L={T_L}, T={T}")
+    found: dict[int, ReturnValueEstimate | str] = {}
+    for loc in location_ids:
+        try:
+            found[loc] = empirical_rv(location_series(catalog, loc), T=T, T_L=T_L)
+        except CatalogError as err:
+            found[loc] = str(err)
     return found
 
 
@@ -247,23 +251,19 @@ class CellStats:
 @dataclass(frozen=True)
 class SummaryStats:
     cells: dict[CellKey, CellStats]
-    empty_cells: tuple[CellKey, ...] = ()
 
 
 def summarize(results: list[ReplicateResult]) -> SummaryStats:
-    """Box-whisker summary per cell; percentiles by linear interpolation of
-    order statistics, outliers outside the 2.5-97.5% whiskers."""
+    """Box-whisker summary of each cell with at least two estimates;
+    percentiles by linear interpolation of order statistics, outliers outside
+    the 2.5-97.5% whiskers."""
     pooled: dict[CellKey, list[float]] = {}
-    seen: set[CellKey] = set()
     for rep in results:
         for key, value in rep.estimates.items():
             pooled.setdefault(key, []).append(value)
-        seen.update(rep.failures)
     cells = {}
-    empty = [k for k in seen if k not in pooled]
     for key, values in pooled.items():
         if len(values) < 2:
-            empty.append(key)
             continue
         arr = np.asarray(values)
         q025, q25, q50, q75, q975 = np.percentile(arr, [2.5, 25.0, 50.0, 75.0, 97.5])
@@ -273,7 +273,7 @@ def summarize(results: list[ReplicateResult]) -> SummaryStats:
             q25=float(q25), q75=float(q75), q025=float(q025), q975=float(q975),
             outliers=outliers,
         )
-    return SummaryStats(cells=cells, empty_cells=tuple(sorted(empty)))
+    return SummaryStats(cells=cells)
 
 
 @dataclass(frozen=True)
@@ -352,6 +352,9 @@ class SynthWorldConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise CatalogError(f"{name} must be finite, got {value}")
         if self.rate <= 0 or self.decay_km <= 0 or self.intensity_scale <= 0:
             raise CatalogError("rate, decay_km and intensity_scale must be positive")
         if self.duration_years <= 0 or self.spacing_deg <= 0:

@@ -71,14 +71,10 @@ class ReturnValueEstimate:
             raise CatalogError(f"invalid return value {self.value}")
 
 
-def exposure_ecdf(
-    matrix: ExposureMatrix, location_id: int, retained_event_ids=None
-) -> ExposureEcdf:
-    """Exposure atoms at a location from the retained events (absent entries
-    skipped). retained_event_ids=None uses all events in the matrix."""
+def exposure_ecdf(matrix: ExposureMatrix, location_id: int) -> ExposureEcdf:
+    """Exposure atoms at a location from every event of the matrix (absent
+    entries skipped)."""
     col = matrix.column(location_id)
-    if retained_event_ids is not None:
-        col = col[np.isin(matrix.event_ids, retained_event_ids)]
     atoms = col[~np.isnan(col)]
     if atoms.size == 0:
         raise CatalogError(f"location {location_id}: no exposure data among retained events")

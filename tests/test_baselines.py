@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stme.baselines import (
+    LocationSeries,
     empirical_rv,
     location_series,
     single_location_rv,
@@ -137,10 +138,23 @@ class TestSingleLocationRvs:
     @pytest.mark.parametrize("n", [4, 10, 30])
     def test_equals_single_location_rv(self, method, n):
         world = synth_catalog(SynthWorldConfig(duration_years=60.0, seed=4))
-        series = [location_series(world, loc) for loc in world.location_ids]
-        batch = single_location_rvs(series, n, T=500.0, T0=60.0, method=method)
-        assert len(batch) == len(series)
-        for s, got in zip(series, batch):
+        # events without a value: a third of the rows in every other column,
+        # all rows in the first and all but n in the second
+        samples = world.swh.copy()
+        samples[::3, ::2] = np.nan
+        samples[:, 0] = np.nan
+        samples[n:, 1] = np.nan
+        batch = single_location_rvs(samples, world.location_ids, n, T=500.0, T0=60.0,
+                                    method=method)
+        assert len(batch) == len(world.location_ids)
+        assert str(batch[0]) == "location 1: no footprint data"
+        if n >= 5:  # n values: the threshold lies just below the smallest
+            tail = np.sort(samples[:n, 1])[::-1]
+            report = fit_gpd(tail, tail[-1] - max(1e-12, tail[-1] * 1e-12), method)
+            p = target_probability(500.0, 60.0, n)
+            assert batch[1].value == pytest.approx(gpd_quantile(report.params, p), rel=1e-9)
+        for loc, column, got in zip(world.location_ids, samples.T, batch):
+            s = LocationSeries(loc, column[~np.isnan(column)])
             try:
                 want = single_location_rv(s, n, T=500.0, T0=60.0, method=method)
             except (CatalogError, EvdError) as err:

@@ -138,8 +138,9 @@ class TestLoadCatalog:
         (tmp_path / "footprints.csv").write_text(
             "cyclone_id,location_id,max_swh_m\n1,1,3.5\n"
         )
-        with pytest.raises(CatalogError, match="duration"):
-            load_catalog(tmp_path / "footprints.csv", tmp_path / "locations.csv", 0.0)
+        for duration in (0.0, np.nan, np.inf):
+            with pytest.raises(CatalogError, match="duration"):
+                load_catalog(tmp_path / "footprints.csv", tmp_path / "locations.csv", duration)
 
     def test_all_zero_footprint_dropped(self, tmp_path):
         (tmp_path / "locations.csv").write_text(
@@ -403,6 +404,12 @@ class TestThresholdForTopN:
         psi = threshold_for_top_n(values, n)
         desc = np.sort(values)[::-1]
         assert desc[n - 1] > psi  # the n largest lie above the threshold
+        # the level is the (n+1)-th largest value, or just below the n-th
+        # largest when the two tie or there is no (n+1)-th
+        if n < values.size and desc[n] < desc[n - 1]:
+            assert psi == desc[n]
+        else:
+            assert psi == desc[n - 1] - max(1e-12, desc[n - 1] * 1e-12)
         if n == values.size or desc[n - 1] > desc[n]:
             assert int(np.sum(values > psi)) == n
         # a tie across the n-th largest keeps all tied values above psi;

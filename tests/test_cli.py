@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from stme.cli import _OPTIONS, _settings, _write_csv, build_parser, load_config, main, UsageError
+from stme.cli import (
+    _OPTIONS, _jobs, _settings, _write_csv, finite, build_parser, load_config, main, UsageError,
+)
 
 
 def run(argv):
@@ -290,6 +292,42 @@ class TestDiagnostics:
         tau_rows = read_csv(out / "tau_map.csv")
         assert {r["flag"] for r in tau_rows} <= {"inside", "above", "below"}
 
+    @pytest.mark.parametrize("flag, value", [("--band", "1.5"), ("--n-perm", "5"),
+                                             ("--n-null", "5")])
+    def test_invalid_setting_exit_2(self, synth_dir, tmp_path, capsys, flag, value):
+        code = run([
+            "diagnostics", "--footprints", synth_dir / "footprints.csv",
+            "--locations", synth_dir / "locations.csv", "--duration", "800",
+            "--out", tmp_path / "diag", flag, value,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestNonFiniteNumber:
+    @pytest.mark.parametrize("command, argv", [
+        ("experiment", ["--T", "9.5", "--T0", "9", "--n", "5", "--duration", "nan"]),
+        ("stm", ["--duration", "nan"]),
+        ("return-values", ["--T", "inf", "--n", "6", "--estimator", "single"]),
+        ("diagnostics", ["--lon-min=-inf"]),
+        ("synth", ["--rate", "nan"]),
+    ], ids=lambda x: x if isinstance(x, str) else " ".join(x))
+    def test_flag_exit_2(self, small_world, tmp_path, capsys, command, argv):
+        inputs = [] if command == "synth" else small_world
+        with pytest.raises(SystemExit) as exit:
+            run([command, *inputs, "--out", tmp_path / "o", *argv])
+        assert exit.value.code == 2
+        assert "invalid finite value" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_value_exit_2(self, small_world, tmp_path, capsys):
+        cfg = tmp_path / "nan.ini"
+        cfg.write_text("[analysis]\nT = nan\n")
+        code = run(["return-values", *small_world, "--config", cfg, "--out", tmp_path / "o",
+                    "--n", "6"])
+        assert code == 2
+        assert "config [analysis] T: not a finite number: 'nan'" in capsys.readouterr().err
+
 
 class TestImports:
     def test_cli_does_not_import_scipy(self):
@@ -442,6 +480,46 @@ class TestExperiment:
         assert {k: v for k, v in rows[0].items() if k != "width_ratio_u"} == {
             k: v for k, v in ref_rows[0].items() if k != "width_ratio_u"}
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [rows[0], rows[1].replace(",1,", ",x1,", 1), *rows[2:]],
+         ":2: bad location_id value 'x1'"),
+        (lambda rows: ["replicate,foo\n"], ": expected header"),
+        (lambda rows: [rows[0], "0" + rows[1][1:], *rows[2:]],
+         ":2: row of replicate 0 in the file of 1"),
+        (lambda rows: rows[:-1], ": no row for 1 cells"),
+        (lambda rows: [*rows, rows[1]], ":6: cell (1, 'SINGLE', 'PWM', 10) is not in this"),
+        (lambda rows: [rows[0], rows[1].replace(",SINGLE,", ",EMPIRICAL,"), *rows[2:]],
+         ":2: cell (1, 'EMPIRICAL', 'PWM', 10) is not in this"),
+        (lambda rows: [rows[0], ",".join(rows[1].split(",")[:5]) + ",inf,\n", *rows[2:]],
+         ":2: bad value_m value 'inf'"),
+        (lambda rows: [rows[0], rows[1].rsplit(",", 1)[0] + "\n", *rows[2:]],
+         ":2: expected 7 fields"),
+    ], ids=["bad-id", "bad-header", "other-replicate", "missing-cell", "repeated-cell",
+            "unknown-cell", "non-finite", "short-row"])
+    def test_faulty_replicate_file_exit_2(self, synth_dir, tmp_path, capsys, edit, message):
+        out = tmp_path / "faulty"
+        assert self.run_experiment(synth_dir, out) == 0
+        path = out / "replicates" / "rep_0001.csv"
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+        (out / "replicates" / "rep_0002.csv").unlink()
+        capsys.readouterr()
+        assert self.run_experiment(synth_dir, out) == 2
+        assert f"error: {path}{message}" in capsys.readouterr().err
+
+    def test_metrics_leave_out_location_without_empirical_value(self, small_world, tmp_path,
+                                                               capsys):
+        out = tmp_path / "exp"
+        code = run(["experiment", *small_world, "--out", out, "--T", "9.5", "--T0", "9",
+                    "--n", "5", "--method", "pwm", "--estimator", "stme", "--replicates", "3",
+                    "--seed", "1"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "metrics location skipped: location 2: series too short (3 <= ceil(2.1" in err
+        assert err.count("metrics") == 1
+        rows = read_csv(out / "metrics.csv")
+        assert [(r["estimator"], r["method"], r["n"], r["n_locations"]) for r in rows] == [
+            ("STME", "PWM", "5", "1")]
+
     def test_location_outside_region_exit_2(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "outside"
         code = self.run_experiment(synth_dir, out, extra=["--location-ids", "1", "999"])
@@ -569,7 +647,7 @@ def option_samples(opt):
         return [([opt.flag], "yes", True), (None, "off", False)]
     if "choices" in opt.kwargs:
         return [([opt.flag, c.lower()], None, (c,)) for c in opt.kwargs["choices"][:2]]
-    text0, text1, value0, value1 = _SCALARS[int if opt.key == "jobs" else opt.type]
+    text0, text1, value0, value1 = _SCALARS[{_jobs: int, finite: float}.get(opt.type, opt.type)]
     if opt.kwargs.get("nargs") == "+":
         return [([opt.flag, text0, text1], f"{text0}, {text1}", (value0, value1)),
                 ([opt.flag, text1], text1, (value1,))]
@@ -682,3 +760,20 @@ class TestOptionTable:
             assert len(lines) == 1, (opt.section, opt.key)
             if opt.flag:
                 assert f"`{opt.flag}`" in lines[0]
+
+
+class TestTracedNames:
+    def test_every_traced_name_resolves(self):
+        """perfbench/trace_cli.py wraps stme functions by module attribute name;
+        a renamed or deleted function would leave its span silently empty."""
+        import importlib
+        import types
+
+        path = Path(__file__).parents[1] / "perfbench" / "trace_cli.py"
+        trace_cli = types.ModuleType("trace_cli")
+        # compiled from source, so no bytecode cache is written next to it
+        exec(compile(path.read_text(), str(path), "exec"), trace_cli.__dict__)
+        names = [entry[:2] for entry in (*trace_cli.SPANS.values(), *trace_cli.COUNTED.values())]
+        assert names
+        for module, attr in names:
+            assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

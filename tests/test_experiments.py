@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stme.baselines import empirical_rv, location_series
-from stme.catalog import CatalogError, RegionSpec, extract_stm
+from stme.catalog import CatalogError, CycloneCatalog, RegionSpec, extract_stm
 import stme.experiments
 from stme.experiments import (
     CellStats,
@@ -105,9 +105,7 @@ class TestSummarize:
             ReplicateResult(index=i, estimates={}, failures={(1, "STME", "MLE", 20): "x"})
             for i in range(3)
         ]
-        summary = summarize(results)
-        assert summary.cells == {}
-        assert summary.empty_cells == ((1, "STME", "MLE", 20),)
+        assert summarize(results).cells == {}
 
 
 class TestPerformanceMetrics:
@@ -253,12 +251,13 @@ class TestEstimateCells:
     def test_cell_order_and_one_series_per_location(self, monkeypatch):
         world = synth_catalog(SynthWorldConfig(duration_years=200.0, seed=3))
         calls = []
+        columns = CycloneCatalog.columns
 
-        def counted(catalog, loc):
-            calls.append(loc)
-            return location_series(catalog, loc)
+        def counted(catalog, location_ids):
+            calls.append(tuple(location_ids))
+            return columns(catalog, location_ids)
 
-        monkeypatch.setattr(stme.experiments, "location_series", counted)
+        monkeypatch.setattr(CycloneCatalog, "columns", counted)
         cells = estimate_cells(world, 500.0, 200.0, (10, 20), ("MLE", "PWM"),
                                ("STME", "SINGLE"), (3, 1, 2))
         assert list(cells) == [
@@ -268,7 +267,7 @@ class TestEstimateCells:
             for est in ("STME", "SINGLE")
             for loc in (3, 1, 2)
         ]
-        assert calls == [3, 1, 2]
+        assert calls == [(3, 1, 2)]  # the locations' columns are taken once
         for (loc, est, method, n), result in cells.items():
             assert (result.location_id, result.estimator, result.method, result.n) == (
                 loc, est, method, n)
@@ -347,3 +346,6 @@ class TestSynthWorld:
     def test_invalid_config(self):
         with pytest.raises(CatalogError):
             SynthWorldConfig(rate=-1.0)
+        for key in ("rate", "lon_max", "intensity_shape"):
+            with pytest.raises(CatalogError, match=f"{key} must be finite"):
+                SynthWorldConfig(**{key: np.nan})

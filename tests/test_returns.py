@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from stme.catalog import (
     CatalogError,
     CycloneCatalog,
+    ExposureMatrix,
     Location,
     RegionSpec,
     extract_exposures,
@@ -60,8 +61,6 @@ class TestExposureEcdf:
     def make_matrix(self, columns):
         loc_ids = sorted(columns)
         n_events = len(next(iter(columns.values())))
-        from stme.catalog import ExposureMatrix
-
         values = np.column_stack([columns[j] for j in loc_ids])
         return ExposureMatrix(np.arange(1, n_events + 1), np.array(loc_ids), values)
 
@@ -69,11 +68,6 @@ class TestExposureEcdf:
         mat = self.make_matrix({1: [0.2, 1.0, 0.6]})
         ecdf = exposure_ecdf(mat, 1)
         assert ecdf.atoms.tolist() == [0.2, 0.6, 1.0]
-
-    def test_retained_subset(self):
-        mat = self.make_matrix({1: [0.2, 1.0, 0.6]})
-        ecdf = exposure_ecdf(mat, 1, retained_event_ids=[2])
-        assert ecdf.atoms.tolist() == [1.0]
 
     def test_missing_entries_skipped(self):
         mat = self.make_matrix({1: [0.2, np.nan, 0.6]})
@@ -335,10 +329,13 @@ class TestStmeReturnValues:
         assert list(results) == [3, 1]
         retained, psi = top_n_events(stm, 20)
         report = fit_gpd(retained.values, psi, "PWM")
+        rows = np.isin(exposures.event_ids, retained.event_ids)
+        kept = ExposureMatrix(exposures.event_ids[rows], exposures.location_ids,
+                              exposures.values[rows])
         for loc, est in results.items():
             expected = return_value(
-                report.params, exposure_ecdf(exposures, loc, retained.event_ids),
-                T=500.0, T0=200.0, n=20, method="PWM",
+                report.params, exposure_ecdf(kept, loc), T=500.0, T0=200.0, n=20,
+                method="PWM",
             )
             assert est == expected
 
