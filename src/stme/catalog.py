@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -204,30 +205,94 @@ def _csv_rows(path, columns: set[str]):
             raise CatalogError(f"{path}:{reader.line_num}: {err}") from None
 
 
-def load_catalog(footprint_file, locations_file, duration_years: float) -> CycloneCatalog:
-    """Load a catalog from footprint and location CSV files.
+# Footprint lines that np.loadtxt parses at a time: bounds the memory that
+# reading a large catalog takes on top of the table it builds.
+BLOCK_LINES = 4096
+_FOOTPRINT_COLUMNS = ("cyclone_id", "location_id", "max_swh_m")
+_FOOTPRINT_DTYPE = np.dtype([("event", np.int64), ("location", np.int64), ("swh", np.float64)])
+# The only bytes a block may hold: with nothing else, np.loadtxt splits lines
+# and fields as the csv module does, and parses ids and values as int() and
+# float() do or rejects them.
+_NUMERIC_BYTES = b"0123456789eE.+-,\r\n"
 
-    Schemas: footprints `cyclone_id,location_id,max_swh_m`, one row per
-    (event, location); locations `location_id,lon_deg,lat_deg,depth_m`
-    (depth may be empty). Events whose footprint is entirely zero carry no
-    exposure information and are dropped with a warning.
+
+def _footprint_blocks(path, location_ids) -> tuple[np.ndarray, np.ndarray] | None:
+    """Event ids and events x locations table of a footprint file whose rows
+    are grouped by ascending event id, parsed BLOCK_LINES lines at a time by
+    np.loadtxt and checked with numpy.
+
+    Returns None when a block holds anything but numbers, commas and line
+    ends, does not parse, or fails a check (unknown location, invalid SWH,
+    event ids out of order, a duplicate pair). _footprint_rows then reads the
+    file: it gives the same table, or raises the error with its line.
     """
-    locations = []
-    with _csv_rows(locations_file, {"location_id", "lon_deg", "lat_deg", "depth_m"}) as reader:
-        for row in reader:
-            depth_text = (row["depth_m"] or "").strip()
-            locations.append(
-                Location(
-                    id=_parse(int, row["location_id"], "location_id"),
-                    lon=_parse(float, row["lon_deg"], "lon"),
-                    lat=_parse(float, row["lat_deg"], "lat"),
-                    depth=_parse(float, depth_text, "depth") if depth_text else None,
+    ids = np.asarray(location_ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    events, tables = [np.empty(0, dtype=np.int64)], [np.empty((0, len(ids)))]
+    n_rows, last, tail = 0, None, None  # tail: the table row of event `last`
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            header = next(csv.reader(fh), [])
+        except csv.Error:
+            return None
+        # a repeated name reads its last column, as in csv.DictReader
+        column = {name: k for k, name in enumerate(header)}
+        if not set(_FOOTPRINT_COLUMNS) <= column.keys() or not len(ids):
+            return None
+        usecols = [column[name] for name in _FOOTPRINT_COLUMNS]
+        limit = csv.field_size_limit()
+        while lines := list(itertools.islice(fh, BLOCK_LINES)):
+            text = "".join(lines)
+            if len(text) > limit and max(map(len, lines)) > limit:
+                return None  # a field the csv module may refuse
+            if not text.strip("\r\n"):
+                continue  # blank lines only, which both readers skip
+            try:
+                if text.encode("ascii").translate(None, _NUMERIC_BYTES):
+                    return None
+                rows = np.loadtxt(
+                    lines, dtype=_FOOTPRINT_DTYPE, delimiter=",", usecols=usecols,
+                    comments=None, quotechar=None, ndmin=1,
                 )
-            )
-    column = {loc.id: k for k, loc in enumerate(locations)}
+            except (ValueError, Warning):  # UnicodeEncodeError is a ValueError
+                return None
+            event, swh = rows["event"], rows["swh"]
+            pos = np.minimum(np.searchsorted(sorted_ids, rows["location"]), len(ids) - 1)
+            if not (
+                np.isfinite(swh).all() and (swh >= 0).all()
+                and (sorted_ids[pos] == rows["location"]).all()
+                and (event[1:] >= event[:-1]).all() and (last is None or event[0] >= last)
+            ):
+                return None
+            change = event[1:] != event[:-1]
+            row = np.concatenate(([0], np.cumsum(change)))
+            table = np.full((row[-1] + 1, len(ids)), np.nan)
+            table[row, order[pos]] = swh  # a duplicate pair overwrites: counted below
+            starts = event[np.concatenate(([True], change))]
+            merge = int(last is not None and starts[0] == last)
+            if merge:  # the block starts inside the previous block's last event
+                np.copyto(tail, table[0], where=~np.isnan(table[0]))
+            if len(table) > merge:
+                tail = table[-1]
+            events.append(starts[merge:])
+            tables.append(table[merge:])
+            n_rows += len(event)
+            last = event[-1]
+    swh = np.concatenate(tables)
+    if np.count_nonzero(~np.isnan(swh)) != n_rows:
+        return None
+    return np.concatenate(events), swh
 
+
+def _footprint_rows(path, location_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Event ids and events x locations table of a footprint file in any row
+    order, read a row at a time. Every error names the file and line."""
+    column = {loc_id: k for k, loc_id in enumerate(location_ids)}
     rows: dict[int, np.ndarray] = {}  # event id -> footprint row, NaN where no entry
-    with _csv_rows(footprint_file, {"cyclone_id", "location_id", "max_swh_m"}) as reader:
+    with _csv_rows(path, set(_FOOTPRINT_COLUMNS)) as reader:
         for row in reader:
             ev_id = _parse(int, row["cyclone_id"], "cyclone_id")
             loc_id = _parse(int, row["location_id"], "location_id")
@@ -241,21 +306,50 @@ def load_catalog(footprint_file, locations_file, duration_years: float) -> Cyclo
             if fp is None:
                 if not ID_MIN <= ev_id <= ID_MAX:
                     raise CatalogError(f"cyclone_id {ev_id} outside the 64-bit range")
-                fp = rows[ev_id] = np.full(len(locations), np.nan)
+                fp = rows[ev_id] = np.full(len(column), np.nan)
             if not math.isnan(fp[k]):
                 raise CatalogError(f"duplicate (event {ev_id}, location {loc_id})")
             fp[k] = swh
-
     event_ids = np.array(sorted(rows), dtype=int)
-    swh = np.array([rows[e] for e in event_ids.tolist()]).reshape(len(event_ids), len(locations))
+    swh = np.array([rows[e] for e in event_ids.tolist()]).reshape(len(event_ids), len(column))
+    return event_ids, swh
+
+
+def load_catalog(footprint_file, locations_file, duration_years: float) -> CycloneCatalog:
+    """Load a catalog from footprint and location CSV files.
+
+    Schemas: footprints `cyclone_id,location_id,max_swh_m`, one row per
+    (event, location); locations `location_id,lon_deg,lat_deg,depth_m`
+    (depth may be empty). Events whose footprint is entirely zero carry no
+    exposure information and are dropped with a warning. Footprint rows
+    grouped by ascending cyclone_id are read block-wise; any other order,
+    or an error, is read row by row.
+    """
+    locations = []
+    with _csv_rows(locations_file, {"location_id", "lon_deg", "lat_deg", "depth_m"}) as reader:
+        for row in reader:
+            depth_text = (row["depth_m"] or "").strip()
+            locations.append(
+                Location(
+                    id=_parse(int, row["location_id"], "location_id"),
+                    lon=_parse(float, row["lon_deg"], "lon"),
+                    lat=_parse(float, row["lat_deg"], "lat"),
+                    depth=_parse(float, depth_text, "depth") if depth_text else None,
+                )
+            )
+    ids = [loc.id for loc in locations]
+    table = _footprint_blocks(footprint_file, ids)
+    event_ids, swh = table if table is not None else _footprint_rows(footprint_file, ids)
     zero = ~(swh > 0.0).any(axis=1)  # every row has an entry, so: all entries zero
     for ev_id in event_ids[zero].tolist():
         warnings.warn(
             f"event {ev_id}: all-zero footprint, dropped (no defined exposure)",
             stacklevel=2,
         )
+    if zero.any():  # else keep the table as it is: a copy would double the peak
+        event_ids, swh = event_ids[~zero], swh[~zero]
     return CycloneCatalog(
-        locations=tuple(locations), event_ids=event_ids[~zero], swh=swh[~zero],
+        locations=tuple(locations), event_ids=event_ids, swh=swh,
         duration_years=float(duration_years),
     )
 

@@ -90,11 +90,16 @@ def _replacing(path):
 
 
 def _write_csv(path, header, rows):
+    """Write `header` and `rows` to `path`, each value through _fmt; the
+    blocks of a _Formatted are written as they are."""
     with _replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        if isinstance(rows, _Formatted):
+            for block in rows.blocks:
+                writer.writerows(block)
+        else:
+            writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_json(path, payload, sort_keys=False):
@@ -108,23 +113,36 @@ def _write_metadata(outdir, command, args_echo):
     _write_json(os.path.join(outdir, "metadata.json"), payload, sort_keys=True)
 
 
-# Cells that _cells turns into Python objects at a time: bounds the memory
-# that writing a large events x locations table takes.
-_CHUNK_CELLS = 1 << 14
+class _Formatted:
+    """Rows whose fields are already text, in blocks of rows."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
 
 
-def _cells(event_ids, location_ids, values):
+# Cells that _cells formats at a time: bounds the memory that writing a large
+# events x locations table takes.
+_CHUNK_CELLS = 1 << 12
+
+
+def _cells(event_ids, location_ids, values) -> _Formatted:
     """(event id, location id, value) for every non-NaN cell of an events x
-    locations table, row by row, converted a block of rows at a time."""
+    locations table, row by row, formatted as _fmt does a column of a block
+    of rows at a time."""
     location_ids = np.asarray(location_ids)
     step = max(1, _CHUNK_CELLS // max(1, values.shape[1]))
-    for start in range(0, len(values), step):
-        block = values[start : start + step]
-        rows, cols = np.nonzero(~np.isnan(block))
-        yield from zip(
-            event_ids[start + rows].tolist(), location_ids[cols].tolist(),
-            block[rows, cols].tolist(),
-        )
+
+    def blocks():
+        for start in range(0, len(values), step):
+            block = values[start : start + step]
+            rows, cols = np.nonzero(~np.isnan(block))
+            yield zip(
+                map(str, event_ids[start + rows].tolist()),
+                map(str, location_ids[cols].tolist()),
+                [format(v, ".10g") for v in block[rows, cols].tolist()],
+            )
+
+    return _Formatted(blocks())
 
 
 def _jobs(text: str) -> int:

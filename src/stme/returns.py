@@ -213,7 +213,10 @@ def stme_return_values(
     invert the return value at each location. Maps each location id to its
     estimate or to the reason there is none."""
     retained, psi = top_n_events(stm, n)
-    report = fit_gpd(retained.values, psi, method)
+    try:
+        report = fit_gpd(retained.values, psi, method)
+    except EvdError as err:  # a sample that cannot be fitted, such as a tied tail
+        return dict.fromkeys(location_ids, f"tail fit failed: {err}")
     if not report.converged:
         return dict.fromkeys(location_ids, f"tail fit failed: {report.message}")
     results: dict[int, ReturnValueEstimate | str] = dict.fromkeys(location_ids, "")

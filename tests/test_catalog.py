@@ -1,12 +1,14 @@
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stme import catalog
 from stme.baselines import location_series
 from stme.catalog import (
     CatalogError,
@@ -21,6 +23,7 @@ from stme.catalog import (
     threshold_for_top_n,
     top_n_events,
 )
+from stme.cli import main
 from stme.experiments import sample_period
 
 
@@ -211,20 +214,89 @@ def mutated(draw, data: bytes) -> bytes:
     return bytes(out)
 
 
+def load_outcome(footprints, locations):
+    """What load_catalog gives: the catalog's locations, event ids, table and
+    warnings, or the message of its CatalogError."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cat = load_catalog(footprints, locations, 10.0)
+        except CatalogError as err:
+            return str(err)
+    return cat.locations, cat.event_ids.tolist(), cat.swh, [str(w.message) for w in caught]
+
+
+def assert_loads_as_row_reader(footprints, locations, block_lines):
+    """load_catalog, reading `block_lines` lines per block, gives what the
+    row reader alone gives: the same catalog and warnings, or the same error."""
+    with mock.patch.object(catalog, "BLOCK_LINES", block_lines):
+        got = load_outcome(footprints, locations)
+    with mock.patch.object(catalog, "_footprint_blocks", lambda *args: None):
+        want = load_outcome(footprints, locations)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got[:2] == want[:2] and got[3] == want[3]
+    assert np.array_equal(got[2], want[2], equal_nan=True)
+
+
+def write_inputs(directory, locations: bytes, footprints: bytes):
+    loc_path = os.path.join(directory, "locations.csv")
+    fp_path = os.path.join(directory, "footprints.csv")
+    with open(loc_path, "wb") as fh:
+        fh.write(locations)
+    with open(fp_path, "wb") as fh:
+        fh.write(footprints)
+    return fp_path, loc_path
+
+
+FIVE_LOCATIONS = b"location_id,lon_deg,lat_deg,depth_m\n" + b"".join(
+    b"%d,-61.%d,16.0,\n" % (j, j) for j in range(1, 6)
+)
+HEADER = b"cyclone_id,location_id,max_swh_m\n"
+
+
+# fields that reach the edge cases of one reader or the other
+EDGE_FIELDS = ["+1", '"1"', " 1", "1_0", "-1", "0", "9", "nan", "inf", "1e0", "1.0", "",
+               str(2**63 - 1), str(2**63)]
+
+
+@st.composite
+def footprint_files(draw):
+    """Footprint CSV text of a valid catalog grouped by ascending event id,
+    with up to three edits: a row moved or repeated, a field replaced, or a
+    blank line inserted."""
+    lines = [["cyclone_id", "location_id", "max_swh_m"]]
+    for e in sorted(draw(st.sets(st.integers(-3, 9), max_size=6))):
+        for j in sorted(draw(st.sets(st.integers(1, 5), min_size=1))):
+            lines.append([str(e), str(j), repr(draw(st.floats(0.0, 30.0)))])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+        at = draw(st.integers(1, len(lines)))
+        edit = draw(st.sampled_from(["move", "repeat", "field", "blank"]))
+        if edit == "move" and i:
+            lines.insert(at - 1, lines.pop(i))
+        elif edit == "repeat":
+            lines.insert(at, list(lines[i]))
+        elif edit == "field" and lines[i]:
+            lines[i][draw(st.integers(0, 2))] = draw(st.sampled_from(EDGE_FIELDS))
+        elif edit == "blank":
+            lines.insert(at, [])
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return "".join(",".join(fields) + end for fields in lines).encode()
+
+
 class TestLoadFuzz:
     @settings(max_examples=400, deadline=None)
     @given(
         locations=st.one_of(st.just(VALID_LOCATIONS), mutated(VALID_LOCATIONS)),
         footprints=st.one_of(st.just(VALID_FOOTPRINTS), mutated(VALID_FOOTPRINTS)),
+        block_lines=st.sampled_from([1, 2, 3, catalog.BLOCK_LINES]),
     )
-    def test_mutated_csv_loads_or_raises_catalog_error(self, locations, footprints):
+    def test_mutated_csv_loads_or_raises_catalog_error(self, locations, footprints, block_lines):
         with tempfile.TemporaryDirectory() as tmp:
-            loc_path = os.path.join(tmp, "locations.csv")
-            fp_path = os.path.join(tmp, "footprints.csv")
-            with open(loc_path, "wb") as fh:
-                fh.write(locations)
-            with open(fp_path, "wb") as fh:
-                fh.write(footprints)
+            fp_path, loc_path = write_inputs(tmp, locations, footprints)
+            assert_loads_as_row_reader(fp_path, loc_path, block_lines)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 try:
@@ -234,6 +306,57 @@ class TestLoadFuzz:
                     extract_exposures(sub, extract_stm(sub))
                 except CatalogError:
                     pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(footprints=footprint_files(), block_lines=st.sampled_from([1, 2, 3, 5]))
+    def test_blocks_load_as_row_reader(self, footprints, block_lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_loads_as_row_reader(*write_inputs(tmp, FIVE_LOCATIONS, footprints), block_lines)
+
+    @pytest.mark.parametrize("text, fast", [
+        # event 1 spans three blocks of two lines, event 2 starts at an edge
+        (HEADER + b"1,1,3.5\n1,2,2\n1,3,1\n1,4,0\n1,5,7\n2,1,4\n2,2,1\n", True),
+        (HEADER + b"1,1,3.5\n1,2,2\n1,1,4.0\n", False),  # duplicate across an edge
+        (HEADER + b"1,1,3.5\n1,2,2\n1,2,4.0\n", False),  # duplicate within a block
+        (HEADER + b"2,1,3.5\n2,2,2\n1,1,4.0\n", False),  # out of order across an edge
+        (HEADER + b"2,1,3.5\n1,2,2\n3,1,4.0\n", False),  # out of order within a block
+        (b"max_swh_m,location_id,cyclone_id\n3.5,1,1\n2,2,1\n4.0,1,2\n", True),
+        (HEADER.replace(b"\n", b",max_swh_m\n") + b"1,1,3.5,4.0\n", True),  # the last one counts
+        (HEADER.replace(b"\n", b"\r\n") + b"1,1,3.5\r\n1,2,2\r\n2,1,4.0\r\n", True),
+        (HEADER + b"1,1,3.5\n\n1,2,2\n2,1,4.0\n\n", True),  # blank lines
+        (HEADER + b'1,1,3.5\n"1",2,2\n2,1,4.0\n', False),  # a quoted field
+        # np.loadtxt would split the quoted field and read 1,2,3.5 from it
+        (b'note,cyclone_id,location_id,max_swh_m\n"a,1,2,3.5,x",1,1,2\n', False),
+        (HEADER + b"+1,1,3.5\n1,+2,+2\n2,1,4.0\n", True),
+        (HEADER + b"1,1,3.5\n1_0,2,2\n", False),  # int() reads 10, np.loadtxt does not
+        (HEADER + b"1,1,3.5\n1,9,2\n", False),  # unknown location
+        (HEADER + b"1,1,3.5\n1,2,-2\n", False),  # negative SWH
+        (HEADER + b"1,1,0\n1,2,0\n2,1,4.0\n", True),  # an all-zero event is dropped
+        (HEADER + b"1,1,3.5\n1,2", False),  # a short last row
+        (HEADER + b"1,1," + b"0" * 140_000 + b"3.5\n", False),  # over csv's field limit
+        (HEADER, True),
+    ])
+    def test_matches_row_reader(self, tmp_path, text, fast):
+        fp_path, loc_path = write_inputs(tmp_path, FIVE_LOCATIONS, text)
+        assert_loads_as_row_reader(fp_path, loc_path, 2)
+        with mock.patch.object(catalog, "BLOCK_LINES", 2):
+            table = catalog._footprint_blocks(fp_path, [1, 2, 3, 4, 5])
+        assert (table is not None) == fast
+
+    def test_synth_catalog_takes_block_path(self, tmp_path):
+        """A catalog written by `stme synth` never reaches the row reader."""
+        assert main(["synth", "--out", str(tmp_path), "--years", "20", "--spacing", "0.05",
+                     "--seed", "3"]) == 0
+        with open(tmp_path / "footprints.csv") as fh:
+            n_rows = sum(1 for _ in fh) - 1
+        assert n_rows > catalog.BLOCK_LINES
+
+        def refuse(*args):
+            raise AssertionError("row reader called")
+
+        with mock.patch.object(catalog, "_footprint_rows", refuse):
+            cat = load_catalog(tmp_path / "footprints.csv", tmp_path / "locations.csv", 20.0)
+        assert np.count_nonzero(~np.isnan(cat.swh)) == n_rows
 
 
 class TestSelectRegion:

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from stme.cli import (
-    _OPTIONS, _jobs, _settings, _write_csv, finite, build_parser, load_config, main, UsageError,
+    _OPTIONS, _cells, _jobs, _settings, _write_csv, finite, build_parser, load_config, main,
+    UsageError,
 )
 
 
@@ -72,6 +75,21 @@ class TestSynth:
         out = tmp_path / "other"
         assert run(["synth", "--out", out, "--years", "800", "--seed", "2"]) == 0
         assert (out / "footprints.csv").read_bytes() != (synth_dir / "footprints.csv").read_bytes()
+
+
+    def test_cells_format_as_fmt(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0, 30, (40, 7)) * 10.0 ** rng.integers(-300, 300, (40, 7))
+        values[rng.uniform(size=values.shape) < 0.3] = np.nan
+        values[0, :2] = [0.0, 5e-324]
+        event_ids, location_ids = np.arange(-20, 20) * 3, [9, 1, 2**63 - 1, 4, 5, -6, 7]
+        _write_csv(tmp_path / "a.csv", ["e", "j", "v"], _cells(event_ids, location_ids, values))
+        rows = [
+            (e, j, v) for e, row in zip(event_ids.tolist(), values.tolist())
+            for j, v in zip(location_ids, row) if not np.isnan(v)
+        ]
+        _write_csv(tmp_path / "b.csv", ["e", "j", "v"], rows)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestStm:
@@ -207,6 +225,40 @@ class TestReturnValues:
         assert "no estimate has a value" in capsys.readouterr().err
         rows = read_csv(out / "estimates.csv")
         assert [(r["location_id"], r["value_m"]) for r in rows] == [("2", "")]
+
+    def test_tied_stm_tail_is_a_row(self, tmp_path, capsys):
+        # the six largest values tie, so every excess over the threshold is equal
+        swh = [1.0, 2.0, 3.0, 4.0, 4.5, 4.8] + [5.0] * 6
+        rows = [f"{e},1,{v}" for e, v in enumerate(swh, start=1)]
+        (tmp_path / "footprints.csv").write_text(
+            "cyclone_id,location_id,max_swh_m\n" + "\n".join(rows) + "\n"
+        )
+        (tmp_path / "locations.csv").write_text(
+            "location_id,lon_deg,lat_deg,depth_m\n1,-61.5,16.2,\n2,-61.3,16.0,\n"
+        )
+        args = ["return-values", "--footprints", tmp_path / "footprints.csv",
+                "--locations", tmp_path / "locations.csv", "--duration", "20", "--T", "100",
+                "--n", "5", "--method", "pwm", "--estimator", "stme", "--estimator", "single"]
+        tie = "degenerate sample: all exceedances equal"
+        code = run([*args, "--location-ids", "1", "--out", tmp_path / "rv"])
+        assert code == 1  # no row has a value
+        assert "compute error: no estimate has a value" in capsys.readouterr().err
+        rows = read_csv(tmp_path / "rv" / "estimates.csv")
+        assert [(r["estimator"], r["value_m"], r["flag"]) for r in rows] == [
+            ("STME", "", f"tail fit failed: {tie}"), ("SINGLE", "", tie),
+        ]
+        # location 2, below location 1 in every event, leaves the STM tail tied
+        # and has a tail of its own
+        rows = [f"{e},2,{v * e / 24}" for e, v in enumerate(swh, start=1)]
+        with open(tmp_path / "footprints.csv", "a") as fh:
+            fh.write("\n".join(rows) + "\n")
+        assert run([*args, "--out", tmp_path / "rv2"]) == 0
+        rows = read_csv(tmp_path / "rv2" / "estimates.csv")
+        assert [(r["location_id"], r["estimator"], r["flag"]) for r in rows[:3]] == [
+            ("1", "STME", f"tail fit failed: {tie}"), ("2", "STME", f"tail fit failed: {tie}"),
+            ("1", "SINGLE", tie),
+        ]
+        assert float(rows[3]["value_m"]) > 0
 
     def test_empirical_failure_is_a_row(self, small_world, tmp_path, capsys):
         out = tmp_path / "rv"
