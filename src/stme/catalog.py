@@ -68,7 +68,8 @@ class CycloneCatalog:
         if not 0 < self.duration_years < math.inf:
             raise CatalogError(f"duration {self.duration_years} is not positive and finite")
         ids = [loc.id for loc in self.locations]
-        if len(set(ids)) != len(ids):
+        object.__setattr__(self, "_column", {j: k for k, j in enumerate(ids)})  # id -> column
+        if len(self._column) != len(ids):
             raise CatalogError("duplicate location ids in catalog")
         if swh.shape != (len(event_ids), len(ids)):
             raise CatalogError(
@@ -98,9 +99,8 @@ class CycloneCatalog:
 
     def columns(self, location_ids) -> np.ndarray:
         """The column of `swh` that holds each of `location_ids`, in order."""
-        column = {loc.id: k for k, loc in enumerate(self.locations)}
         try:
-            return np.array([column[j] for j in location_ids], dtype=int)
+            return np.array([self._column[j] for j in location_ids], dtype=int)
         except KeyError as err:
             raise CatalogError(f"unknown location id {err.args[0]}") from None
 

@@ -251,17 +251,35 @@ _OPTIONS = (
 )
 
 
+def _config_error(path, err: configparser.Error) -> UsageError:
+    """One of the four ConfigParser.read_string errors as a usage error naming the line."""
+    if isinstance(err, configparser.MissingSectionHeaderError):
+        return UsageError(f"{path}:{err.lineno}: no [section] header before {err.line.strip()!r}")
+    if isinstance(err, configparser.DuplicateSectionError):
+        return UsageError(f"{path}:{err.lineno}: section [{err.section}] repeated")
+    if isinstance(err, configparser.DuplicateOptionError):
+        return UsageError(f"{path}:{err.lineno}: key {err.option!r} repeated in [{err.section}]")
+    return UsageError(f"{path}:{err.errors[0][0]}: neither a [section] nor a key = value")
+
+
 def load_config(path) -> dict[str, dict[str, str]]:
-    """Read an INI config file into {section: {key: text}}, rejecting unknown
-    sections and keys. Keys match case-insensitively."""
+    """Read a UTF-8 INI config file into {section: {key: text}}, rejecting
+    unknown sections and keys. Keys match case-insensitively; values are
+    read as they are, without % interpolation."""
     schema: dict[str, dict[str, str]] = {}
     for opt in _OPTIONS:
         if opt.section:
             schema.setdefault(opt.section, {})[opt.key.lower()] = opt.key
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config file not found: {path}")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(data.decode("utf-8"), source=str(path))
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise UsageError(f"{path}:{line}: not UTF-8 text") from None
+    except configparser.Error as err:
+        raise _config_error(path, err) from None
     config: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         if section not in schema:
@@ -510,7 +528,12 @@ def _check_manifest(outdir, manifest: dict):
             raise UsageError(f"{outdir} holds replicate files but no manifest.json")
         return
     with open(path, encoding="utf-8") as fh:
-        old = json.load(fh)
+        try:
+            old = json.load(fh)
+        except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
+            raise UsageError(f"{path}: unreadable manifest: {err}") from None
+    if not isinstance(old, dict):
+        raise UsageError(f"{path}: unreadable manifest: not a JSON object")
     new = json.loads(json.dumps(manifest))  # tuples -> lists, as read back
     for key in sorted(set(old) | set(new)):
         if old.get(key) != new.get(key):

@@ -209,11 +209,10 @@ def trend_permutation_test(
         raise DiagnosticsError("degenerate coordinates: all projections equal")
     values = stm.values - stm.values.mean()
     slope_obs = float(proj_c @ values) / ss
-    perms = np.empty((n_perm, len(values)))
-    for i in range(n_perm):
-        perms[i] = rng.permutation(values)
-    slopes = perms @ proj_c / ss
-    n_ge = int(np.sum(np.abs(slopes) >= abs(slope_obs)))
+    n_ge = 0
+    for start in range(0, n_perm, 128):  # permutations in blocks of rows, to bound memory
+        perms = np.array([rng.permutation(values) for _ in range(min(128, n_perm - start))])
+        n_ge += int(np.sum(np.abs(perms @ proj_c / ss) >= abs(slope_obs)))
     return (1 + n_ge) / (n_perm + 1)
 
 

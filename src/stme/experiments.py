@@ -11,11 +11,13 @@ tracks and GPD peak intensities provides a desk-scale ground truth.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -123,25 +125,18 @@ def estimate_cells(
     mapped to its T-year estimate or to the reason there is none. Cells come
     in ladder, then method order; STME before SINGLE, locations innermost."""
     stm = extract_stm(catalog)
-    exposures = extract_exposures(catalog, stm)
-    if "SINGLE" in estimators:
-        samples = catalog.swh[:, catalog.columns(location_ids)]
+    columns = catalog.columns(location_ids)
+    exposures = extract_exposures(catalog, stm).values[:, columns]
+    # each estimator takes an events x locations block and answers per column
+    estimate = {"STME": partial(stme_return_values, stm, exposures),
+                "SINGLE": partial(single_location_rvs, catalog.swh[:, columns])}
+    fitted = [e for e in ESTIMATORS if e in estimators]
     cells: dict[CellKey, ReturnValueEstimate | str] = {}
-    for n in n_ladder:
-        short = f"n={n} exceeds sample size {len(stm)}" if n > len(stm) else ""
-        for method in methods:
-            if "STME" in estimators:
-                found = (
-                    dict.fromkeys(location_ids, short) if short
-                    else stme_return_values(stm, exposures, n, T, T0, method, location_ids)
-                )
-                cells.update(((loc, "STME", method, n), r) for loc, r in found.items())
-            if "SINGLE" in estimators:
-                found = dict.fromkeys(location_ids, short) if short else {
-                    loc: str(r) if isinstance(r, Exception) else r for loc, r in
-                    zip(location_ids, single_location_rvs(samples, location_ids, n, T, T0, method))
-                }
-                cells.update(((loc, "SINGLE", method, n), r) for loc, r in found.items())
+    for n, method, estimator in itertools.product(n_ladder, methods, fitted):
+        found = (estimate[estimator](location_ids, n, T, T0, method) if n <= len(stm)
+                 else [f"n={n} exceeds sample size {len(stm)}"] * len(location_ids))
+        for loc, r in zip(location_ids, found):
+            cells[loc, estimator, method, n] = str(r) if isinstance(r, Exception) else r
     return cells
 
 

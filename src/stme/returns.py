@@ -49,11 +49,6 @@ class ExposureEcdf:
         if np.any((atoms < 0.0) | (atoms > 1.0)):
             raise CatalogError(f"location {self.location_id}: exposure outside [0, 1]")
 
-    def cdf(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        p = np.searchsorted(self.atoms, x, side="right") / self.atoms.size
-        return p if p.ndim else float(p)
-
 
 @dataclass(frozen=True)
 class ReturnValueEstimate:
@@ -82,26 +77,24 @@ def exposure_ecdf(matrix: ExposureMatrix, location_id: int) -> ExposureEcdf:
 
 
 class _AtomRows:
-    """The exposure atoms of several locations as one matrix: each row holds
-    a location's positive atoms in ascending order, padded with ones that a
-    mask excludes, next to its counts of zero atoms and of all atoms."""
+    """The exposure atoms of each column of an events x locations block (NaN
+    where an event has none) as one matrix: row r holds column r's atoms in
+    ascending order, zero and NaN atoms masked out, next to its counts of
+    zero atoms and of all atoms."""
 
-    def __init__(self, ecdfs):
-        positive = [e.atoms[e.atoms > 0.0] for e in ecdfs]
-        self.scale = np.ones((len(positive), max([1] + [p.size for p in positive])))
-        self.mask = np.zeros(self.scale.shape, dtype=bool)
-        for row, atoms in enumerate(positive):
-            self.scale[row, : atoms.size] = atoms
-            self.mask[row, : atoms.size] = True
-        self.size = np.array([e.atoms.size for e in ecdfs])
-        self.n_zero = self.size - self.mask.sum(axis=1)
+    def __init__(self, atoms):
+        ordered = np.sort(np.asarray(atoms, dtype=float), axis=0).T  # NaN last
+        self.mask = ordered > 0.0
+        self.scale = np.where(self.mask, ordered, 1.0)
+        self.size = np.count_nonzero(~np.isnan(ordered), axis=1)
+        self.n_zero = self.size - np.count_nonzero(self.mask, axis=1)
 
     def cdf(self, fit: GpdParams, h: np.ndarray) -> np.ndarray:
-        """SWH CDF of row r at h[r]; with a single row, its CDF at every h."""
+        """SWH CDF of row r at h[r] (0 for a row without atoms); with one row, at every h."""
         p = np.where(self.mask, gpd_cdf(fit, h[:, None] / self.scale), 0.0)
-        # a running sum, so that the padding at the end of a row leaves its
-        # total bit-identical to the sum over its own atoms alone
-        return (np.cumsum(p, axis=1)[:, -1] + self.n_zero) / self.size
+        # a running sum, so that the masked atoms add exact zeros and leave
+        # a row's total bit-identical to the sum over its positive atoms alone
+        return (np.cumsum(p, axis=1)[:, -1] + self.n_zero) / np.maximum(self.size, 1)
 
 
 def swh_cdf(fit: GpdParams, ecdf: ExposureEcdf, h) -> np.ndarray | float:
@@ -111,7 +104,7 @@ def swh_cdf(fit: GpdParams, ecdf: ExposureEcdf, h) -> np.ndarray | float:
     h = np.asarray(h, dtype=float)
     if np.any(h < 0):
         raise CatalogError("SWH evaluation point must be >= 0")
-    p = _AtomRows([ecdf]).cdf(fit, h.reshape(-1)).reshape(h.shape)
+    p = _AtomRows(ecdf.atoms[:, None]).cdf(fit, h.reshape(-1)).reshape(h.shape)
     return p if h.ndim else float(p)
 
 
@@ -126,29 +119,32 @@ def target_probability(T: float, T0: float, n: int) -> float:
 
 
 def return_values(
-    fit: GpdParams,
-    ecdfs,
-    T: float,
-    T0: float,
-    n: int,
-    method: str = "",
-    estimator: str = "STME",
+    fit: GpdParams, atoms: np.ndarray, location_ids, T: float, T0: float, n: int,
+    method: str = "", estimator: str = "STME",
 ) -> list[ReturnValueEstimate | CatalogError | EvdError]:
-    """T-year return value at each location of `ecdfs`: the swh_cdf
-    quantile at p* = 1 - (T0/n)/T, found for all locations at once by
-    bracketing and bisection (1e-6 m). A location without a value maps to
-    the error saying why. For shape < 0 with an upper bound within 1e12 m
-    the bracket is the location's upper bound, and a quantile within 1e-6 m
-    of it is flagged "at_upper_bound"."""
-    p_target = target_probability(T, T0, n)
-    rows = _AtomRows(ecdfs)
-    e_max = np.array([float(e.atoms[-1]) for e in ecdfs])
-    errors: list[CatalogError | EvdError | None] = [
-        CatalogError(f"location {e.location_id}: all exposures zero") if e.atoms[-1] == 0.0
+    """T-year return value at each column of the events x locations exposure
+    block `atoms` (NaN where an event has no atom), column k belonging to
+    location_ids[k]: the swh_cdf quantile at p* = 1 - (T0/n)/T, found for all
+    columns at once by bracketing and bisection (1e-6 m). A location without
+    a value maps to the error saying why. For shape < 0 with an upper bound
+    within 1e12 m the bracket is the location's upper bound, and a quantile
+    within 1e-6 m of it is flagged "at_upper_bound"."""
+    rows = _AtomRows(atoms)
+    results: list[ReturnValueEstimate | CatalogError | EvdError | None] = [
+        CatalogError(f"location {loc}: no exposure data among retained events") if not size
+        else CatalogError(f"location {loc}: all exposures zero") if size == n_zero
         else None
-        for e in ecdfs
+        for loc, size, n_zero in zip(location_ids, rows.size.tolist(), rows.n_zero.tolist())
     ]
-    at_bound = np.zeros(len(ecdfs), dtype=bool)
+    live = rows.size > rows.n_zero
+    try:
+        p_target = target_probability(T, T0, n)
+    except CatalogError as err:
+        return [r or err for r in results]
+    if not live.any():
+        return results
+    e_max = np.where(rows.mask, rows.scale, 0.0).max(axis=1)
+    at_bound = np.zeros(len(live), dtype=bool)
     # a shape just below zero puts the upper bound out of bisection's reach
     # (or overflows it to inf); such a fit is bracketed as if unbounded
     if fit.shape < 0 and fit.upper_endpoint <= BRACKET_MAX:
@@ -156,11 +152,11 @@ def return_values(
         at_bound = rows.cdf(fit, np.maximum(hi - BISECTION_TOL, 0.0)) < p_target
     else:
         hi = np.maximum(1.0, e_max * (fit.threshold + fit.scale))
-        low = rows.cdf(fit, hi) < p_target
+        low = live & (rows.cdf(fit, hi) < p_target)
         while low.any():
             hi = np.where(low, 2.0 * hi, hi)
-            for row in np.flatnonzero(low & (hi > BRACKET_MAX)):
-                errors[row] = EvdError("return-value bracket exceeded 1e12 m")
+            for k in np.flatnonzero(low & (hi > BRACKET_MAX)):
+                results[k] = EvdError("return-value bracket exceeded 1e12 m")
             low &= hi <= BRACKET_MAX
             low &= rows.cdf(fit, hi) < p_target
     lo = np.zeros_like(hi)
@@ -172,15 +168,15 @@ def return_values(
         above = rows.cdf(fit, mid) >= p_target
         hi = np.where(active & above, mid, hi)
         lo = np.where(active & ~above, mid, lo)
-    results: list[ReturnValueEstimate | CatalogError | EvdError] = []
-    for ecdf, error, value, flag in zip(ecdfs, errors, hi.tolist(), at_bound.tolist()):
-        try:
-            results.append(error or ReturnValueEstimate(
-                location_id=ecdf.location_id, T=float(T), T0=float(T0), n=int(n), value=value,
-                method=method, estimator=estimator, flag="at_upper_bound" if flag else "",
-            ))
-        except CatalogError as err:
-            results.append(err)
+    for k, (loc, value, flag) in enumerate(zip(location_ids, hi.tolist(), at_bound.tolist())):
+        if results[k] is None:
+            try:
+                results[k] = ReturnValueEstimate(
+                    location_id=loc, T=float(T), T0=float(T0), n=int(n), value=value,
+                    method=method, estimator=estimator, flag="at_upper_bound" if flag else "",
+                )
+            except CatalogError as err:
+                results[k] = err
     return results
 
 
@@ -194,49 +190,33 @@ def return_value(
     estimator: str = "STME",
 ) -> ReturnValueEstimate:
     """T-year return value at one location; see return_values."""
-    (result,) = return_values(fit, [ecdf], T, T0, n, method, estimator)
+    (result,) = return_values(fit, ecdf.atoms[:, None], [ecdf.location_id], T, T0, n, method,
+                              estimator)
     if isinstance(result, Exception):
         raise result
     return result
 
 
 def stme_return_values(
-    stm: StmSeries,
-    exposures: ExposureMatrix,
-    n: int,
-    T: float,
-    T0: float,
-    method: str,
-    location_ids,
-) -> dict[int, ReturnValueEstimate | str]:
+    stm: StmSeries, exposures: np.ndarray, location_ids, n: int, T: float, T0: float,
+    method: str = "MLE",
+) -> list[ReturnValueEstimate | CatalogError | EvdError]:
     """One STM-E step: fit the tail of the n largest STM values once and
-    invert the return value at each location. Maps each location id to its
-    estimate or to the reason there is none."""
+    invert the return value at each column of the events x locations
+    exposure block `exposures`, whose rows are the events of `stm` (event ids
+    ascending, as extract_stm gives them) and whose column k belongs to
+    location_ids[k]. A location without a value maps to the error saying why."""
     retained, psi = top_n_events(stm, n)
     try:
         report = fit_gpd(retained.values, psi, method)
     except EvdError as err:  # a sample that cannot be fitted, such as a tied tail
-        return dict.fromkeys(location_ids, f"tail fit failed: {err}")
+        return [EvdError(f"tail fit failed: {err}")] * len(location_ids)
     if not report.converged:
-        return dict.fromkeys(location_ids, f"tail fit failed: {report.message}")
-    results: dict[int, ReturnValueEstimate | str] = dict.fromkeys(location_ids, "")
-    rows = np.isin(exposures.event_ids, retained.event_ids)
-    kept = ExposureMatrix(exposures.event_ids[rows], exposures.location_ids, exposures.values[rows])
-    ecdfs = {}
-    for loc in results:
-        try:
-            ecdfs[loc] = exposure_ecdf(kept, loc)
-        except CatalogError as err:
-            results[loc] = str(err)
-    try:
-        found = return_values(
-            report.params, list(ecdfs.values()), T, T0, n, method=method.upper(), estimator="STME"
-        )
-    except CatalogError as err:
-        found = [err] * len(ecdfs)
-    for loc, result in zip(ecdfs, found):
-        results[loc] = str(result) if isinstance(result, Exception) else result
-    return results
+        return [EvdError(f"tail fit failed: {report.message}")] * len(location_ids)
+    atoms = np.asarray(exposures)[np.searchsorted(stm.event_ids, retained.event_ids)]
+    return return_values(
+        report.params, atoms, location_ids, T, T0, n, method=method.upper(), estimator="STME"
+    )
 
 
 def run_stme(
@@ -253,15 +233,17 @@ def run_stme(
     a failed tail fit, an EvdError is raised."""
     sub = select_region(catalog, region)
     stm = extract_stm(sub)
-    results = stme_return_values(
-        stm, extract_exposures(sub, stm), n, T, sub.duration_years, method,
-        sub.location_ids if location_ids is None else location_ids,
-    )
-    estimates = [r for r in results.values() if not isinstance(r, str)]
+    ids = sub.location_ids if location_ids is None else location_ids
+    results = {loc: CatalogError(f"location {loc} not in exposure matrix") for loc in ids}
+    known = [loc for loc in results if loc in sub.location_ids]
+    exposures = extract_exposures(sub, stm).values[:, sub.columns(known)]
+    results.update(zip(known, stme_return_values(
+        stm, exposures, known, n, T, sub.duration_years, method)))
+    estimates = [r for r in results.values() if not isinstance(r, Exception)]
     if not estimates:
         reason = next(iter(results.values()), "no locations")
         raise EvdError(f"{method} STM-E: no estimate at any location ({reason})")
     for loc, result in results.items():
-        if isinstance(result, str):
+        if isinstance(result, Exception):
             warnings.warn(f"location {loc}: {result}", stacklevel=2)
     return estimates

@@ -572,6 +572,18 @@ class TestExperiment:
         assert [(r["estimator"], r["method"], r["n"], r["n_locations"]) for r in rows] == [
             ("STME", "PWM", "5", "1")]
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "unreadable manifest: Expecting property name"),
+        ("[1, 2]", "unreadable manifest: not a JSON object"),
+    ], ids=["not-json", "not-an-object"])
+    def test_bad_manifest_exit_2(self, synth_dir, tmp_path, capsys, text, message):
+        out = tmp_path / "bad-manifest"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        assert self.run_experiment(synth_dir, out) == 2
+        assert f"error: {out / 'manifest.json'}: {message}" in capsys.readouterr().err
+        assert not (out / "replicates").exists()
+
     def test_location_outside_region_exit_2(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "outside"
         code = self.run_experiment(synth_dir, out, extra=["--location-ids", "1", "999"])
@@ -684,9 +696,30 @@ class TestConfigFile:
         with pytest.raises(UsageError, match="unknown config section"):
             load_config(cfg)
 
-    def test_missing_config_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("data, message", [
+        (b"T = 5\n", ":1: no [section] header before 'T = 5'"),
+        (b"[analysis]\nT = 5\n[analysis]\nT0 = 3\n", ":3: section [analysis] repeated"),
+        (b"[analysis]\nT = 5\nt = 6\n", ":3: key 't' repeated in [analysis]"),
+        (b"[analysis]\nT = 5\nT0 = \xff3\n", ":3: not UTF-8 text"),
+    ], ids=["no-section-header", "duplicate-section", "duplicate-key", "not-utf-8"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, data, message):
+        cfg = tmp_path / "malformed.ini"
+        cfg.write_bytes(data)
+        with pytest.raises(UsageError) as err:
+            load_config(cfg)
+        assert str(err.value) == f"{cfg}{message}"
+        assert run(["fit", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert f"error: {cfg}{message}" in capsys.readouterr().err
+
+    def test_missing_config_exit_2(self, tmp_path, capsys):
         code = run(["fit", "--config", tmp_path / "none.ini", "--out", tmp_path / "o"])
         assert code == 2
+        assert "none.ini" in capsys.readouterr().err
+
+    def test_percent_sign_read_as_it_is(self, tmp_path):
+        cfg = tmp_path / "percent.ini"
+        cfg.write_text("[input]\nfootprints = runs/100%/footprints.csv\n")
+        assert load_config(cfg) == {"input": {"footprints": "runs/100%/footprints.csv"}}
 
 
 # Two samples per option: (flag arguments, config text, setting). A flag that

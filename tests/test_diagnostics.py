@@ -233,6 +233,27 @@ class TestTrendPermutation:
         _, pvalue = ks_uniformity(ps)
         assert pvalue > 0.01
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(10, 400), n_perm=st.integers(99, 700), seed=st.integers(0, 2**32 - 1))
+    def test_equals_unblocked_computation(self, n, n_perm, seed):
+        # the permutations come in blocks of rows; the p-value is that of one
+        # n_perm x events matrix built from the same draws
+        rng = np.random.default_rng(seed)
+        lons, lats = rng.uniform(-62, -60, size=n), rng.uniform(15.8, 16.6, size=n)
+        stm = stm_series(5.0 + 0.3 * (lons + 62.0) + rng.uniform(0, 2, size=n))
+        proj_c = lons * math.cos(math.radians(30.0)) + lats * math.sin(math.radians(30.0))
+        proj_c -= proj_c.mean()
+        ss = float(np.sum(proj_c**2))
+        values = stm.values - stm.values.mean()
+        draws = np.random.default_rng(seed + 1)
+        perms = np.empty((n_perm, n))
+        for i in range(n_perm):
+            perms[i] = draws.permutation(values)
+        n_ge = int(np.sum(np.abs(perms @ proj_c / ss) >= abs(float(proj_c @ values) / ss)))
+        p = trend_permutation_test(stm, lons, lats, 30.0, n_perm=n_perm,
+                                   rng=np.random.default_rng(seed + 1))
+        assert p == (1 + n_ge) / (n_perm + 1)
+
     def test_degenerate_projection(self):
         stm = stm_series(np.arange(10, dtype=float) + 1)
         with pytest.raises(DiagnosticsError, match="degenerate"):

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stme.baselines import empirical_rv, location_series
 from stme.catalog import CatalogError, CycloneCatalog, RegionSpec, extract_stm
@@ -285,6 +289,43 @@ class TestEstimateCells:
             (loc, "STME", "MLE", 10): "tail fit failed: shape at search boundary"
             for loc in (1, 2)
         }
+
+    @staticmethod
+    @functools.cache
+    def holed_world():
+        """A synthetic world with a fifth of its entries missing, and location
+        35 present in only three events."""
+        world = synth_catalog(SynthWorldConfig(duration_years=200.0, seed=4))
+        swh = world.swh.copy()
+        swh[np.random.default_rng(4).uniform(size=swh.shape) < 0.2] = np.nan
+        swh[3:, -1] = np.nan
+        swh[np.isnan(swh).all(axis=1), 0] = 1.0
+        return CycloneCatalog(world.locations, world.event_ids, swh, world.duration_years)
+
+    @staticmethod
+    @functools.cache
+    def all_cells():
+        world = TestEstimateCells.holed_world()
+        return estimate_cells(world, 500.0, 200.0, (10, 40), ("MLE", "PWM"), ("STME", "SINGLE"),
+                              world.location_ids)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ids=st.lists(st.integers(1, 35), min_size=1, max_size=8, unique=True))
+    def test_cell_independent_of_other_locations(self, ids):
+        # a cell is bit-identical whatever other locations share the call, in
+        # whatever order
+        cells = estimate_cells(self.holed_world(), 500.0, 200.0, (10, 40), ("MLE", "PWM"),
+                               ("STME", "SINGLE"), ids)
+        assert {loc for loc, *_ in cells} == set(ids)
+        for key, result in cells.items():
+            assert result == self.all_cells()[key]
+
+    def test_holed_world_covers_failures(self):
+        cells = self.all_cells()
+        assert cells[(35, "SINGLE", "PWM", 40)] == "location 35: n=40 exceeds 3 values"
+        assert cells[(35, "STME", "PWM", 40)] == (
+            "location 35: no exposure data among retained events")
+        assert all(not isinstance(cells[(1, e, "PWM", 40)], str) for e in ("STME", "SINGLE"))
 
     def test_analysis_locations(self):
         world = exposure_world({1: 1.0, 2: 0.5, 3: 0.2}, [5.0 + 0.1 * k for k in range(12)])

@@ -45,6 +45,15 @@ def quadrature_swh_cdf(params, atoms, h, n_points=1_000_000):
     return float(np.trapezoid(integrand, grid))
 
 
+def atom_block(atom_lists, seed=None):
+    """Events x locations block with column k holding atom_lists[k], padded
+    with NaN; with a seed, each column's entries are shuffled among its rows."""
+    block = np.full((max(map(len, atom_lists)), len(atom_lists)), np.nan)
+    for k, atoms in enumerate(atom_lists):
+        block[: len(atoms), k] = atoms
+    return block if seed is None else np.random.default_rng(seed).permuted(block, axis=0)
+
+
 def exposure_world(exposure_by_loc, stm_values, duration=200.0):
     """Catalog where event e has footprint stm_values[e] * exposure_by_loc[j]."""
     loc_ids = sorted(exposure_by_loc)
@@ -80,11 +89,14 @@ class TestExposureEcdf:
             exposure_ecdf(mat, 1)
 
     def test_cdf_is_rank_over_m(self):
+        # with S just above 1 almost surely, F_H(h) = F_E(h): the share of
+        # atoms at or below h
         rng = np.random.default_rng(5)
         atoms = rng.uniform(0, 1, size=17)
         ecdf = ExposureEcdf(location_id=1, atoms=atoms)
+        near_one = GpdParams(1.0, 1e-12, 0.0)
         for rank, atom in enumerate(ecdf.atoms, start=1):
-            assert ecdf.cdf(atom) == pytest.approx(rank / 17)
+            assert swh_cdf(near_one, ecdf, atom * (1 + 1e-9)) == pytest.approx(rank / 17)
 
 
 class TestSwhCdf:
@@ -147,11 +159,13 @@ class TestSwhCdfProperties:
 class TestReturnValues:
     @settings(max_examples=200, deadline=None)
     @given(fit=fits, atom_lists=st.lists(atom_sets, min_size=1, max_size=8),
-           n=st.integers(5, 60), T=st.floats(300.0, 5000.0))
-    @example(fit=GpdParams(0.0, 4.0, -2.2250738585072014e-308), atom_lists=[[0.0]], n=5, T=300.0)
-    def test_equals_return_value_per_location(self, fit, atom_lists, n, T):
+           n=st.integers(5, 60), T=st.floats(300.0, 5000.0), seed=st.integers(0, 2**32 - 1))
+    @example(fit=GpdParams(0.0, 4.0, -2.2250738585072014e-308), atom_lists=[[0.0]], n=5, T=300.0,
+             seed=0)
+    def test_equals_return_value_per_location(self, fit, atom_lists, n, T, seed):
         ecdfs = [ExposureEcdf(j, np.asarray(a)) for j, a in enumerate(atom_lists, start=1)]
-        batch = return_values(fit, ecdfs, T, 200.0, n, method="MLE", estimator="STME")
+        batch = return_values(fit, atom_block(atom_lists, seed), [e.location_id for e in ecdfs],
+                              T, 200.0, n, method="MLE", estimator="STME")
         for ecdf, got in zip(ecdfs, batch):
             try:
                 want = return_value(fit, ecdf, T, 200.0, n, method="MLE", estimator="STME")
@@ -162,24 +176,27 @@ class TestReturnValues:
 
     def test_location_errors_stay_per_location(self):
         params = GpdParams(5.0, 2.0, 0.1)
-        ecdfs = [ExposureEcdf(1, np.array([0.5, 1.0])), ExposureEcdf(2, np.array([0.0, 0.0]))]
-        good, bad = return_values(params, ecdfs, 500.0, 200.0, 30)
-        assert good == return_value(params, ecdfs[0], 500.0, 200.0, 30)
-        assert isinstance(bad, CatalogError) and str(bad) == "location 2: all exposures zero"
+        block = atom_block([[0.5, 1.0], [0.0, 0.0], []])
+        good, zero, empty = return_values(params, block, [1, 2, 3], 500.0, 200.0, 30)
+        assert good == return_value(params, ExposureEcdf(1, block[:, 0]), 500.0, 200.0, 30)
+        assert isinstance(zero, CatalogError) and str(zero) == "location 2: all exposures zero"
+        assert isinstance(empty, CatalogError)
+        assert str(empty) == "location 3: no exposure data among retained events"
 
     def test_shape_just_below_zero_bracketed_as_exponential(self):
         # the upper endpoint 5 + 2 / 1e-300 overflows to inf
-        ecdfs = [ExposureEcdf(1, np.array([0.5, 1.0])), ExposureEcdf(2, np.array([0.0]))]
-        tiny, bad = return_values(GpdParams(5.0, 2.0, -1e-300), ecdfs, 500.0, 200.0, 30)
-        assert tiny == return_value(GpdParams(5.0, 2.0, 0.0), ecdfs[0], 500.0, 200.0, 30)
+        block = atom_block([[0.5, 1.0], [0.0]])
+        tiny, bad = return_values(GpdParams(5.0, 2.0, -1e-300), block, [1, 2], 500.0, 200.0, 30)
+        exponential = GpdParams(5.0, 2.0, 0.0)
+        assert tiny == return_value(exponential, ExposureEcdf(1, block[:, 0]), 500.0, 200.0, 30)
         assert isinstance(bad, CatalogError) and str(bad) == "location 2: all exposures zero"
 
     def test_upper_bound_flag(self):
         # survival (1 - 2 z)^(1/2) near the upper endpoint 6: the quantile
         # at p* = 1 - 6.7e-6 lies within 1e-6 m of it
         params = GpdParams(5.0, 2.0, -2.0)
-        ecdfs = [ExposureEcdf(1, np.array([1.0])), ExposureEcdf(2, np.array([0.0, 0.5]))]
-        first, second = return_values(params, ecdfs, 1e6, 200.0, 30)
+        first, second = return_values(params, atom_block([[1.0], [0.0, 0.5]]), [1, 2], 1e6,
+                                      200.0, 30)
         assert (first.flag, second.flag) == ("at_upper_bound", "at_upper_bound")
         assert first.value == pytest.approx(6.0, abs=2 * BISECTION_TOL)
         assert second.value == pytest.approx(3.0, abs=2 * BISECTION_TOL)
@@ -325,14 +342,14 @@ class TestStmeReturnValues:
         cat = exposure_world({1: 1.0, 2: 0.6, 3: 0.3}, stm_values)
         stm = extract_stm(cat)
         exposures = extract_exposures(cat, stm)
-        results = stme_return_values(stm, exposures, 20, 500.0, 200.0, "pwm", [3, 1])
-        assert list(results) == [3, 1]
+        results = stme_return_values(stm, exposures.values[:, [2, 0]], [3, 1], 20, 500.0, 200.0,
+                                     "pwm")
         retained, psi = top_n_events(stm, 20)
         report = fit_gpd(retained.values, psi, "PWM")
         rows = np.isin(exposures.event_ids, retained.event_ids)
         kept = ExposureMatrix(exposures.event_ids[rows], exposures.location_ids,
                               exposures.values[rows])
-        for loc, est in results.items():
+        for loc, est in zip([3, 1], results, strict=True):
             expected = return_value(
                 report.params, exposure_ecdf(kept, loc), T=500.0, T0=200.0, n=20,
                 method="PWM",
@@ -342,6 +359,7 @@ class TestStmeReturnValues:
     def test_failed_fit_gives_every_location_the_reason(self):
         cat = exposure_world({1: 1.0, 2: 0.5}, np.arange(1, 13) ** 6.0)
         stm = extract_stm(cat)
-        results = stme_return_values(stm, extract_exposures(cat, stm), 10, 500.0, 200.0, "MLE",
-                                     [1, 2])
-        assert results == dict.fromkeys([1, 2], "tail fit failed: shape at search boundary")
+        results = stme_return_values(stm, extract_exposures(cat, stm).values, [1, 2], 10, 500.0,
+                                     200.0, "MLE")
+        assert all(isinstance(r, EvdError) for r in results)
+        assert [str(r) for r in results] == ["tail fit failed: shape at search boundary"] * 2
