@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogError, CycloneCatalog, tail_thresholds
-from .evd import EvdError, fit_gpd_rows, gpd_quantile
+from .evd import EvdError, fit_tails, gpd_quantile_rows, params_arrays
 from .returns import ReturnValueEstimate, target_probability
 
 
@@ -39,14 +39,15 @@ def location_series(catalog: CycloneCatalog, location_id: int) -> LocationSeries
     return LocationSeries(location_id=int(location_id), values=values)
 
 
-def single_location_rvs(
+def single_tails(
     samples: np.ndarray, location_ids, n: int, T: float, T0: float, method: str = "MLE"
-) -> list[ReturnValueEstimate | CatalogError | EvdError]:
-    """Conventional single-location POT analysis at each column of the events x
-    locations block `samples` (NaN where an event has no value), column k
-    belonging to location_ids[k]: a GPD fit to the column's own n largest
-    values, all columns in one batched fit, and the quantile at
-    p* = 1 - (T0/n)/T. A location without a value maps to the error saying why."""
+):
+    """Single-location POT analysis at each column of the events x locations
+    block `samples` (NaN: no value), column k belonging to location_ids[k],
+    split around its tail fit for fit_tails: the n largest values of each
+    column that has them, descending, their thresholds, and the finish that
+    gives each column its quantile at p* = 1 - (T0/n)/T or the error saying
+    why it has none."""
     samples = np.asarray(samples, dtype=float)
     counts = np.count_nonzero(~np.isnan(samples), axis=0).tolist()
     results: list[ReturnValueEstimate | CatalogError | EvdError | None] = [
@@ -57,32 +58,47 @@ def single_location_rvs(
         for loc, count in zip(location_ids, counts)
     ]
     fitted = [k for k, r in enumerate(results) if r is None]
-    if not fitted:
-        return results
     desc = samples.T[fitted]  # a location per row, negated in place to sort NaN last
     desc *= -1
     desc.sort(axis=1)
     desc *= -1
-    try:
-        p_target = target_probability(T, T0, n)
-    except CatalogError as err:
-        p_target = err
-    reports = fit_gpd_rows(desc[:, :n], tail_thresholds(desc, n), method)
-    for k, report in zip(fitted, reports):
-        location = location_ids[k]
-        if isinstance(report, EvdError):
-            results[k] = report
-        elif not report.converged:
-            results[k] = EvdError(f"location {location}: {method} fit failed: {report.message}")
-        elif isinstance(p_target, CatalogError):
-            results[k] = p_target
-        else:
+
+    def finish(reports):
+        try:
+            p_target = target_probability(T, T0, n)
+        except CatalogError as err:
+            p_target = err
+        good = []  # (column, fit) of each converged fit
+        for k, report in zip(fitted, reports):
+            if isinstance(report, EvdError):
+                results[k] = report
+            elif not report.converged:
+                results[k] = EvdError(
+                    f"location {location_ids[k]}: {method} fit failed: {report.message}")
+            elif isinstance(p_target, CatalogError):
+                results[k] = p_target
+            else:
+                good.append((k, report.params))
+        values = gpd_quantile_rows(*params_arrays([fit for _, fit in good]), np.array([[
+            p_target]]))[:, 0].tolist() if good else []
+        for (k, _), value in zip(good, values):
             results[k] = ReturnValueEstimate(
-                location_id=location, T=float(T), T0=float(T0), n=int(n),
-                value=float(gpd_quantile(report.params, p_target)),
-                method=method.upper(), estimator="SINGLE",
-            )
-    return results
+                location_id=location_ids[k], T=float(T), T0=float(T0), n=int(n), value=value,
+                method=method.upper(), estimator="SINGLE")
+        return results
+
+    if not fitted:
+        return np.empty((0, n)), np.empty(0), finish
+    return desc[:, :n], tail_thresholds(desc, n), finish
+
+
+def single_location_rvs(
+    samples: np.ndarray, location_ids, n: int, T: float, T0: float, method: str = "MLE"
+) -> list[ReturnValueEstimate | CatalogError | EvdError]:
+    """Single-location POT analysis at each column of `samples`, all columns
+    in one batched fit; see single_tails."""
+    (found,) = fit_tails(method, single_tails(samples, location_ids, n, T, T0, method))
+    return found
 
 
 def single_location_rv(

@@ -229,8 +229,10 @@ def _footprint_blocks(path, location_ids) -> tuple[np.ndarray, np.ndarray] | Non
     ids = np.asarray(location_ids, dtype=np.int64)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
-    events, tables = [np.empty(0, dtype=np.int64)], [np.empty((0, len(ids)))]
-    n_rows, last, tail = 0, None, None  # tail: the table row of event `last`
+    # one table and its event ids, grown geometrically so that all copying
+    # costs at most about twice the table; no block keeps a table of its own
+    events, table = np.empty(0, dtype=np.int64), np.empty((0, len(ids)))
+    n_events, n_rows, last = 0, 0, None
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh, \
             warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -268,23 +270,28 @@ def _footprint_blocks(path, location_ids) -> tuple[np.ndarray, np.ndarray] | Non
             ):
                 return None
             change = event[1:] != event[:-1]
-            row = np.concatenate(([0], np.cumsum(change)))
-            table = np.full((row[-1] + 1, len(ids)), np.nan)
-            table[row, order[pos]] = swh  # a duplicate pair overwrites: counted below
             starts = event[np.concatenate(([True], change))]
-            merge = int(last is not None and starts[0] == last)
-            if merge:  # the block starts inside the previous block's last event
-                np.copyto(tail, table[0], where=~np.isnan(table[0]))
-            if len(table) > merge:
-                tail = table[-1]
-            events.append(starts[merge:])
-            tables.append(table[merge:])
-            n_rows += len(event)
-            last = event[-1]
-    swh = np.concatenate(tables)
+            # the table row of the block's first event: the last one so far
+            # when the block starts inside it
+            first = n_events - int(last is not None and starts[0] == last)
+            if first + len(starts) > len(table):
+                events, table = (_grown(a, 2 * (first + len(starts))) for a in (events, table))
+            table[n_events : first + len(starts)] = np.nan
+            events[first : first + len(starts)] = starts
+            row = first + np.concatenate(([0], np.cumsum(change)))
+            table[row, order[pos]] = swh  # a duplicate pair overwrites: counted below
+            n_events, n_rows, last = first + len(starts), n_rows + len(event), event[-1]
+    swh = table[:n_events]  # a view: the unwritten rows past it are never touched
     if np.count_nonzero(~np.isnan(swh)) != n_rows:
         return None
-    return np.concatenate(events), swh
+    return events[:n_events], swh
+
+
+def _grown(a: np.ndarray, length: int) -> np.ndarray:
+    """A new array of `length` rows that starts with the rows of `a`."""
+    grown = np.empty((length, *a.shape[1:]), dtype=a.dtype)
+    grown[: len(a)] = a
+    return grown
 
 
 def _footprint_rows(path, location_ids) -> tuple[np.ndarray, np.ndarray]:
@@ -418,16 +425,24 @@ def threshold_for_top_n(values: np.ndarray, n: int) -> float:
     return float(tail_thresholds(np.sort(np.asarray(values, dtype=float))[::-1], n))
 
 
+def top_n_positions(values: np.ndarray, event_ids: np.ndarray, n: int):
+    """Positions of the n largest of `values` along its last axis, ties
+    going to the lower of the matching `event_ids`, in their original order,
+    with the threshold of each row; see tail_thresholds."""
+    order = np.lexsort((event_ids, -values))
+    psi = tail_thresholds(np.take_along_axis(values, order, axis=-1), n)  # checks n
+    return np.sort(order[..., :n], axis=-1), psi
+
+
 def top_n_events(stm: StmSeries, n: int) -> tuple[StmSeries, float]:
     """Retain the n largest STM values and return them with the threshold.
 
     Ties are resolved by retaining exactly n events, preferring lower event
-    id, so the selection is deterministic.
+    id, so the selection is deterministic; the retained events keep their
+    original order.
     """
-    order = np.lexsort((stm.event_ids, -stm.values))
-    psi = float(tail_thresholds(stm.values[order], n))  # checks 1 <= n <= len(stm)
-    keep = np.sort(order[:n])  # preserve original event order
+    keep, psi = top_n_positions(stm.values, stm.event_ids, n)
     retained = StmSeries(
         stm.event_ids[keep], stm.values[keep], stm.argmax_location_ids[keep]
     )
-    return retained, psi
+    return retained, float(psi)

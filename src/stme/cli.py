@@ -545,7 +545,7 @@ def _check_manifest(outdir, manifest: dict):
 
 def cmd_experiment(s) -> int:
     regional = _region_catalog(s)
-    outdir = _outdir(s)
+    outdir = s["output"]["dir"]  # made only once run_replicates has checked its arguments
     analysis, experiment = s["analysis"], s["experiment"]
     T, T0, ladder = analysis["T"], analysis["T0"], analysis["n_ladder"]
     methods, estimators = s[None]["method"], s[None]["estimator"]
@@ -563,7 +563,7 @@ def cmd_experiment(s) -> int:
     }
     _check_manifest(outdir, manifest)
     pending = [i for i in range(replicates) if not os.path.exists(_replicate_path(outdir, i))]
-    # run_replicates checks the ids before any write
+    # run_replicates checks the ids and the period's event count before any write
     fresh = run_replicates(regional, exp_config, pending, experiment["jobs"])
     os.makedirs(os.path.join(outdir, "replicates"), exist_ok=True)
     _write_json(os.path.join(outdir, "manifest.json"), manifest, sort_keys=True)

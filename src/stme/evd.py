@@ -46,33 +46,45 @@ class GpdParams:
     shape: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.threshold) and np.isfinite(self.scale) and np.isfinite(self.shape)):
+        if not all(map(math.isfinite, (self.threshold, self.scale, self.shape))):
             raise EvdError("non-finite GPD parameters")
         if self.scale <= 0:
             raise EvdError(f"non-positive scale {self.scale}")
 
-    @property
-    def upper_endpoint(self) -> float:
-        """Finite upper endpoint for shape < 0, +inf otherwise."""
-        if self.shape < 0:
-            return self.threshold - self.scale / self.shape
-        return math.inf
+
+def gpd_cdf_rows(threshold, scale, shape, s) -> np.ndarray:
+    """GPD non-exceedance probability at each row of the 2-D array s under
+    that row's parameters, 1-D arrays with an entry per row (or one for all
+    rows); 0 below the threshold. A row takes the XI_SWITCH branch of its
+    shape, and each branch is evaluated on its own rows alone."""
+    exponential = np.abs(shape) <= XI_SWITCH
+    if exponential.any() and not exponential.all():
+        p = np.empty(s.shape)
+        for rows in (exponential, ~exponential):
+            p[rows] = gpd_cdf_rows(threshold[rows], scale[rows], shape[rows], s[rows])
+        return p
+    if not np.all(np.isfinite(s)):
+        raise EvdError("non-finite evaluation point")
+    z = (s - threshold[:, None]) / scale[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if exponential[0]:
+            p = 1.0 - np.exp(-np.clip(z, 0.0, None))
+        else:
+            xi = shape[:, None]
+            xz = xi * np.clip(z, 0.0, None)
+            p = np.where(xz > -1.0, -np.expm1(-np.log1p(np.maximum(xz, -1.0 + 1e-300)) / xi), 1.0)
+    return np.where(z < 0.0, 0.0, p)
+
+
+def params_arrays(fits) -> np.ndarray:
+    """The thresholds, scales and shapes of a sequence of GpdParams: three rows."""
+    return np.array([(f.threshold, f.scale, f.shape) for f in fits]).reshape(-1, 3).T
 
 
 def gpd_cdf(params: GpdParams, s) -> np.ndarray | float:
     """GPD non-exceedance probability; 0 below the threshold."""
     s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise EvdError("non-finite evaluation point")
-    z = (s - params.threshold) / params.scale
-    xi = params.shape
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if abs(xi) <= XI_SWITCH:
-            p = 1.0 - np.exp(-np.clip(z, 0.0, None))
-        else:
-            xz = xi * np.clip(z, 0.0, None)
-            p = np.where(xz > -1.0, -np.expm1(-np.log1p(np.maximum(xz, -1.0 + 1e-300)) / xi), 1.0)
-    p = np.where(z < 0.0, 0.0, p)
+    p = gpd_cdf_rows(*params_arrays([params]), s.reshape(1, -1)).reshape(s.shape)
     return p if p.ndim else float(p)
 
 
@@ -95,16 +107,20 @@ def gpd_pdf(params: GpdParams, s) -> np.ndarray | float:
     return d if d.ndim else float(d)
 
 
+def gpd_quantile_rows(threshold, scale, shape, p) -> np.ndarray:
+    """Inverse of gpd_cdf_rows for p in [0, 1), p broadcasting against the rows."""
+    if np.any((p < 0.0) | (p >= 1.0)):
+        raise EvdError("quantile probability outside [0, 1)")
+    threshold, scale, xi = threshold[:, None], scale[:, None], shape[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(np.abs(xi) <= XI_SWITCH, threshold - scale * np.log1p(-p),
+                        threshold + scale / xi * (np.power(1.0 - p, -xi) - 1.0))
+
+
 def gpd_quantile(params: GpdParams, p) -> np.ndarray | float:
     """Inverse of gpd_cdf for p in [0, 1)."""
     p = np.asarray(p, dtype=float)
-    if np.any((p < 0.0) | (p >= 1.0)):
-        raise EvdError("quantile probability outside [0, 1)")
-    xi = params.shape
-    if abs(xi) <= XI_SWITCH:
-        q = params.threshold - params.scale * np.log1p(-p)
-    else:
-        q = params.threshold + params.scale / xi * (np.power(1.0 - p, -xi) - 1.0)
+    q = gpd_quantile_rows(*params_arrays([params]), p.reshape(1, -1)).reshape(p.shape)
     return q if q.ndim else float(q)
 
 
@@ -276,23 +292,38 @@ def fit_gpd_rows(exceedances, thresholds, method: str) -> list[FitReport | EvdEr
         xi0 = np.where(start, xi, 0.1)
         sigma0 = np.where(start, sigma, np.mean(y, axis=1))
         xi, sigma, loglik, iterations = _mle_rows(y, xi0, sigma0)
-    n = y_all.shape[1]
-    for row, i in enumerate(np.flatnonzero(ok)):
-        shape, scale = float(xi[row]), float(sigma[row])
+    n, rows, psi = y_all.shape[1], np.flatnonzero(ok).tolist(), thresholds.tolist()
+    if method == "PWM":
+        loglik, iterations = [None] * len(rows), [0] * len(rows)
+    else:
+        loglik, iterations = loglik.tolist(), iterations.tolist()
+    for i, shape, scale, ll, steps in zip(rows, xi.tolist(), sigma.tolist(), loglik, iterations):
         message = ""
-        if method == "PWM" and not (np.isfinite(shape) and scale > 0):
+        if method == "PWM" and not (math.isfinite(shape) and scale > 0):
             message = "PWM estimator undefined (b0 - 2*b1 <= 0)"
         elif method == "MLE" and min(abs(shape - XI_MIN), abs(shape - XI_MAX)) < 1e-6:
             message = "shape at search boundary"
         reports[i] = FitReport(
-            params=None if message else GpdParams(float(thresholds[i]), scale, shape),
-            n=n, method=method,
-            loglik=float(loglik[row]) if method == "MLE" and not message else None,
-            converged=not message,
-            iterations=int(iterations[row]) if method == "MLE" else 0,
+            params=None if message else GpdParams(psi[i], scale, shape), n=n, method=method,
+            loglik=None if message else ll, converged=not message, iterations=steps,
             message=message,
         )
     return reports
+
+
+def fit_tails(method: str, *tails) -> list:
+    """What each of several (exceedances, thresholds, finish) triples' finish
+    returns from the reports of its own rows, all rows fitted by one
+    fit_gpd_rows call; a row's report does not depend on the other rows."""
+    if not tails:
+        return []
+    reports = fit_gpd_rows(np.vstack([x for x, _, _ in tails]),
+                           np.concatenate([t for _, t, _ in tails]), method)
+    found, start = [], 0
+    for x, _, finish in tails:
+        found.append(finish(reports[start : start + len(x)]))
+        start += len(x)
+    return found
 
 
 def _fit_one(exceedances, threshold: float, method: str) -> FitReport:

@@ -16,12 +16,12 @@ import math
 import warnings
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
 
-from .baselines import empirical_rv, location_series, single_location_rvs
+from .baselines import empirical_rv, location_series, single_tails
 from .catalog import (
     CatalogError,
     CycloneCatalog,
@@ -31,11 +31,16 @@ from .catalog import (
     extract_stm,
     select_region,
 )
-from .evd import METHODS, GpdParams, gpd_quantile
-from .returns import ReturnValueEstimate, stme_return_values
+from .evd import METHODS, GpdParams, fit_tails, gpd_quantile
+from .returns import ReturnValueEstimate, stme_tails
 
 # The estimators that fit a tail, in the order their cells come.
 ESTIMATORS = ("STME", "SINGLE")
+
+# Footprint cells (replicates x sampled events x analysed locations) that a
+# chunk of replicates, the unit of work, holds at most, unless one replicate
+# holds more: bounds the memory of its blocks.
+CHUNK_CELLS = 1 << 16
 
 KM_PER_DEG_LAT = 110.57
 KM_PER_DEG_LON_EQ = 111.32
@@ -83,20 +88,29 @@ def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
 
 
+def period_size(catalog: CycloneCatalog, T0: float) -> int:
+    """Events in a T0-year observation period of the catalog: round(n0 * T0 / T_L)."""
+    if T0 > catalog.duration_years:
+        raise CatalogError(f"T0={T0} exceeds catalog duration {catalog.duration_years}")
+    return int(round(len(catalog.event_ids) * T0 / catalog.duration_years))
+
+
+def period_rows(catalog: CycloneCatalog, T0: float, rng: np.random.Generator) -> np.ndarray:
+    """Rows of a random T0-year observation period: period_size of the
+    catalog's n0 events, drawn uniformly without replacement, ascending; all
+    rows, with no draw, when that is every event."""
+    n0, m = len(catalog.event_ids), period_size(catalog, T0)
+    return np.arange(n0) if m == n0 else np.sort(rng.choice(n0, size=m, replace=False))
+
+
 def sample_period(
     catalog: CycloneCatalog, T0: float, rng: np.random.Generator
 ) -> CycloneCatalog:
-    """Random T0-year observation period: round(n0 * T0 / T_L) events drawn
-    uniformly without replacement; the result's duration is T0."""
-    if T0 > catalog.duration_years:
-        raise CatalogError(f"T0={T0} exceeds catalog duration {catalog.duration_years}")
-    n0 = len(catalog.event_ids)
-    m = int(round(n0 * T0 / catalog.duration_years))
-    if m == n0:
-        return replace(catalog, duration_years=float(T0))
-    idx = np.sort(rng.choice(n0, size=m, replace=False))
+    """Random T0-year observation period: the catalog at period_rows, with
+    duration T0."""
+    rows = period_rows(catalog, T0, rng)
     return CycloneCatalog(
-        locations=catalog.locations, event_ids=catalog.event_ids[idx], swh=catalog.swh[idx],
+        locations=catalog.locations, event_ids=catalog.event_ids[rows], swh=catalog.swh[rows],
         duration_years=float(T0),
     )
 
@@ -112,6 +126,34 @@ def analysis_locations(regional: CycloneCatalog, location_ids) -> tuple[int, ...
     return tuple(dict.fromkeys(location_ids))
 
 
+def _sample_cells(
+    catalog: CycloneCatalog, location_ids, samples: np.ndarray, T: float, T0: float, n_ladder,
+    methods, estimators,
+) -> list[dict[CellKey, ReturnValueEstimate | str]]:
+    """The cells of each sample of the catalog, a row of ascending row
+    positions in `samples`, as estimate_cells gives them. For each (n,
+    method) the tails of every sample go to one fit and one inversion."""
+    stm = extract_stm(catalog)
+    columns = catalog.columns(location_ids)
+    exposures = extract_exposures(catalog, stm).values[:, columns]
+    (n_samples, m), n_loc = samples.shape, len(location_ids)
+    # a column per (sample, location), sample-major
+    block = catalog.swh[samples[:, :, None], columns].transpose(1, 0, 2)
+    block = block.reshape(m, n_samples * n_loc)
+    tails = {"STME": partial(stme_tails, stm, samples, exposures, location_ids),
+             "SINGLE": partial(single_tails, block, list(location_ids) * n_samples)}
+    fitted = [e for e in ESTIMATORS if e in estimators]
+    cells: list[dict[CellKey, ReturnValueEstimate | str]] = [{} for _ in range(n_samples)]
+    for n, method in itertools.product(n_ladder, methods):
+        found = (fit_tails(method, *(tails[e](n, T, T0, method) for e in fitted)) if n <= m
+                 else [[f"n={n} exceeds sample size {m}"] * (n_samples * n_loc)] * len(fitted))
+        for estimator, results in zip(fitted, found):
+            for k, r in enumerate(results):
+                cells[k // n_loc][location_ids[k % n_loc], estimator, method, n] = (
+                    str(r) if isinstance(r, Exception) else r)
+    return cells
+
+
 def estimate_cells(
     catalog: CycloneCatalog,
     T: float,
@@ -124,20 +166,8 @@ def estimate_cells(
     """Every (location, estimator, method, n) cell of a T0-year catalog,
     mapped to its T-year estimate or to the reason there is none. Cells come
     in ladder, then method order; STME before SINGLE, locations innermost."""
-    stm = extract_stm(catalog)
-    columns = catalog.columns(location_ids)
-    exposures = extract_exposures(catalog, stm).values[:, columns]
-    # each estimator takes an events x locations block and answers per column
-    estimate = {"STME": partial(stme_return_values, stm, exposures),
-                "SINGLE": partial(single_location_rvs, catalog.swh[:, columns])}
-    fitted = [e for e in ESTIMATORS if e in estimators]
-    cells: dict[CellKey, ReturnValueEstimate | str] = {}
-    for n, method, estimator in itertools.product(n_ladder, methods, fitted):
-        found = (estimate[estimator](location_ids, n, T, T0, method) if n <= len(stm)
-                 else [f"n={n} exceeds sample size {len(stm)}"] * len(location_ids))
-        for loc, r in zip(location_ids, found):
-            cells[loc, estimator, method, n] = str(r) if isinstance(r, Exception) else r
-    return cells
+    samples = np.arange(len(catalog.event_ids))[None]
+    return _sample_cells(catalog, location_ids, samples, T, T0, n_ladder, methods, estimators)[0]
 
 
 def empirical_estimates(
@@ -158,19 +188,34 @@ def empirical_estimates(
     return found
 
 
+def _run_chunk(
+    indices: Sequence[int], regional: CycloneCatalog, config: ExperimentConfig
+) -> list[ReplicateResult]:
+    """The replicates at `indices`, estimated together; a replicate's result
+    does not depend on the others."""
+    samples = np.array([period_rows(regional, config.T0, replicate_rng(config.master_seed, i))
+                        for i in indices])
+    cells = _sample_cells(regional, analysis_locations(regional, config.location_ids), samples,
+                          config.T, config.T0, config.n_ladder, config.methods, config.estimators)
+    return [ReplicateResult(
+        index=i,
+        estimates={k: r.value for k, r in found.items() if not isinstance(r, str)},
+        failures={k: r for k, r in found.items() if isinstance(r, str)},
+    ) for i, found in zip(indices, cells)]
+
+
 def _run_replicate(
     index: int, regional: CycloneCatalog, config: ExperimentConfig
 ) -> ReplicateResult:
-    sample = sample_period(regional, config.T0, replicate_rng(config.master_seed, index))
-    cells = estimate_cells(
-        sample, config.T, config.T0, config.n_ladder, config.methods, config.estimators,
-        analysis_locations(sample, config.location_ids),
-    )
-    return ReplicateResult(
-        index=index,
-        estimates={k: r.value for k, r in cells.items() if not isinstance(r, str)},
-        failures={k: r for k, r in cells.items() if isinstance(r, str)},
-    )
+    return _run_chunk([index], regional, config)[0]
+
+
+def _chunks(indices: Sequence[int], jobs: int, longest: int) -> list[list[int]]:
+    """`indices` in contiguous chunks of near-equal length: at least `jobs`
+    when there are that many indices, none longer than `longest`."""
+    indices = list(indices)
+    size = max(1, math.ceil(len(indices) / max(jobs, math.ceil(len(indices) / longest))))
+    return [indices[i : i + size] for i in range(0, len(indices), size)]
 
 
 def run_replicates(
@@ -179,17 +224,22 @@ def run_replicates(
     indices: Sequence[int],
     jobs: int = 1,
 ) -> Iterator[ReplicateResult]:
-    """Run the replicates at `indices` on a region catalog, yielding each result
-    in index order as soon as it and every earlier one are done. The location
-    ids are checked before this returns; results do not depend on `jobs`."""
-    analysis_locations(regional, config.location_ids)
-    if jobs > 1 and indices:
-        return _pooled_replicates(regional, config, indices, jobs)
-    return (_run_replicate(i, regional, config) for i in indices)
+    """Run the replicates at `indices` on a region catalog, a chunk at a
+    time, yielding each result in index order as soon as its chunk and every
+    earlier one are done. The location ids and the period's event count are
+    checked before this returns; results do not depend on `jobs`."""
+    locations = analysis_locations(regional, config.location_ids)
+    size = period_size(regional, config.T0)
+    if not size:
+        raise CatalogError(f"T0={config.T0} samples 0 of {len(regional.event_ids)} events")
+    chunks = _chunks(indices, jobs, max(1, CHUNK_CELLS // (size * len(locations))))
+    if jobs > 1 and chunks:
+        return _pooled_replicates(regional, config, chunks, jobs)
+    return (result for chunk in chunks for result in _run_chunk(chunk, regional, config))
 
 
 # The region catalog and config of this worker process, set once by the
-# pool initializer so that each task sends only its replicate index.
+# pool initializer so that each task sends only its replicate indices.
 _worker_args: tuple[CycloneCatalog, ExperimentConfig] | None = None
 
 
@@ -198,17 +248,18 @@ def _init_worker(regional: CycloneCatalog, config: ExperimentConfig):
     _worker_args = (regional, config)
 
 
-def _worker_replicate(index: int) -> ReplicateResult:
-    return _run_replicate(index, *_worker_args)
+def _worker_chunk(indices: list[int]) -> list[ReplicateResult]:
+    return _run_chunk(indices, *_worker_args)
 
 
-def _pooled_replicates(regional, config, indices, jobs) -> Iterator[ReplicateResult]:
+def _pooled_replicates(regional, config, chunks, jobs) -> Iterator[ReplicateResult]:
     # a generator of its own, so that run_replicates checks its arguments
     # when called rather than at the first result
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(regional, config)
     ) as pool:
-        yield from pool.map(_worker_replicate, indices)
+        for results in pool.map(_worker_chunk, chunks):
+            yield from results
 
 
 def run_experiment(
@@ -251,23 +302,26 @@ class SummaryStats:
 def summarize(results: list[ReplicateResult]) -> SummaryStats:
     """Box-whisker summary of each cell with at least two estimates;
     percentiles by linear interpolation of order statistics, outliers outside
-    the 2.5-97.5% whiskers."""
+    the 2.5-97.5% whiskers. Cells with equal counts are summarised together,
+    a row each; the cells keep the order in which they first appear."""
     pooled: dict[CellKey, list[float]] = {}
     for rep in results:
         for key, value in rep.estimates.items():
             pooled.setdefault(key, []).append(value)
-    cells = {}
-    for key, values in pooled.items():
-        if len(values) < 2:
-            continue
-        arr = np.asarray(values)
-        q025, q25, q50, q75, q975 = np.percentile(arr, [2.5, 25.0, 50.0, 75.0, 97.5])
-        outliers = tuple(float(v) for v in arr[(arr < q025) | (arr > q975)])
-        cells[key] = CellStats(
-            count=len(values), mean=float(arr.mean()), median=float(q50),
-            q25=float(q25), q75=float(q75), q025=float(q025), q975=float(q975),
-            outliers=outliers,
-        )
+    cells = dict.fromkeys(key for key, values in pooled.items() if len(values) >= 2)
+    by_count: dict[int, list[CellKey]] = {}
+    for key in cells:
+        by_count.setdefault(len(pooled[key]), []).append(key)
+    for count, keys in by_count.items():
+        arr = np.array([pooled[key] for key in keys])
+        q = np.percentile(arr, [2.5, 25.0, 50.0, 75.0, 97.5], axis=1)
+        outside = (arr < q[0][:, None]) | (arr > q[4][:, None])
+        for key, row, mean, out, (q025, q25, q50, q75, q975) in zip(
+                keys, arr, arr.mean(axis=1).tolist(), outside, q.T.tolist()):
+            cells[key] = CellStats(
+                count=count, mean=mean, median=q50, q25=q25, q75=q75, q025=q025, q975=q975,
+                outliers=tuple(row[out].tolist()),
+            )
     return SummaryStats(cells=cells)
 
 

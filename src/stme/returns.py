@@ -11,6 +11,8 @@ p* = 1 - (T0 / n) / T for the T-year return value.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -25,9 +27,9 @@ from .catalog import (
     extract_exposures,
     extract_stm,
     select_region,
-    top_n_events,
+    top_n_positions,
 )
-from .evd import EvdError, GpdParams, fit_gpd, gpd_cdf
+from .evd import EvdError, GpdParams, fit_tails, gpd_cdf_rows, params_arrays
 
 BISECTION_TOL = 1e-6  # metres
 BISECTION_MAX_ITER = 200
@@ -62,7 +64,7 @@ class ReturnValueEstimate:
     flag: str = ""
 
     def __post_init__(self):
-        if not np.isfinite(self.value) or self.value < 0:
+        if not math.isfinite(self.value) or self.value < 0:
             raise CatalogError(f"invalid return value {self.value}")
 
 
@@ -89,9 +91,10 @@ class _AtomRows:
         self.size = np.count_nonzero(~np.isnan(ordered), axis=1)
         self.n_zero = self.size - np.count_nonzero(self.mask, axis=1)
 
-    def cdf(self, fit: GpdParams, h: np.ndarray) -> np.ndarray:
-        """SWH CDF of row r at h[r] (0 for a row without atoms); with one row, at every h."""
-        p = np.where(self.mask, gpd_cdf(fit, h[:, None] / self.scale), 0.0)
+    def cdf(self, params, h: np.ndarray) -> np.ndarray:
+        """SWH CDF of row r at h[r] (0 for a row without atoms) under row r's
+        entry of the GPD params_arrays; with one row and one entry, at every h."""
+        p = np.where(self.mask, gpd_cdf_rows(*params, h[:, None] / self.scale), 0.0)
         # a running sum, so that the masked atoms add exact zeros and leave
         # a row's total bit-identical to the sum over its positive atoms alone
         return (np.cumsum(p, axis=1)[:, -1] + self.n_zero) / np.maximum(self.size, 1)
@@ -104,7 +107,7 @@ def swh_cdf(fit: GpdParams, ecdf: ExposureEcdf, h) -> np.ndarray | float:
     h = np.asarray(h, dtype=float)
     if np.any(h < 0):
         raise CatalogError("SWH evaluation point must be >= 0")
-    p = _AtomRows(ecdf.atoms[:, None]).cdf(fit, h.reshape(-1)).reshape(h.shape)
+    p = _AtomRows(ecdf.atoms[:, None]).cdf(params_arrays([fit]), h.reshape(-1)).reshape(h.shape)
     return p if h.ndim else float(p)
 
 
@@ -119,16 +122,18 @@ def target_probability(T: float, T0: float, n: int) -> float:
 
 
 def return_values(
-    fit: GpdParams, atoms: np.ndarray, location_ids, T: float, T0: float, n: int,
+    fits, atoms: np.ndarray, location_ids, T: float, T0: float, n: int,
     method: str = "", estimator: str = "STME",
 ) -> list[ReturnValueEstimate | CatalogError | EvdError]:
     """T-year return value at each column of the events x locations exposure
     block `atoms` (NaN where an event has no atom), column k belonging to
-    location_ids[k]: the swh_cdf quantile at p* = 1 - (T0/n)/T, found for all
-    columns at once by bracketing and bisection (1e-6 m). A location without
-    a value maps to the error saying why. For shape < 0 with an upper bound
-    within 1e12 m the bracket is the location's upper bound, and a quantile
-    within 1e-6 m of it is flagged "at_upper_bound"."""
+    location_ids[k] and fitted by the GpdParams fits[k]: the swh_cdf quantile
+    at p* = 1 - (T0/n)/T, found for all columns at once by bracketing and
+    bisection (1e-6 m). A location without a value maps to the error saying
+    why. A column whose shape is < 0 with an upper bound within 1e12 m is
+    bracketed by the location's upper bound, and a quantile within 1e-6 m of
+    it is flagged "at_upper_bound". A column's value does not depend on the
+    other columns."""
     rows = _AtomRows(atoms)
     results: list[ReturnValueEstimate | CatalogError | EvdError | None] = [
         CatalogError(f"location {loc}: no exposure data among retained events") if not size
@@ -143,29 +148,33 @@ def return_values(
         return [r or err for r in results]
     if not live.any():
         return results
+    params = threshold, scale, shape = params_arrays(fits)
     e_max = np.where(rows.mask, rows.scale, 0.0).max(axis=1)
-    at_bound = np.zeros(len(live), dtype=bool)
     # a shape just below zero puts the upper bound out of bisection's reach
-    # (or overflows it to inf); such a fit is bracketed as if unbounded
-    if fit.shape < 0 and fit.upper_endpoint <= BRACKET_MAX:
-        hi = e_max * fit.upper_endpoint
-        at_bound = rows.cdf(fit, np.maximum(hi - BISECTION_TOL, 0.0)) < p_target
-    else:
-        hi = np.maximum(1.0, e_max * (fit.threshold + fit.scale))
-        low = live & (rows.cdf(fit, hi) < p_target)
-        while low.any():
-            hi = np.where(low, 2.0 * hi, hi)
-            for k in np.flatnonzero(low & (hi > BRACKET_MAX)):
-                results[k] = EvdError("return-value bracket exceeded 1e12 m")
-            low &= hi <= BRACKET_MAX
-            low &= rows.cdf(fit, hi) < p_target
+    # (or overflows it to inf); such a column is bracketed as if unbounded
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        upper = np.where(shape < 0, threshold - scale / shape, np.inf)
+        bounded = upper <= BRACKET_MAX
+        hi = np.where(bounded, e_max * upper, np.maximum(1.0, e_max * (threshold + scale)))
+    at_bound = np.zeros(len(live), dtype=bool)
+    if bounded.any():
+        at_bound = bounded & (rows.cdf(params, np.maximum(hi - BISECTION_TOL, 0.0)) < p_target)
+    low = live & ~bounded
+    if low.any():
+        low &= rows.cdf(params, hi) < p_target
+    while low.any():
+        hi = np.where(low, 2.0 * hi, hi)
+        for k in np.flatnonzero(low & (hi > BRACKET_MAX)):
+            results[k] = EvdError("return-value bracket exceeded 1e12 m")
+        low &= hi <= BRACKET_MAX
+        low &= rows.cdf(params, hi) < p_target
     lo = np.zeros_like(hi)
     for _ in range(BISECTION_MAX_ITER):
         active = hi - lo > BISECTION_TOL
         if not active.any():
             break
         mid = 0.5 * (lo + hi)
-        above = rows.cdf(fit, mid) >= p_target
+        above = rows.cdf(params, mid) >= p_target
         hi = np.where(active & above, mid, hi)
         lo = np.where(active & ~above, mid, lo)
     for k, (loc, value, flag) in enumerate(zip(location_ids, hi.tolist(), at_bound.tolist())):
@@ -190,33 +199,52 @@ def return_value(
     estimator: str = "STME",
 ) -> ReturnValueEstimate:
     """T-year return value at one location; see return_values."""
-    (result,) = return_values(fit, ecdf.atoms[:, None], [ecdf.location_id], T, T0, n, method,
+    (result,) = return_values([fit], ecdf.atoms[:, None], [ecdf.location_id], T, T0, n, method,
                               estimator)
     if isinstance(result, Exception):
         raise result
     return result
 
 
+def stme_tails(
+    stm: StmSeries, samples: np.ndarray, exposures: np.ndarray, location_ids, n: int, T: float,
+    T0: float, method: str = "MLE",
+):
+    """The STM-E step of each sample, split around its tail fit for
+    fit_tails. A sample is a row of ascending positions into `stm` (event
+    ids ascending, as extract_stm gives them) and into the rows of the
+    events x locations exposure block `exposures`, column k belonging to
+    location_ids[k]. Gives each sample's n largest STM values in event
+    order, their threshold, and the finish that inverts the return value at
+    each (sample, location) column, sample-major, or gives the error saying
+    why there is none."""
+    keep, psi = top_n_positions(stm.values[samples], stm.event_ids[samples], n)
+    events = np.take_along_axis(samples, keep, axis=1)
+
+    def finish(reports):
+        failed = [EvdError(f"tail fit failed: {r}") if isinstance(r, EvdError)
+                  else None if r.converged else EvdError(f"tail fit failed: {r.message}")
+                  for r in reports]
+        live = [k for k, f in enumerate(failed) if f is None]
+        atoms = np.asarray(exposures)[events[live]].transpose(1, 0, 2)  # n x samples x locations
+        found = iter(return_values(
+            [reports[k].params for k in live for _ in location_ids], atoms.reshape(n, -1),
+            list(location_ids) * len(live), T, T0, n, method.upper(), "STME"))
+        width = len(location_ids)
+        return [r for f in failed for r in ([f] * width if f else itertools.islice(found, width))]
+
+    return stm.values[events], psi, finish
+
+
 def stme_return_values(
     stm: StmSeries, exposures: np.ndarray, location_ids, n: int, T: float, T0: float,
     method: str = "MLE",
 ) -> list[ReturnValueEstimate | CatalogError | EvdError]:
-    """One STM-E step: fit the tail of the n largest STM values once and
-    invert the return value at each column of the events x locations
-    exposure block `exposures`, whose rows are the events of `stm` (event ids
-    ascending, as extract_stm gives them) and whose column k belongs to
-    location_ids[k]. A location without a value maps to the error saying why."""
-    retained, psi = top_n_events(stm, n)
-    try:
-        report = fit_gpd(retained.values, psi, method)
-    except EvdError as err:  # a sample that cannot be fitted, such as a tied tail
-        return [EvdError(f"tail fit failed: {err}")] * len(location_ids)
-    if not report.converged:
-        return [EvdError(f"tail fit failed: {report.message}")] * len(location_ids)
-    atoms = np.asarray(exposures)[np.searchsorted(stm.event_ids, retained.event_ids)]
-    return return_values(
-        report.params, atoms, location_ids, T, T0, n, method=method.upper(), estimator="STME"
-    )
+    """One STM-E step on every event of `stm`: one tail fit, and the return
+    value at each column of `exposures`; see stme_tails."""
+    samples = np.arange(len(stm))[None]
+    return fit_tails(method, stme_tails(stm, samples, exposures, location_ids, n, T, T0,
+                                        method))[0]
 
 
 def run_stme(

@@ -481,6 +481,36 @@ class TestExperiment:
         for name, data in ref.items():
             assert (out / name).read_bytes() == data
 
+    def test_jobs_and_resume_leave_outputs_unchanged(self, synth_dir, tmp_path):
+        # the replicates run in chunks, one chunk per worker; a resumed run
+        # computes one replicate from the middle of a chunk on its own
+        args = ["--T", "200", "--T0", "100", "--n", "10", "--n", "20", "--replicates", "6",
+                "--seed", "4", "--location-ids", "1", "2", "3"]
+        runs = {name: tmp_path / name for name in ("serial", "jobs2")}
+        for name, extra in (("serial", []), ("jobs2", ["--jobs", "2"])):
+            assert run(["experiment", "--footprints", synth_dir / "footprints.csv",
+                        "--locations", synth_dir / "locations.csv", "--duration", "800",
+                        "--out", runs[name], *args, *extra]) == 0
+        names = ("results.csv", "summary.csv", "metrics.csv")
+        ref = {name: (runs["serial"] / name).read_bytes() for name in names}
+        (runs["serial"] / "replicates" / "rep_0002.csv").unlink()
+        assert run(["experiment", "--footprints", synth_dir / "footprints.csv",
+                    "--locations", synth_dir / "locations.csv", "--duration", "800",
+                    "--out", runs["serial"], *args]) == 0
+        for out in runs.values():
+            assert {name: (out / name).read_bytes() for name in names} == ref
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_empty_period_exit_2_without_writing(self, synth_dir, tmp_path, capsys, jobs):
+        out = tmp_path / "empty"
+        code = run(["experiment", "--footprints", synth_dir / "footprints.csv",
+                    "--locations", synth_dir / "locations.csv", "--duration", "800",
+                    "--out", out, "--T", "200", "--T0", "0.5", "--n", "10",
+                    "--replicates", "4", "--jobs", jobs])
+        assert code == 2
+        assert capsys.readouterr().err == "error: T0=0.5 samples 0 of 480 events\n"
+        assert not out.exists()
+
     def test_rerun_with_other_config_exit_2(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "mixed"
         assert self.run_experiment(synth_dir, out) == 0

@@ -38,7 +38,7 @@ class TestCdfQuantile:
 
     def test_beyond_upper_endpoint_one(self):
         p = GpdParams(0.0, 1.0, -0.5)
-        assert p.upper_endpoint == 2.0
+        assert gpd_cdf(p, 2.0) == 1.0  # the upper endpoint 0 - 1 / -0.5
         assert gpd_cdf(p, 2.5) == 1.0
 
     def test_cdf_matches_density_quadrature(self):
@@ -229,6 +229,33 @@ class TestMleSearch:
             if want.converged:
                 assert abs(got.params.shape - want.params.shape) <= 1e-9
                 assert got.params.scale == pytest.approx(want.params.scale, rel=1e-9)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 8), n=st.integers(5, 60),
+           method=st.sampled_from(["MLE", "PWM"]))
+    def test_stacked_rows_equal_rows_alone_bit_for_bit(self, seed, k, n, method):
+        # rows in event order and in descending order, some that cannot be
+        # fitted, share one call; each report equals that of its row alone
+        rng = np.random.default_rng(seed)
+        rows, thresholds = [], []
+        for i in range(k):
+            t = rng.uniform(0.0, 10.0)
+            row = t + gpd_sample(GpdParams(0.0, rng.uniform(0.2, 5.0), rng.uniform(-0.6, 1.2)),
+                                 rng, n)
+            if i % 2:
+                row = np.sort(row)[::-1]
+            if rng.uniform() < 0.15:
+                row[:] = t + 1.0
+            rows.append(row)
+            thresholds.append(t)
+        batch = fit_gpd_rows(np.array(rows), thresholds, method)
+        for row, t, got in zip(rows, thresholds, batch):
+            (want,) = fit_gpd_rows(row[None], [t], method)
+            if isinstance(want, EvdError):
+                assert type(got) is EvdError and str(got) == str(want)
+            else:
+                assert got == want
 
 
 class TestPwm:

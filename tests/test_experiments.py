@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stme.baselines import empirical_rv, location_series
 from stme.catalog import CatalogError, CycloneCatalog, RegionSpec, extract_stm
+import stme.evd
 import stme.experiments
 from stme.experiments import (
     CellStats,
@@ -16,6 +17,8 @@ from stme.experiments import (
     analysis_locations,
     estimate_cells,
     performance_metrics,
+    _chunks,
+    _run_chunk,
     replicate_rng,
     run_experiment,
     sample_period,
@@ -214,9 +217,10 @@ class TestRunExperiment:
         parallel = run_experiment(world, RegionSpec(), cfg, jobs=3)
         assert serial == parallel
 
-    def test_pool_tasks_carry_only_the_index(self, world, monkeypatch):
+    def test_pool_tasks_carry_only_replicate_indices(self, world, monkeypatch):
         # the catalog and config reach each worker once, through the pool
-        # initializer; each task is one replicate index
+        # initializer; each task is a chunk of replicate indices, at least
+        # one per worker
         tasks = []
 
         class RecordingPool(stme.experiments.ProcessPoolExecutor):
@@ -228,7 +232,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10,), replicates=3,
                                methods=("MLE",), location_ids=(1, 2), master_seed=5)
         parallel = run_experiment(world, RegionSpec(), cfg, jobs=2)
-        assert tasks == [(0,), (1,), (2,)]
+        assert tasks == [([0, 1],), ([2],)]
         assert parallel == run_experiment(world, RegionSpec(), cfg, jobs=1)
 
     def test_grid_coverage(self, world):
@@ -243,6 +247,31 @@ class TestRunExperiment:
                 for method in ("PWM", "MLE")
                 for n in (10, 15)
             }
+
+    def test_one_fit_call_per_n_and_method_whatever_the_chunk(self, world, monkeypatch):
+        # STM-E and SINGLE rows of every replicate in a chunk share one fit
+        calls = []
+        fit = stme.evd.fit_gpd_rows
+        monkeypatch.setattr(stme.evd, "fit_gpd_rows",
+                            lambda x, t, method: calls.append(len(x)) or fit(x, t, method))
+        cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10, 15), replicates=8,
+                               location_ids=(1, 2, 3), master_seed=5)
+        rows = {}
+        for chunk in ([4], list(range(8))):
+            calls.clear()
+            _run_chunk(chunk, world, cfg)
+            rows[len(chunk)] = list(calls)
+        assert len(rows[1]) == len(rows[8]) == 4  # (n, method) pairs
+        assert rows[8] == [8 * r for r in rows[1]]
+
+    def test_chunks(self):
+        assert _chunks(range(4), 1, 64) == [[0, 1, 2, 3]]
+        assert _chunks(range(4), 2, 64) == [[0, 1], [2, 3]]
+        assert _chunks([0, 1, 3], 4, 64) == [[0], [1], [3]]
+        assert _chunks([], 2, 64) == []
+        long = _chunks(range(16), 2, 5)
+        assert [i for chunk in long for i in chunk] == list(range(16))
+        assert [len(chunk) for chunk in long] == [4, 4, 4, 4]
 
     def test_unknown_location_rejected(self, world):
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10,), replicates=2,
@@ -326,6 +355,27 @@ class TestEstimateCells:
         assert cells[(35, "STME", "PWM", 40)] == (
             "location 35: no exposure data among retained events")
         assert all(not isinstance(cells[(1, e, "PWM", 40)], str) for e in ("STME", "SINGLE"))
+
+    @settings(max_examples=12, deadline=None)
+    @given(indices=st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True),
+           T0=st.sampled_from([20.0, 50.0, 150.0]), seed=st.integers(0, 2**16),
+           ids=st.lists(st.integers(1, 35), min_size=1, max_size=4, unique=True))
+    def test_chunk_equals_replicates_one_at_a_time(self, indices, T0, seed, ids):
+        # a chunk's batched fits and inversions give each replicate what
+        # sample_period and estimate_cells give it alone
+        world = self.holed_world()
+        cfg = ExperimentConfig(T0=T0, T=500.0, n_ladder=(5, 15, 40), replicates=2,
+                               location_ids=tuple(ids), master_seed=seed)
+        chunk = _run_chunk(indices, world, cfg)
+        for i, got in zip(indices, chunk):
+            sample = sample_period(world, T0, replicate_rng(seed, i))
+            cells = estimate_cells(sample, 500.0, T0, cfg.n_ladder, cfg.methods,
+                                   cfg.estimators, tuple(ids))
+            assert got == ReplicateResult(
+                index=i,
+                estimates={k: r.value for k, r in cells.items() if not isinstance(r, str)},
+                failures={k: r for k, r in cells.items() if isinstance(r, str)},
+            )
 
     def test_analysis_locations(self):
         world = exposure_world({1: 1.0, 2: 0.5, 3: 0.2}, [5.0 + 0.1 * k for k in range(12)])

@@ -164,7 +164,8 @@ class TestReturnValues:
              seed=0)
     def test_equals_return_value_per_location(self, fit, atom_lists, n, T, seed):
         ecdfs = [ExposureEcdf(j, np.asarray(a)) for j, a in enumerate(atom_lists, start=1)]
-        batch = return_values(fit, atom_block(atom_lists, seed), [e.location_id for e in ecdfs],
+        batch = return_values([fit] * len(ecdfs), atom_block(atom_lists, seed),
+                              [e.location_id for e in ecdfs],
                               T, 200.0, n, method="MLE", estimator="STME")
         for ecdf, got in zip(ecdfs, batch):
             try:
@@ -177,7 +178,7 @@ class TestReturnValues:
     def test_location_errors_stay_per_location(self):
         params = GpdParams(5.0, 2.0, 0.1)
         block = atom_block([[0.5, 1.0], [0.0, 0.0], []])
-        good, zero, empty = return_values(params, block, [1, 2, 3], 500.0, 200.0, 30)
+        good, zero, empty = return_values([params] * 3, block, [1, 2, 3], 500.0, 200.0, 30)
         assert good == return_value(params, ExposureEcdf(1, block[:, 0]), 500.0, 200.0, 30)
         assert isinstance(zero, CatalogError) and str(zero) == "location 2: all exposures zero"
         assert isinstance(empty, CatalogError)
@@ -186,7 +187,8 @@ class TestReturnValues:
     def test_shape_just_below_zero_bracketed_as_exponential(self):
         # the upper endpoint 5 + 2 / 1e-300 overflows to inf
         block = atom_block([[0.5, 1.0], [0.0]])
-        tiny, bad = return_values(GpdParams(5.0, 2.0, -1e-300), block, [1, 2], 500.0, 200.0, 30)
+        tiny, bad = return_values([GpdParams(5.0, 2.0, -1e-300)] * 2, block, [1, 2], 500.0, 200.0,
+                                  30)
         exponential = GpdParams(5.0, 2.0, 0.0)
         assert tiny == return_value(exponential, ExposureEcdf(1, block[:, 0]), 500.0, 200.0, 30)
         assert isinstance(bad, CatalogError) and str(bad) == "location 2: all exposures zero"
@@ -195,11 +197,53 @@ class TestReturnValues:
         # survival (1 - 2 z)^(1/2) near the upper endpoint 6: the quantile
         # at p* = 1 - 6.7e-6 lies within 1e-6 m of it
         params = GpdParams(5.0, 2.0, -2.0)
-        first, second = return_values(params, atom_block([[1.0], [0.0, 0.5]]), [1, 2], 1e6,
+        first, second = return_values([params] * 2, atom_block([[1.0], [0.0, 0.5]]), [1, 2], 1e6,
                                       200.0, 30)
         assert (first.flag, second.flag) == ("at_upper_bound", "at_upper_bound")
         assert first.value == pytest.approx(6.0, abs=2 * BISECTION_TOL)
         assert second.value == pytest.approx(3.0, abs=2 * BISECTION_TOL)
+
+
+def assert_columns_match(fits, atom_lists, n, T, seed=None):
+    """return_values with a fit per column equals its one-column calls, bit
+    for bit; returns the batch."""
+    block = atom_block(atom_lists, seed)
+    ids = list(range(1, len(fits) + 1))
+    batch = return_values(fits, block, ids, T, 200.0, n, method="MLE", estimator="STME")
+    for k, got in enumerate(batch):
+        (want,) = return_values([fits[k]], block[:, [k]], [ids[k]], T, 200.0, n, method="MLE",
+                                estimator="STME")
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got == want
+    return batch
+
+
+class TestReturnValuesPerColumn:
+    @settings(max_examples=150, deadline=None)
+    @given(columns=st.lists(st.tuples(
+               st.builds(GpdParams, threshold=st.floats(0.0, 10.0), scale=st.floats(0.05, 5.0),
+                         shape=st.one_of(st.sampled_from([0.0, 5e-7, -1e-6, -2.0, 2.0]),
+                                         st.floats(-0.8, 1.5))),
+               st.one_of(st.just([]), st.just([0.0, 0.0]), atom_sets)), min_size=1, max_size=8),
+           n=st.integers(5, 60), T=st.sampled_from([300.0, 5000.0, 1e6, 1e9]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_one_column_calls(self, columns, n, T, seed):
+        assert_columns_match([f for f, _ in columns], [a for _, a in columns], n, T, seed)
+
+    def test_every_outcome_in_one_call(self):
+        fits = [GpdParams(5.0, 2.0, 0.1), GpdParams(5.0, 2.0, 0.0), GpdParams(5.0, 2.0, 5e-7),
+                GpdParams(5.0, 2.0, -2.0), GpdParams(10.0, 5.0, 1.5), GpdParams(5.0, 2.0, 0.1),
+                GpdParams(5.0, 2.0, 0.1)]
+        atoms = [[0.5, 1.0], [0.5, 1.0], [0.2, 0.9], [1.0], [1.0], [], [0.0, 0.0]]
+        batch = assert_columns_match(fits, atoms, 60, 1e9)
+        assert [type(r).__name__ for r in batch] == ["ReturnValueEstimate"] * 4 + [
+            "EvdError", "CatalogError", "CatalogError"]
+        assert [r.flag for r in batch[:4]] == ["", "", "", "at_upper_bound"]
+        assert str(batch[4]) == "return-value bracket exceeded 1e12 m"
+        assert str(batch[5]) == "location 6: no exposure data among retained events"
+        assert str(batch[6]) == "location 7: all exposures zero"
 
 
 class TestReturnValue:
