@@ -205,8 +205,8 @@ def _csv_rows(path, columns: set[str]):
             raise CatalogError(f"{path}:{reader.line_num}: {err}") from None
 
 
-# Footprint lines that np.loadtxt parses at a time: bounds the memory that
-# reading a large catalog takes on top of the table it builds.
+# Footprint cells handled at a time: the lines np.loadtxt parses, the table
+# cells extract_stm compares. Bounds the memory taken on top of the table.
 BLOCK_LINES = 4096
 _FOOTPRINT_COLUMNS = ("cyclone_id", "location_id", "max_swh_m")
 _FOOTPRINT_DTYPE = np.dtype([("event", np.int64), ("location", np.int64), ("swh", np.float64)])
@@ -281,10 +281,10 @@ def _footprint_blocks(path, location_ids) -> tuple[np.ndarray, np.ndarray] | Non
             row = first + np.concatenate(([0], np.cumsum(change)))
             table[row, order[pos]] = swh  # a duplicate pair overwrites: counted below
             n_events, n_rows, last = first + len(starts), n_rows + len(event), event[-1]
-    swh = table[:n_events]  # a view: the unwritten rows past it are never touched
-    if np.count_nonzero(~np.isnan(swh)) != n_rows:
+    table.resize((n_events, len(ids)), refcheck=False)  # in place: a copy would hold it twice
+    if np.count_nonzero(~np.isnan(table)) != n_rows:
         return None
-    return events[:n_events], swh
+    return events[:n_events], table
 
 
 def _grown(a: np.ndarray, length: int) -> np.ndarray:
@@ -368,16 +368,21 @@ def select_region(catalog: CycloneCatalog, region: RegionSpec) -> CycloneCatalog
     in-region footprint is entirely zero are dropped with a warning (the
     within-region STM would be zero, leaving exposures undefined). The
     duration is unchanged: later STM extraction is conditional on the region.
+    A region that keeps every location and event gives the input catalog
+    itself; any result may share the input's arrays, which no stme function
+    writes into.
     """
     keep_ids = set(region.resolve(catalog))
     in_region = np.array([loc.id in keep_ids for loc in catalog.locations])
-    swh = catalog.swh[:, in_region]
-    peak = np.where(np.isnan(swh), -np.inf, swh).max(axis=1)  # -inf: no entry in the region
+    swh = catalog.swh if in_region.all() else catalog.swh[:, in_region]
+    peak = np.fmax.reduce(swh, axis=1)  # NaN: no entry in the region
     for ev_id in catalog.event_ids[peak == 0.0].tolist():
         warnings.warn(f"event {ev_id}: zero footprint within region, dropped", stacklevel=2)
     keep = peak > 0.0
     if not keep.any():
         raise CatalogError("region drops all events")
+    if keep.all() and swh is catalog.swh:
+        return catalog
     return CycloneCatalog(
         locations=tuple(loc for loc in catalog.locations if loc.id in keep_ids),
         event_ids=catalog.event_ids[keep], swh=swh[keep], duration_years=catalog.duration_years,
@@ -389,10 +394,13 @@ def extract_stm(catalog: CycloneCatalog) -> StmSeries:
     region. Argmax ties break to the lowest location id, whatever the column order."""
     if not len(catalog.event_ids):
         raise CatalogError("empty catalog")
-    values = np.nanmax(catalog.swh, axis=1)
-    loc_ids = np.array(catalog.location_ids, dtype=int)
-    at_max = catalog.swh == values[:, None]
-    argmax_ids = np.where(at_max, loc_ids, np.iinfo(loc_ids.dtype).max).min(axis=1)
+    swh, loc_ids = catalog.swh, np.array(catalog.location_ids, dtype=int)
+    values = np.fmax.reduce(swh, axis=1)
+    step = max(1, BLOCK_LINES // len(loc_ids))  # rows at a time: no events x locations id table
+    argmax_ids = np.concatenate([
+        np.where(swh[i : i + step] == values[i : i + step, None], loc_ids, ID_MAX).min(axis=1)
+        for i in range(0, len(swh), step)
+    ])
     return StmSeries(catalog.event_ids, values, argmax_ids)
 
 

@@ -15,7 +15,6 @@ import argparse
 import configparser
 import contextlib
 import csv
-import hashlib
 import itertools
 import json
 import math
@@ -511,6 +510,9 @@ def _read_replicate(outdir, index, cells) -> ReplicateResult:
 
 
 def _sha256(path) -> str:
+    # imported here: hashlib loads OpenSSL, 3.4 MB that only experiment needs
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):

@@ -194,14 +194,16 @@ def _theta_for_shape(target: float, y: np.ndarray) -> np.ndarray:
     floor = -(1.0 - POLE_GAP) / np.max(y, axis=1)
     done = np.log1p(floor[:, None] * y).sum(axis=1) / n >= target
     theta = np.where(done, floor, 0.0)
+    rows = np.flatnonzero(~done)  # only rows not yet within 1e-13 take a step
     for _ in range(100):
-        u = theta[:, None] * y
+        u = theta[rows, None] * y[rows]
         gap = target - np.log1p(u).sum(axis=1) / n
-        done |= np.abs(gap) <= 1e-13
-        if done.all():
+        going = ~(np.abs(gap) <= 1e-13)
+        rows, u, gap = rows[going], u[going], gap[going]
+        if not rows.size:
             break
-        step = gap / (y / (1.0 + u)).sum(axis=1) * n
-        theta = np.where(done, theta, np.maximum(theta + step, 0.5 * (theta + floor)))
+        step = gap / (y[rows] / (1.0 + u)).sum(axis=1) * n
+        theta[rows] = np.maximum(theta[rows] + step, 0.5 * (theta[rows] + floor[rows]))
     return theta
 
 

@@ -344,7 +344,8 @@ class TestLoadFuzz:
         assert (table is not None) == fast
 
     def test_synth_catalog_takes_block_path(self, tmp_path):
-        """A catalog written by `stme synth` never reaches the row reader."""
+        """A catalog written by `stme synth` never reaches the row reader,
+        and keeps none of the spare rows of the geometrically grown table."""
         assert main(["synth", "--out", str(tmp_path), "--years", "20", "--spacing", "0.05",
                      "--seed", "3"]) == 0
         with open(tmp_path / "footprints.csv") as fh:
@@ -357,6 +358,8 @@ class TestLoadFuzz:
         with mock.patch.object(catalog, "_footprint_rows", refuse):
             cat = load_catalog(tmp_path / "footprints.csv", tmp_path / "locations.csv", 20.0)
         assert np.count_nonzero(~np.isnan(cat.swh)) == n_rows
+        assert cat.swh.flags.owndata
+        assert cat.swh.nbytes == len(cat.event_ids) * len(cat.locations) * 8
 
 
 class TestSelectRegion:
@@ -370,8 +373,29 @@ class TestSelectRegion:
     def test_identity(self):
         cat = make_catalog({1: {1: 3.0, 2: 5.0}, 2: {1: 4.0}})
         same = select_region(cat, RegionSpec(location_ids=(1, 2)))
+        assert np.shares_memory(same.swh, cat.swh)
+        assert np.shares_memory(same.event_ids, cat.event_ids)
         assert same.location_ids == cat.location_ids
+        assert same.duration_years == cat.duration_years
         assert footprint_dicts(same) == footprint_dicts(cat)
+
+    @pytest.mark.parametrize("footprints, spec, warns", [
+        ({1: {1: 3.0, 2: 5.0}, 2: {1: 4.0, 2: 1.0}}, RegionSpec(location_ids=(2,)), False),
+        ({1: {1: 3.0, 2: 5.0}, 2: {1: 0.0, 2: 0.0}, 3: {2: 2.0}}, RegionSpec(), True),
+    ])
+    def test_a_cut_copies_and_leaves_the_input(self, footprints, spec, warns):
+        cat = make_catalog(footprints)
+        swh, event_ids = cat.swh.copy(), cat.event_ids.copy()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sub = select_region(cat, spec)
+        assert any("zero footprint" in str(w.message) for w in caught) == warns
+        assert not np.shares_memory(sub.swh, cat.swh)
+        assert not np.shares_memory(sub.event_ids, cat.event_ids)
+        np.testing.assert_array_equal(cat.swh, swh)
+        np.testing.assert_array_equal(cat.event_ids, event_ids)
+        expected = reference_select(footprints, set(spec.location_ids or cat.location_ids))
+        assert footprint_dicts(sub) == expected
 
     def test_restriction_keeps_partial_event(self):
         cat = make_catalog({1: {1: 8.0, 2: 12.0}})
@@ -440,6 +464,33 @@ class TestExtractStm:
         for i, fp in enumerate(footprint_dicts(cat).values()):
             best = max(fp.values())  # exhaustive scan
             assert stm.values[i] == best
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), block_cells=st.sampled_from([1, 2, 3, 7, 4096]))
+    def test_argmax_ids_match_whole_table_formula(self, data, block_cells):
+        """Row blocks give the argmax ids of one comparison over the whole
+        table: the lowest id among each row's maxima, for any column order."""
+        n_locs = data.draw(st.integers(1, 5))
+        loc_ids = data.draw(st.lists(st.integers(-50, 50), min_size=n_locs, max_size=n_locs,
+                                     unique=True))
+        cell = st.sampled_from([np.nan, 0.0, 1.5, 2.5])
+        rows = data.draw(st.lists(
+            st.lists(cell, min_size=n_locs, max_size=n_locs).filter(
+                lambda r: not all(np.isnan(r))),
+            min_size=1, max_size=12))
+        swh = np.array(rows)
+        cat = CycloneCatalog(
+            locations=tuple(Location(id=j, lon=0.0, lat=0.0) for j in loc_ids),
+            event_ids=np.arange(len(rows)), swh=swh, duration_years=1.0,
+        )
+        with mock.patch.object(catalog, "BLOCK_LINES", block_cells):
+            stm = extract_stm(cat)
+        values = np.nanmax(swh, axis=1)
+        ids = np.array(loc_ids, dtype=int)
+        at_max = swh == values[:, None]
+        expected = np.where(at_max, ids, np.iinfo(ids.dtype).max).min(axis=1)
+        np.testing.assert_array_equal(stm.values, values)
+        np.testing.assert_array_equal(stm.argmax_location_ids, expected)
 
 
 class TestExtractExposures:

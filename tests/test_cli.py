@@ -432,6 +432,25 @@ class TestImports:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+    def test_catalog_commands_do_not_load_openssl(self, synth_dir, tmp_path):
+        # hashlib loads OpenSSL (_hashlib); only experiment hashes its inputs
+        code = (
+            "import sys; from stme.cli import main; seen = ['_hashlib' in sys.modules]\n"
+            "for i, head in enumerate(sys.argv[1].split(';')):\n"
+            "    assert main([*head.split(), *sys.argv[2:], '--out', f'out{i}']) == 0\n"
+            "    seen.append('_hashlib' in sys.modules)\n"
+            "print(seen)"
+        )
+        heads = ("stm;fit --n 20;"
+                 "return-values --T 500 --T0 200 --n 20 --estimator stme --estimator single")
+        args = ["--footprints", synth_dir / "footprints.csv", "--locations",
+                synth_dir / "locations.csv", "--duration", "800"]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code, heads, *map(str, args)],
+                             capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[False, False, False, False]"
+
+
 class TestExperiment:
     ARGS = ["--T", "200", "--T0", "100", "--n", "10", "--method", "pwm",
             "--replicates", "4", "--seed", "9", "--location-ids", "1", "2"]
@@ -450,6 +469,15 @@ class TestExperiment:
             assert (out / name).exists()
         reps = sorted(os.listdir(out / "replicates"))
         assert reps == [f"rep_{i:04d}.csv" for i in range(4)]
+
+    def test_manifest_hashes_inputs(self, synth_dir, tmp_path):
+        import hashlib
+
+        assert self.run_experiment(synth_dir, tmp_path / "exp") == 0
+        manifest = json.loads((tmp_path / "exp" / "manifest.json").read_text())
+        for name in ("footprints", "locations"):
+            digest = hashlib.sha256((synth_dir / f"{name}.csv").read_bytes()).hexdigest()
+            assert manifest[f"{name}_sha256"] == digest
 
     def test_deterministic_and_jobs_invariant(self, synth_dir, tmp_path):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
