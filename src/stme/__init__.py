@@ -43,7 +43,6 @@ from .baselines import (
     empirical_rv,
     location_series,
     single_location_rv,
-    single_location_rvs,
 )
 from .diagnostics import (
     DiagnosticsError,

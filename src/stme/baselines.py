@@ -92,20 +92,12 @@ def single_tails(
     return desc[:, :n], tail_thresholds(desc, n), finish
 
 
-def single_location_rvs(
-    samples: np.ndarray, location_ids, n: int, T: float, T0: float, method: str = "MLE"
-) -> list[ReturnValueEstimate | CatalogError | EvdError]:
-    """Single-location POT analysis at each column of `samples`, all columns
-    in one batched fit; see single_tails."""
-    (found,) = fit_tails(method, single_tails(samples, location_ids, n, T, T0, method))
-    return found
-
-
 def single_location_rv(
     series: LocationSeries, n: int, T: float, T0: float, method: str = "MLE"
 ) -> ReturnValueEstimate:
-    """Single-location return value at one location; see single_location_rvs."""
-    (result,) = single_location_rvs(series.values[:, None], [series.location_id], n, T, T0, method)
+    """Single-location return value at one location; see single_tails."""
+    ((result,),) = fit_tails(method, single_tails(series.values[:, None], [series.location_id],
+                                                  n, T, T0, method))
     if isinstance(result, Exception):
         raise result
     return result

@@ -428,11 +428,6 @@ def tail_thresholds(desc: np.ndarray, n: int) -> np.ndarray:
     return np.where(below < nth, below, nth - np.maximum(1e-12, np.abs(nth) * 1e-12))
 
 
-def threshold_for_top_n(values: np.ndarray, n: int) -> float:
-    """Peaks-over-threshold level leaving the n largest values above it; see tail_thresholds."""
-    return float(tail_thresholds(np.sort(np.asarray(values, dtype=float))[::-1], n))
-
-
 def top_n_positions(values: np.ndarray, event_ids: np.ndarray, n: int):
     """Positions of the n largest of `values` along its last axis, ties
     going to the lower of the matching `event_ids`, in their original order,

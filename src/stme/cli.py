@@ -264,14 +264,15 @@ def _config_error(path, err: configparser.Error) -> UsageError:
 def load_config(path) -> dict[str, dict[str, str]]:
     """Read a UTF-8 INI config file into {section: {key: text}}, rejecting
     unknown sections and keys. Keys match case-insensitively; values are
-    read as they are, without % interpolation."""
+    read as they are, without % interpolation. [DEFAULT] is an ordinary
+    section, and so an unknown one: it sets no defaults."""
     schema: dict[str, dict[str, str]] = {}
     for opt in _OPTIONS:
         if opt.section:
             schema.setdefault(opt.section, {})[opt.key.lower()] = opt.key
     with open(path, "rb") as fh:
         data = fh.read()
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, default_section="\0")
     try:
         parser.read_string(data.decode("utf-8"), source=str(path))
     except UnicodeDecodeError as err:
@@ -333,9 +334,9 @@ _ESTIMATE_HEADER = ["location_id", "estimator", "method", "n", "T_years", "T0_ye
 
 
 def cmd_synth(s) -> int:
-    outdir = _outdir(s)
     world = SynthWorldConfig(**{k: v for k, v in s["synth"].items() if v is not None})
     catalog = synth_catalog(world)
+    outdir = _outdir(s)
     _write_csv(
         os.path.join(outdir, "locations.csv"),
         ["location_id", "lon_deg", "lat_deg", "depth_m"],
@@ -376,9 +377,11 @@ def cmd_stm(s) -> int:
 
 
 def cmd_fit(s) -> int:
-    sub = _region_catalog(s)
+    n = s["analysis"]["n"]
+    if n < 5:
+        raise UsageError(f"n must be >= 5 for a tail fit, got {n}")
+    retained, psi = top_n_events(extract_stm(_region_catalog(s)), n)
     outdir = _outdir(s)
-    retained, psi = top_n_events(extract_stm(sub), s["analysis"]["n"])
     reports = []
     for method in s[None]["method"]:
         report = fit_gpd(retained.values, psi, method)
@@ -392,7 +395,6 @@ def cmd_fit(s) -> int:
 
 def cmd_return_values(s) -> int:
     sub = _region_catalog(s)
-    outdir = _outdir(s)
     analysis, methods, estimators = s["analysis"], s[None]["method"], s[None]["estimator"]
     T, n, T_L = analysis["T"], analysis["n"], sub.duration_years
     T0 = T_L if analysis["T0"] is None else analysis["T0"]
@@ -409,6 +411,7 @@ def cmd_return_values(s) -> int:
     for loc, e in empirical.items():
         n_e, value, flag = ("", "", e) if isinstance(e, str) else (e.n, e.value, e.flag)
         rows.append((loc, "EMPIRICAL", "", n_e, T, T_L, value, flag))
+    outdir = _outdir(s)
     _write_csv(os.path.join(outdir, "estimates.csv"), _ESTIMATE_HEADER, rows)
     _write_metadata(
         outdir, "return-values",
@@ -423,7 +426,6 @@ def cmd_return_values(s) -> int:
 
 def cmd_diagnostics(s) -> int:
     sub = _region_catalog(s)
-    outdir = _outdir(s)
     band, min_stm, seed = s[None]["band"], s[None]["min_stm"], s["experiment"]["seed"]
     if min_stm is not None:
         keep = extract_stm(sub).values > min_stm
@@ -456,6 +458,7 @@ def cmd_diagnostics(s) -> int:
     if len(probs) >= 5:
         stat, p = ks_uniformity(probs)
         report["trend_ks_uniformity"] = {"statistic": stat, "p_value": p}
+    outdir = _outdir(s)
     _write_json(os.path.join(outdir, "diagnostics.json"), report)
     _write_csv(
         os.path.join(outdir, "tau_map.csv"),

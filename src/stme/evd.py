@@ -328,9 +328,10 @@ def fit_tails(method: str, *tails) -> list:
     return found
 
 
-def _fit_one(exceedances, threshold: float, method: str) -> FitReport:
-    x = np.asarray(exceedances, dtype=float).reshape(1, -1)
-    (report,) = fit_gpd_rows(x, [threshold], method)
+def fit_gpd(exceedances, threshold: float, method: str) -> FitReport:
+    """Fit of the GPD to one sample of threshold exceedances: the one-row
+    call of fit_gpd_rows, raising the EvdError of a sample it cannot fit."""
+    (report,) = fit_gpd_rows(np.reshape(exceedances, (1, -1)), [threshold], method)
     if isinstance(report, EvdError):
         raise report
     return report
@@ -338,19 +339,10 @@ def _fit_one(exceedances, threshold: float, method: str) -> FitReport:
 
 def fit_gpd_pwm(exceedances, threshold: float) -> FitReport:
     """Probability-weighted-moments fit of the GPD to threshold exceedances."""
-    return _fit_one(exceedances, threshold, "PWM")
+    return fit_gpd(exceedances, threshold, "PWM")
 
 
 def fit_gpd_mle(exceedances, threshold: float) -> FitReport:
     """Maximum-likelihood fit of the GPD to threshold exceedances; see
     fit_gpd_rows."""
-    return _fit_one(exceedances, threshold, "MLE")
-
-
-def fit_gpd(exceedances, threshold: float, method: str) -> FitReport:
-    method = method.upper()
-    if method == "MLE":
-        return fit_gpd_mle(exceedances, threshold)
-    if method == "PWM":
-        return fit_gpd_pwm(exceedances, threshold)
-    raise EvdError(f"unknown fit method {method!r}")
+    return fit_gpd(exceedances, threshold, "MLE")

@@ -132,17 +132,21 @@ def _sample_cells(
 ) -> list[dict[CellKey, ReturnValueEstimate | str]]:
     """The cells of each sample of the catalog, a row of ascending row
     positions in `samples`, as estimate_cells gives them. For each (n,
-    method) the tails of every sample go to one fit and one inversion."""
-    stm = extract_stm(catalog)
+    method) the tails of every sample go to one fit and one inversion. Only
+    the blocks that the requested estimators read are built."""
     columns = catalog.columns(location_ids)
-    exposures = extract_exposures(catalog, stm).values[:, columns]
     (n_samples, m), n_loc = samples.shape, len(location_ids)
-    # a column per (sample, location), sample-major
-    block = catalog.swh[samples[:, :, None], columns].transpose(1, 0, 2)
-    block = block.reshape(m, n_samples * n_loc)
-    tails = {"STME": partial(stme_tails, stm, samples, exposures, location_ids),
-             "SINGLE": partial(single_tails, block, list(location_ids) * n_samples)}
     fitted = [e for e in ESTIMATORS if e in estimators]
+    tails = {}
+    if "STME" in fitted:
+        stm = extract_stm(catalog)
+        exposures = extract_exposures(catalog, stm).values[:, columns]
+        tails["STME"] = partial(stme_tails, stm, samples, exposures, location_ids)
+    if "SINGLE" in fitted:
+        # a column per (sample, location), sample-major
+        block = catalog.swh[samples[:, :, None], columns].transpose(1, 0, 2)
+        block = block.reshape(m, n_samples * n_loc)
+        tails["SINGLE"] = partial(single_tails, block, list(location_ids) * n_samples)
     cells: list[dict[CellKey, ReturnValueEstimate | str]] = [{} for _ in range(n_samples)]
     for n, method in itertools.product(n_ladder, methods):
         found = (fit_tails(method, *(tails[e](n, T, T0, method) for e in fitted)) if n <= m

@@ -24,12 +24,10 @@ from .catalog import (
     ExposureMatrix,
     RegionSpec,
     StmSeries,
-    extract_exposures,
-    extract_stm,
     select_region,
     top_n_positions,
 )
-from .evd import EvdError, GpdParams, fit_tails, gpd_cdf_rows, params_arrays
+from .evd import EvdError, GpdParams, gpd_cdf_rows, params_arrays
 
 BISECTION_TOL = 1e-6  # metres
 BISECTION_MAX_ITER = 200
@@ -236,17 +234,6 @@ def stme_tails(
     return stm.values[events], psi, finish
 
 
-def stme_return_values(
-    stm: StmSeries, exposures: np.ndarray, location_ids, n: int, T: float, T0: float,
-    method: str = "MLE",
-) -> list[ReturnValueEstimate | CatalogError | EvdError]:
-    """One STM-E step on every event of `stm`: one tail fit, and the return
-    value at each column of `exposures`; see stme_tails."""
-    samples = np.arange(len(stm))[None]
-    return fit_tails(method, stme_tails(stm, samples, exposures, location_ids, n, T, T0,
-                                        method))[0]
-
-
 def run_stme(
     catalog: CycloneCatalog,
     region: RegionSpec,
@@ -255,23 +242,24 @@ def run_stme(
     method: str = "MLE",
     location_ids=None,
 ) -> list[ReturnValueEstimate]:
-    """Full STM-E pipeline: region selection, STM extraction and one
-    stme_return_values step, with T0 the catalog duration. Locations without
-    an estimate are reported as warnings; when no location has one, as after
-    a failed tail fit, an EvdError is raised."""
+    """Full STM-E pipeline: region selection and the STME cells of
+    experiments.estimate_cells, with T0 the catalog duration. Locations
+    without an estimate are reported as warnings; when no location has one,
+    as after a failed tail fit, an EvdError is raised."""
+    from .experiments import estimate_cells  # experiments imports this module
+
     sub = select_region(catalog, region)
-    stm = extract_stm(sub)
     ids = sub.location_ids if location_ids is None else location_ids
-    results = {loc: CatalogError(f"location {loc} not in exposure matrix") for loc in ids}
-    known = [loc for loc in results if loc in sub.location_ids]
-    exposures = extract_exposures(sub, stm).values[:, sub.columns(known)]
-    results.update(zip(known, stme_return_values(
-        stm, exposures, known, n, T, sub.duration_years, method)))
-    estimates = [r for r in results.values() if not isinstance(r, Exception)]
+    results = {loc: f"location {loc} not in exposure matrix" for loc in ids}
+    region_ids = set(sub.location_ids)
+    known = [loc for loc in results if loc in region_ids]
+    cells = estimate_cells(sub, T, sub.duration_years, (n,), (method,), ("STME",), known)
+    results.update((loc, r) for (loc, *_), r in cells.items())
+    estimates = [r for r in results.values() if not isinstance(r, str)]
     if not estimates:
         reason = next(iter(results.values()), "no locations")
         raise EvdError(f"{method} STM-E: no estimate at any location ({reason})")
     for loc, result in results.items():
-        if isinstance(result, Exception):
+        if isinstance(result, str):
             warnings.warn(f"location {loc}: {result}", stacklevel=2)
     return estimates

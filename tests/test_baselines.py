@@ -6,10 +6,10 @@ from stme.baselines import (
     empirical_rv,
     location_series,
     single_location_rv,
-    single_location_rvs,
+    single_tails,
 )
-from stme.catalog import CatalogError, RegionSpec
-from stme.evd import EvdError, GpdParams, fit_gpd, gpd_quantile
+from stme.catalog import CatalogError, RegionSpec, tail_thresholds
+from stme.evd import EvdError, GpdParams, fit_gpd, fit_tails, gpd_quantile
 from stme.experiments import SynthWorldConfig, synth_catalog
 from stme.returns import BISECTION_TOL, run_stme, target_probability
 from tests.test_returns import exposure_world
@@ -42,9 +42,7 @@ class TestSingleLocationRv:
         p = target_probability(500.0, 200.0, 2000)
         # threshold stability: exceedances of psi are GPD with the same shape
         # and scale sigma + xi * (psi - threshold)
-        from stme.catalog import threshold_for_top_n
-
-        psi = threshold_for_top_n(series.values, 2000)
+        psi = float(tail_thresholds(np.sort(series.values)[::-1], 2000))
         cond = GpdParams(psi, true.scale + true.shape * (psi - true.threshold), true.shape)
         truth = float(gpd_quantile(cond, p))
         assert est.value == pytest.approx(truth, rel=0.15)
@@ -133,7 +131,7 @@ class TestEmpiricalRv:
             empirical_rv(series, T=200.0, T_L=100.0)
 
 
-class TestSingleLocationRvs:
+class TestSingleTails:
     @pytest.mark.parametrize("method", ["MLE", "PWM"])
     @pytest.mark.parametrize("n", [4, 10, 30])
     def test_equals_single_location_rv(self, method, n):
@@ -144,8 +142,8 @@ class TestSingleLocationRvs:
         samples[::3, ::2] = np.nan
         samples[:, 0] = np.nan
         samples[n:, 1] = np.nan
-        batch = single_location_rvs(samples, world.location_ids, n, T=500.0, T0=60.0,
-                                    method=method)
+        (batch,) = fit_tails(method, single_tails(samples, world.location_ids, n, T=500.0,
+                                                  T0=60.0, method=method))
         assert len(batch) == len(world.location_ids)
         assert str(batch[0]) == "location 1: no footprint data"
         if n >= 5:  # n values: the threshold lies just below the smallest

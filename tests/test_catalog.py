@@ -20,7 +20,7 @@ from stme.catalog import (
     extract_stm,
     load_catalog,
     select_region,
-    threshold_for_top_n,
+    tail_thresholds,
     top_n_events,
 )
 from stme.cli import main
@@ -565,7 +565,7 @@ class TestTopNEvents:
 
 # --- dense catalog against a per-event dict walk ---------------------------
 
-class TestThresholdForTopN:
+class TestTailThresholds:
     @settings(max_examples=300, deadline=None)
     @given(
         values=st.lists(st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 1e6)),
@@ -575,7 +575,7 @@ class TestThresholdForTopN:
     def test_keeps_exactly_n_values(self, values, data):
         n = data.draw(st.integers(1, len(values)))
         values = np.asarray(values)
-        psi = threshold_for_top_n(values, n)
+        psi = float(tail_thresholds(np.sort(values)[::-1], n))
         desc = np.sort(values)[::-1]
         assert desc[n - 1] > psi  # the n largest lie above the threshold
         # the level is the (n+1)-th largest value, or just below the n-th

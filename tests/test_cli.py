@@ -176,6 +176,33 @@ class TestFit:
         # options are checked before any input is read or output written
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("n", ["3", "0"])
+    def test_n_below_5_exit_2(self, tmp_path, capsys, n):
+        # checked before any input is read: the inputs need not exist
+        code = run([
+            "fit", "--footprints", tmp_path / "none.csv", "--locations", tmp_path / "none.csv",
+            "--duration", "800", "--out", tmp_path / "o", "--n", n,
+        ])
+        assert code == 2
+        assert f"error: n must be >= 5 for a tail fit, got {n}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fit", "--n", "5000"], "n=5000 outside [1, 480]"),
+    (["return-values", "--T", "100", "--T0", "200", "--n", "30"],
+     "need T > T0 > 0, got T=100.0, T0=200.0"),
+    (["diagnostics", "--band", "1.5"], "band 1.5 outside (0, 1)"),
+    (["synth", "--rate", "-1"], "rate, decay_km and intensity_scale must be positive"),
+], ids=["fit-n-above-events", "rv-T-below-T0", "diag-band", "synth-rate"])
+def test_bad_input_leaves_no_out_directory(synth_dir, tmp_path, capsys, args, message):
+    inputs = ["--footprints", synth_dir / "footprints.csv",
+              "--locations", synth_dir / "locations.csv", "--duration", "800"]
+    code = run([*args, *(inputs if args[0] != "synth" else []), "--out", tmp_path / "o"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
 
 class TestReturnValues:
     def test_estimates_schema(self, synth_dir, tmp_path):
@@ -753,6 +780,26 @@ class TestConfigFile:
         cfg.write_text("[wat]\nx = 1\n")
         with pytest.raises(UsageError, match="unknown config section"):
             load_config(cfg)
+
+    @pytest.mark.parametrize("command, text", [
+        ("stm", "[DEFAULT]\nbogus = 1\n"),
+        ("fit", "[DEFAULT]\nn = 7\n[analysis]\nT = 500\n"),
+        ("stm", "[input]\nduration_years = 800\n[DEFAULT]\nlon_min = 3\n"),
+    ], ids=["unknown-key", "leaks-into-analysis", "leaks-into-input"])
+    def test_default_section_rejected(self, synth_dir, tmp_path, capsys, command, text):
+        # configparser would apply [DEFAULT] keys to every section
+        cfg = tmp_path / "default.ini"
+        cfg.write_text(text)
+        with pytest.raises(UsageError, match=r"^unknown config section \[DEFAULT\]$"):
+            load_config(cfg)
+        code = run([
+            command, "--config", cfg, "--footprints", synth_dir / "footprints.csv",
+            "--locations", synth_dir / "locations.csv", "--duration", "800",
+            "--out", tmp_path / "o", *(["--method", "mle"] if command == "fit" else []),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown config section [DEFAULT]\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("data, message", [
         (b"T = 5\n", ":1: no [section] header before 'T = 5'"),

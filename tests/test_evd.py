@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from stme.evd import (
     XI_MIN,
     EvdError,
+    METHODS,
     GpdParams,
+    fit_gpd,
     fit_gpd_mle,
     fit_gpd_pwm,
     fit_gpd_rows,
@@ -197,6 +199,25 @@ class TestMleSearch:
     def test_unknown_method(self):
         with pytest.raises(EvdError, match="unknown fit method"):
             fit_gpd_rows(np.ones((1, 5)), [0.0], "LSQ")
+        with pytest.raises(EvdError, match="unknown fit method 'LSQ'"):
+            fit_gpd(np.ones(5), 0.0, "lsq")
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 40).flatmap(lambda n: st.lists(
+               st.lists(st.one_of(st.just(1.5), st.floats(0.0, 50.0)), min_size=n, max_size=n),
+               min_size=2, max_size=2)),
+           threshold=st.floats(-1.0, 1.0), method=st.sampled_from(METHODS))
+    def test_fit_gpd_is_one_row_of_fit_gpd_rows(self, rows, threshold, method):
+        # the one-sample fit is row 0 of a batch, raising that row's EvdError
+        want = fit_gpd_rows(np.array(rows), [threshold, 0.5], method.lower())[0]
+        if isinstance(want, EvdError):
+            with pytest.raises(EvdError) as err:
+                fit_gpd(rows[0], threshold, method)
+            assert str(err.value) == str(want)
+        else:
+            assert fit_gpd(rows[0], threshold, method) == want
+            fitter = fit_gpd_mle if method == "MLE" else fit_gpd_pwm
+            assert fitter(rows[0], threshold) == want
 
     @settings(max_examples=60, deadline=None)
     @given(

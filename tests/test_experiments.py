@@ -1,12 +1,15 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stme.baselines import empirical_rv, location_series
+from stme.baselines import empirical_rv, location_series, single_location_rv
 from stme.catalog import CatalogError, CycloneCatalog, RegionSpec, extract_stm
+from stme.evd import EvdError
+from stme.returns import run_stme
 import stme.evd
 import stme.experiments
 from stme.experiments import (
@@ -384,6 +387,72 @@ class TestEstimateCells:
         assert analysis_locations(world, [3, 1, 3]) == (3, 1)
         with pytest.raises(CatalogError, match=r"\[7, 9\] not in region"):
             analysis_locations(world, (1, 9, 7))
+
+
+class TestOneDriver:
+    """run_stme and single_location_rv are views of estimate_cells, which
+    builds only the blocks that the requested estimators read."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(ids=st.lists(st.integers(1, 38), min_size=1, max_size=6, unique=True),
+           n=st.sampled_from([5, 10, 40]), method=st.sampled_from(["MLE", "pwm"]))
+    def test_run_stme_is_the_stme_cells(self, ids, n, method):
+        world = TestEstimateCells.holed_world()  # locations 1-35
+        known = [loc for loc in ids if loc <= 35]
+        cells = estimate_cells(world, 500.0, world.duration_years, (n,), (method,), ("STME",),
+                               known)
+        want = [r for r in cells.values() if not isinstance(r, str)]
+        reasons = {loc: f"location {loc} not in exposure matrix" for loc in ids}
+        reasons.update((loc, r) for (loc, *_), r in cells.items())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                got = run_stme(world, RegionSpec(), n, 500.0, method, ids)
+            except EvdError as err:
+                assert not want
+                assert str(err) == (
+                    f"{method} STM-E: no estimate at any location ({reasons[ids[0]]})")
+                return
+        assert got == want
+        assert [str(w.message) for w in caught] == [
+            f"location {loc}: {r}" for loc, r in reasons.items() if isinstance(r, str)]
+
+    @pytest.mark.parametrize("method", ["MLE", "PWM"])
+    def test_single_location_rv_is_the_single_cell(self, method):
+        world = TestEstimateCells.holed_world()
+        cells = estimate_cells(world, 500.0, 200.0, (10,), (method,), ("SINGLE",),
+                               world.location_ids)
+        for loc in world.location_ids:
+            cell = cells[loc, "SINGLE", method, 10]
+            try:
+                got = single_location_rv(location_series(world, loc), 10, 500.0, 200.0, method)
+            except (CatalogError, EvdError) as err:
+                assert str(err) == cell
+            else:
+                assert got == cell
+
+    @pytest.mark.parametrize("estimator, stm_calls, single_calls", [
+        ("STME", 1, 0), ("SINGLE", 0, 2)])
+    def test_builds_only_the_requested_blocks(self, monkeypatch, estimator, stm_calls,
+                                              single_calls):
+        calls = {"extract_stm": 0, "extract_exposures": 0, "single_tails": 0}
+
+        def counted(name):
+            original = getattr(stme.experiments, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(stme.experiments, name, counted(name))
+        world = TestEstimateCells.holed_world()
+        cells = estimate_cells(world, 500.0, 200.0, (10,), ("MLE", "PWM"), (estimator,), (1, 2))
+        assert {est for _, est, _, _ in cells} == {estimator}
+        assert calls == {"extract_stm": stm_calls, "extract_exposures": stm_calls,
+                         "single_tails": single_calls}
 
 
 class TestSynthWorld:

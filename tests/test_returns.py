@@ -14,6 +14,7 @@ from stme.catalog import (
     top_n_events,
 )
 from stme.evd import EvdError, GpdParams, fit_gpd, gpd_cdf, gpd_pdf, gpd_quantile
+from stme.experiments import estimate_cells
 from stme.returns import (
     BISECTION_TOL,
     ExposureEcdf,
@@ -21,7 +22,6 @@ from stme.returns import (
     return_value,
     return_values,
     run_stme,
-    stme_return_values,
     swh_cdf,
     target_probability,
 )
@@ -378,22 +378,29 @@ class TestRunStme:
                                  location_ids=[1, 7, 2])
         assert [e.location_id for e in estimates] == [1, 2]
 
+    def test_n_above_event_count_raises(self):
+        cat = exposure_world({1: 1.0, 2: 0.5}, np.linspace(1.0, 7.0, 60))
+        with pytest.raises(EvdError) as err:
+            run_stme(cat, RegionSpec(), n=500, T=500.0, method="MLE")
+        assert str(err.value) == (
+            "MLE STM-E: no estimate at any location (n=500 exceeds sample size 60)")
 
-class TestStmeReturnValues:
+
+class TestStmeCells:
     def test_matches_return_value_per_location(self):
         rng = np.random.default_rng(12)
         stm_values = np.asarray(gpd_quantile(GpdParams(4.0, 2.0, 0.1), rng.uniform(size=60)))
         cat = exposure_world({1: 1.0, 2: 0.6, 3: 0.3}, stm_values)
         stm = extract_stm(cat)
         exposures = extract_exposures(cat, stm)
-        results = stme_return_values(stm, exposures.values[:, [2, 0]], [3, 1], 20, 500.0, 200.0,
-                                     "pwm")
+        cells = estimate_cells(cat, 500.0, 200.0, (20,), ("pwm",), ("STME",), [3, 1])
         retained, psi = top_n_events(stm, 20)
         report = fit_gpd(retained.values, psi, "PWM")
         rows = np.isin(exposures.event_ids, retained.event_ids)
         kept = ExposureMatrix(exposures.event_ids[rows], exposures.location_ids,
                               exposures.values[rows])
-        for loc, est in zip([3, 1], results, strict=True):
+        assert list(cells) == [(3, "STME", "pwm", 20), (1, "STME", "pwm", 20)]
+        for loc, est in zip([3, 1], cells.values(), strict=True):
             expected = return_value(
                 report.params, exposure_ecdf(kept, loc), T=500.0, T0=200.0, n=20,
                 method="PWM",
@@ -402,8 +409,5 @@ class TestStmeReturnValues:
 
     def test_failed_fit_gives_every_location_the_reason(self):
         cat = exposure_world({1: 1.0, 2: 0.5}, np.arange(1, 13) ** 6.0)
-        stm = extract_stm(cat)
-        results = stme_return_values(stm, extract_exposures(cat, stm).values, [1, 2], 10, 500.0,
-                                     200.0, "MLE")
-        assert all(isinstance(r, EvdError) for r in results)
-        assert [str(r) for r in results] == ["tail fit failed: shape at search boundary"] * 2
+        cells = estimate_cells(cat, 500.0, 200.0, (10,), ("MLE",), ("STME",), [1, 2])
+        assert list(cells.values()) == ["tail fit failed: shape at search boundary"] * 2
