@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogError, CycloneCatalog, tail_thresholds
-from .evd import EvdError, fit_tails, gpd_quantile_rows, params_arrays
+from .evd import EvdError, GpdFits, fit_gpd_rows, gpd_quantile_rows
 from .returns import ReturnValueEstimate, target_probability
 
 
@@ -39,68 +39,66 @@ def location_series(catalog: CycloneCatalog, location_id: int) -> LocationSeries
     return LocationSeries(location_id=int(location_id), values=values)
 
 
-def single_tails(
-    samples: np.ndarray, location_ids, n: int, T: float, T0: float, method: str = "MLE"
-):
+def single_tails(samples: np.ndarray, location_ids, n: int):
     """Single-location POT analysis at each column of the events x locations
     block `samples` (NaN: no value), column k belonging to location_ids[k],
-    split around its tail fit for fit_tails: the n largest values of each
-    column that has them, descending, their thresholds, and the finish that
-    gives each column its quantile at p* = 1 - (T0/n)/T or the error saying
-    why it has none."""
+    up to its tail fit: the reason each column cannot be fitted ("" where it
+    can), and the n largest values of each column that can, descending, with
+    their thresholds."""
     samples = np.asarray(samples, dtype=float)
-    counts = np.count_nonzero(~np.isnan(samples), axis=0).tolist()
-    results: list[ReturnValueEstimate | CatalogError | EvdError | None] = [
-        CatalogError(f"location {loc}: no footprint data") if not count
-        else CatalogError(f"n={n} too small for a tail fit") if n < 5
-        else CatalogError(f"location {loc}: n={n} exceeds {count} values") if count < n
-        else None
-        for loc, count in zip(location_ids, counts)
-    ]
-    fitted = [k for k, r in enumerate(results) if r is None]
-    desc = samples.T[fitted]  # a location per row, negated in place to sort NaN last
+    counts = np.count_nonzero(~np.isnan(samples), axis=0)
+    reason = np.full(len(counts), "", dtype=object)
+    for k in np.flatnonzero((counts < n) | (n < 5)).tolist():
+        loc, count = location_ids[k], int(counts[k])
+        reason[k] = (f"location {loc}: no footprint data" if not count
+                     else f"n={n} too small for a tail fit" if n < 5
+                     else f"location {loc}: n={n} exceeds {count} values")
+    desc = samples.T[reason == ""]  # a location per row, negated in place to sort NaN last
     desc *= -1
     desc.sort(axis=1)
     desc *= -1
-
-    def finish(reports):
-        try:
-            p_target = target_probability(T, T0, n)
-        except CatalogError as err:
-            p_target = err
-        good = []  # (column, fit) of each converged fit
-        for k, report in zip(fitted, reports):
-            if isinstance(report, EvdError):
-                results[k] = report
-            elif not report.converged:
-                results[k] = EvdError(
-                    f"location {location_ids[k]}: {method} fit failed: {report.message}")
-            elif isinstance(p_target, CatalogError):
-                results[k] = p_target
-            else:
-                good.append((k, report.params))
-        values = gpd_quantile_rows(*params_arrays([fit for _, fit in good]), np.array([[
-            p_target]]))[:, 0].tolist() if good else []
-        for (k, _), value in zip(good, values):
-            results[k] = ReturnValueEstimate(
-                location_id=location_ids[k], T=float(T), T0=float(T0), n=int(n), value=value,
-                method=method.upper(), estimator="SINGLE")
-        return results
-
-    if not fitted:
-        return np.empty((0, n)), np.empty(0), finish
-    return desc[:, :n], tail_thresholds(desc, n), finish
+    if not len(desc):
+        return reason, np.empty((0, n)), np.empty(0)
+    return reason, desc[:, :n], tail_thresholds(desc, n)
 
 
-def single_location_rv(
-    series: LocationSeries, n: int, T: float, T0: float, method: str = "MLE"
-) -> ReturnValueEstimate:
-    """Single-location return value at one location; see single_tails."""
-    ((result,),) = fit_tails(method, single_tails(series.values[:, None], [series.location_id],
-                                                  n, T, T0, method))
-    if isinstance(result, Exception):
-        raise result
-    return result
+def single_cells(reason, fits: GpdFits, location_ids, T: float, T0: float, n: int, method: str):
+    """Single-location POT analysis after the fits of the columns that
+    single_tails could fit: each column's quantile at p* = 1 - (T0/n)/T, NaN
+    where there is none, and the reason it has none ("" where it has one)."""
+    reason = reason.copy()
+    fitted = np.flatnonzero(reason == "")
+    reason[fitted] = fits.error
+    failed = fits.message != ""
+    reason[fitted[failed]] = [f"location {location_ids[k]}: {method} fit failed: {message}"
+                              for k, message in zip(fitted[failed].tolist(), fits.message[failed])]
+    good = (fits.error == "") & ~failed
+    values = np.full(len(reason), np.nan)
+    try:
+        p_target = target_probability(T, T0, n)
+    except CatalogError as err:
+        reason[fitted[good]] = str(err)
+    else:
+        values[fitted[good]] = gpd_quantile_rows(
+            fits.threshold[good], fits.scale[good], fits.shape[good], np.array([[p_target]]))[:, 0]
+    return values, reason
+
+
+def single_location_rv(series: LocationSeries, n: int, T: float, T0: float,
+                       method: str = "MLE") -> ReturnValueEstimate:
+    """Single-location return value at one location: a view of one column
+    of single_tails and single_cells, raising the reason when there is none."""
+    ids = [series.location_id]
+    reason, tail, psi = single_tails(series.values[:, None], ids, n)
+    if reason[0]:
+        raise CatalogError(reason[0])
+    fits = fit_gpd_rows(tail, psi, method)
+    (value,), (reason,) = single_cells(reason, fits, ids, T, T0, n, method)
+    if reason:
+        raise (EvdError if fits.error[0] or fits.message[0] else CatalogError)(reason)
+    return ReturnValueEstimate(
+        location_id=series.location_id, T=float(T), T0=float(T0), n=int(n), value=float(value),
+        method=method.upper(), estimator="SINGLE")
 
 
 def empirical_rv(series: LocationSeries, T: float, T_L: float) -> ReturnValueEstimate:

@@ -15,7 +15,6 @@ import argparse
 import configparser
 import contextlib
 import csv
-import itertools
 import json
 import math
 import os
@@ -52,6 +51,7 @@ from .experiments import (
     ReplicateResult,
     SynthWorldConfig,
     analysis_locations,
+    cell_keys,
     empirical_estimates,
     estimate_cells,
     performance_metrics,
@@ -65,12 +65,11 @@ class UsageError(ValueError):
     """Invalid configuration or input; maps to exit code 2."""
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    if isinstance(x, float):
-        return format(x, ".10g")
-    return str(x)
+def _column(values) -> list[str]:
+    """The CSV text of each entry of a column: a float through .10g, NaN as
+    "", anything else through str."""
+    return ["" if v != v else format(v, ".10g") if isinstance(v, float) else str(v)
+            for v in np.asarray(values, dtype=object).tolist()]
 
 
 @contextlib.contextmanager
@@ -88,17 +87,15 @@ def _replacing(path):
             os.remove(tmp)
 
 
-def _write_csv(path, header, rows):
-    """Write `header` and `rows` to `path`, each value through _fmt; the
-    blocks of a _Formatted are written as they are."""
+def _write_csv(path, header, blocks):
+    """Write `header` to `path`, then the rows of each block of `blocks`: a
+    block is a sequence of equal-length columns, each formatted as a whole
+    by _column."""
     with _replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if isinstance(rows, _Formatted):
-            for block in rows.blocks:
-                writer.writerows(block)
-        else:
-            writer.writerows([_fmt(v) for v in row] for row in rows)
+        for block in blocks:
+            writer.writerows(zip(*map(_column, block)))
 
 
 def _write_json(path, payload, sort_keys=False):
@@ -112,36 +109,21 @@ def _write_metadata(outdir, command, args_echo):
     _write_json(os.path.join(outdir, "metadata.json"), payload, sort_keys=True)
 
 
-class _Formatted:
-    """Rows whose fields are already text, in blocks of rows."""
-
-    def __init__(self, blocks):
-        self.blocks = blocks
-
-
-# Cells that _cells formats at a time: bounds the memory that writing a large
+# Cells that _cells gives at a time: bounds the memory that writing a large
 # events x locations table takes.
 _CHUNK_CELLS = 1 << 12
 
 
-def _cells(event_ids, location_ids, values) -> _Formatted:
-    """(event id, location id, value) for every non-NaN cell of an events x
-    locations table, row by row, formatted as _fmt does a column of a block
-    of rows at a time."""
+def _cells(event_ids, location_ids, values):
+    """The (event id, location id, value) columns of every non-NaN cell of an
+    events x locations table, row by row, in blocks of whole rows of about
+    _CHUNK_CELLS cells."""
     location_ids = np.asarray(location_ids)
     step = max(1, _CHUNK_CELLS // max(1, values.shape[1]))
-
-    def blocks():
-        for start in range(0, len(values), step):
-            block = values[start : start + step]
-            rows, cols = np.nonzero(~np.isnan(block))
-            yield zip(
-                map(str, event_ids[start + rows].tolist()),
-                map(str, location_ids[cols].tolist()),
-                [format(v, ".10g") for v in block[rows, cols].tolist()],
-            )
-
-    return _Formatted(blocks())
+    for start in range(0, len(values), step):
+        block = values[start : start + step]
+        rows, cols = np.nonzero(~np.isnan(block))
+        yield event_ids[start + rows], location_ids[cols], block[rows, cols]
 
 
 def _jobs(text: str) -> int:
@@ -340,7 +322,8 @@ def cmd_synth(s) -> int:
     _write_csv(
         os.path.join(outdir, "locations.csv"),
         ["location_id", "lon_deg", "lat_deg", "depth_m"],
-        ((loc.id, loc.lon, loc.lat, "" if loc.depth is None else loc.depth) for loc in catalog.locations),
+        [zip(*((loc.id, loc.lon, loc.lat, "" if loc.depth is None else loc.depth)
+               for loc in catalog.locations))],
     )
     # grid location ids ascend with the column, so each event's rows come out
     # sorted by location id
@@ -363,7 +346,7 @@ def cmd_stm(s) -> int:
     _write_csv(
         os.path.join(outdir, "stm.csv"),
         ["cyclone_id", "stm_m", "argmax_location_id"],
-        zip(stm.event_ids.tolist(), stm.values.tolist(), stm.argmax_location_ids.tolist()),
+        [(stm.event_ids, stm.values, stm.argmax_location_ids)],
     )
     _write_csv(
         os.path.join(outdir, "exposures.csv"), ["cyclone_id", "location_id", "exposure"],
@@ -403,23 +386,22 @@ def cmd_return_values(s) -> int:
         raise UsageError(f"need T > T0 > 0, got T={T}, T0={T0}")
     targets = analysis_locations(sub, analysis["location_ids"])
     empirical = empirical_estimates(sub, T, targets) if "EMPIRICAL" in estimators else {}
-    cells = estimate_cells(sub, T, T0, (n,), methods, fitted, targets) if fitted else {}
-    rows = []
-    for key, result in cells.items():
-        value, flag = ("", result) if isinstance(result, str) else (result.value, result.flag)
-        rows.append((*key, T, T0, value, flag))
-    for loc, e in empirical.items():
-        n_e, value, flag = ("", "", e) if isinstance(e, str) else (e.n, e.value, e.flag)
-        rows.append((loc, "EMPIRICAL", "", n_e, T, T_L, value, flag))
+    keys, (values,), (flags,) = (estimate_cells(sub, T, T0, (n,), methods, fitted, targets)
+                                 if fitted else ((), [np.empty(0)], [()]))
     outdir = _outdir(s)
-    _write_csv(os.path.join(outdir, "estimates.csv"), _ESTIMATE_HEADER, rows)
+    _write_csv(os.path.join(outdir, "estimates.csv"), _ESTIMATE_HEADER, [
+        (*zip(*keys), [T] * len(keys), [T0] * len(keys), values, flags),
+        zip(*((loc, "EMPIRICAL", "", "", T, T_L, "", e) if isinstance(e, str)
+              else (loc, "EMPIRICAL", "", e.n, T, T_L, e.value, e.flag)
+              for loc, e in empirical.items()))])
     _write_metadata(
         outdir, "return-values",
         {"T": T, "T0": T0, "n": n, "methods": methods, "estimators": estimators},
     )
-    failed = sum(value == "" for *_, value, flag in rows)
-    print(f"wrote {len(rows)} estimates to {outdir} ({failed} without a value)")
-    if failed == len(rows):
+    rows = len(keys) + len(empirical)
+    failed = int(np.isnan(values).sum()) + sum(isinstance(e, str) for e in empirical.values())
+    print(f"wrote {rows} estimates to {outdir} ({failed} without a value)")
+    if failed == rows:
         raise EvdError("no estimate has a value; see the flag column of estimates.csv")
     return 0
 
@@ -463,10 +445,8 @@ def cmd_diagnostics(s) -> int:
     _write_csv(
         os.path.join(outdir, "tau_map.csv"),
         ["location_id", "lon_deg", "lat_deg", "tau", "flag"],
-        (
-            (t.location_id, loc_by_id[t.location_id].lon, loc_by_id[t.location_id].lat, t.tau, t.flag)
-            for t in taus
-        ),
+        [zip(*((t.location_id, loc_by_id[t.location_id].lon, loc_by_id[t.location_id].lat,
+                t.tau, t.flag) for t in taus))],
     )
     _write_metadata(outdir, "diagnostics", {"band": band, "seed": seed, "min_stm": min_stm})
     print(f"tau band exceedance fraction: {frac:.3f}")
@@ -480,18 +460,22 @@ def _replicate_path(outdir, index):
     return os.path.join(outdir, "replicates", f"rep_{index:04d}.csv")
 
 
-def _replicate_rows(result: ReplicateResult):
-    for (loc, estimator, method, n), value in sorted(result.estimates.items()):
-        yield (result.index, loc, estimator, method, n, value, "")
-    for (loc, estimator, method, n), reason in sorted(result.failures.items()):
-        yield (result.index, loc, estimator, method, n, "", reason)
+def _replicate_blocks(results):
+    """The rows of each replicate result, a block each: its cells with a
+    value, then those without, each in key order."""
+    for result in results:
+        keys, missing = result.keys, np.isnan(result.values).tolist()
+        order = sorted(range(len(keys)), key=lambda c: (missing[c], keys[c]))
+        yield ([result.index] * len(order), *zip(*(keys[c] for c in order)),
+               result.values[order], result.reasons[order])
 
 
-def _read_replicate(outdir, index, cells) -> ReplicateResult:
+def _read_replicate(outdir, index, keys) -> ReplicateResult:
     """Replicate `index` from its file, which must hold one row for each of
-    `cells` and no other row."""
+    `keys` and no other row."""
     path = _replicate_path(outdir, index)
-    estimates, failures = {}, {}
+    position = {key: c for c, key in enumerate(keys)}
+    values, reasons = np.full(len(keys), np.nan), np.full(len(keys), None, dtype=object)
     with _csv_rows(path, set(_REPLICATE_HEADER)) as rows:
         for row in rows:
             if None in row or None in row.values():
@@ -500,16 +484,15 @@ def _read_replicate(outdir, index, cells) -> ReplicateResult:
                 raise CatalogError(f"row of replicate {row['replicate']} in the file of {index}")
             key = (_parse(int, row["location_id"], "location_id"), row["estimator"],
                    row["method"], _parse(int, row["n"], "n"))
-            if key not in cells or key in estimates or key in failures:
+            c = position.get(key)
+            if c is None or reasons[c] is not None:
                 raise CatalogError(f"cell {key} is not in this experiment or repeated")
-            if row["value_m"]:
-                estimates[key] = _parse(finite, row["value_m"], "value_m")
-            else:
-                failures[key] = row["flag"]
-    missing = cells - set(estimates) - set(failures)
+            values[c] = _parse(finite, row["value_m"], "value_m") if row["value_m"] else np.nan
+            reasons[c] = "" if row["value_m"] else row["flag"]
+    missing = [key for key, reason in zip(keys, reasons) if reason is None]
     if missing:
         raise CatalogError(f"{path}: no row for {len(missing)} cells, such as {min(missing)}")
-    return ReplicateResult(index=index, estimates=estimates, failures=failures)
+    return ReplicateResult(index, keys, values, reasons)
 
 
 def _sha256(path) -> str:
@@ -559,6 +542,7 @@ def cmd_experiment(s) -> int:
         T0=T0, T=T, n_ladder=ladder, replicates=replicates, methods=methods,
         estimators=estimators, location_ids=analysis["location_ids"] or None, master_seed=seed,
     )
+    ladder, methods, estimators = exp_config.n_ladder, exp_config.methods, exp_config.estimators
     manifest = {
         "footprints_sha256": _sha256(s["input"]["footprints"]),
         "locations_sha256": _sha256(s["input"]["locations"]),
@@ -577,28 +561,22 @@ def cmd_experiment(s) -> int:
         print(f"resuming: {done} completed replicates found")
     for result in fresh:
         path = _replicate_path(outdir, result.index)
-        _write_csv(path, _REPLICATE_HEADER, _replicate_rows(result))
+        _write_csv(path, _REPLICATE_HEADER, _replicate_blocks([result]))
         print(f"replicate {result.index + 1}/{replicates} done", file=sys.stderr)
     locations = analysis_locations(regional, exp_config.location_ids)
-    cells = set(itertools.product(
-        locations, exp_config.estimators, exp_config.methods, exp_config.n_ladder))
-    results = [_read_replicate(outdir, i, cells) for i in range(replicates)]
+    keys = tuple(sorted(cell_keys(locations, ladder, methods, estimators)))
+    results = [_read_replicate(outdir, i, keys) for i in range(replicates)]
 
-    _write_csv(
-        os.path.join(outdir, "results.csv"), _REPLICATE_HEADER,
-        (row for result in results for row in _replicate_rows(result)),
-    )
+    _write_csv(os.path.join(outdir, "results.csv"), _REPLICATE_HEADER, _replicate_blocks(results))
 
     summary = summarize(results)
     _write_csv(
         os.path.join(outdir, "summary.csv"),
         ["location_id", "estimator", "method", "n", "count", "mean", "median",
          "q2.5", "q25", "q75", "q97.5", "n_outliers"],
-        (
-            (loc, estimator, method, n, c.count, c.mean, c.median, c.q025, c.q25,
-             c.q75, c.q975, len(c.outliers))
-            for (loc, estimator, method, n), c in sorted(summary.cells.items())
-        ),
+        [zip(*((loc, estimator, method, n, c.count, c.mean, c.median, c.q025, c.q25, c.q75,
+                c.q975, len(c.outliers))
+               for (loc, estimator, method, n), c in sorted(summary.cells.items())))],
     )
 
     metrics_rows = []
@@ -619,7 +597,7 @@ def cmd_experiment(s) -> int:
         os.path.join(outdir, "metrics.csv"),
         ["estimator", "method", "n", "bias_mean_m", "bias_median_m", "w50_m",
          "width_ratio_u", "n_locations"],
-        metrics_rows,
+        [zip(*metrics_rows)],
     )
     _write_metadata(
         outdir, "experiment",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,10 @@ class GpdParams:
         if self.scale <= 0:
             raise EvdError(f"non-positive scale {self.scale}")
 
+    def arrays(self) -> np.ndarray:
+        """Threshold, scale and shape as the one-entry rows the batched calls take."""
+        return np.array([[self.threshold], [self.scale], [self.shape]])
+
 
 def gpd_cdf_rows(threshold, scale, shape, s) -> np.ndarray:
     """GPD non-exceedance probability at each row of the 2-D array s under
@@ -76,15 +81,10 @@ def gpd_cdf_rows(threshold, scale, shape, s) -> np.ndarray:
     return np.where(z < 0.0, 0.0, p)
 
 
-def params_arrays(fits) -> np.ndarray:
-    """The thresholds, scales and shapes of a sequence of GpdParams: three rows."""
-    return np.array([(f.threshold, f.scale, f.shape) for f in fits]).reshape(-1, 3).T
-
-
 def gpd_cdf(params: GpdParams, s) -> np.ndarray | float:
     """GPD non-exceedance probability; 0 below the threshold."""
     s = np.asarray(s, dtype=float)
-    p = gpd_cdf_rows(*params_arrays([params]), s.reshape(1, -1)).reshape(s.shape)
+    p = gpd_cdf_rows(*params.arrays(), s.reshape(1, -1)).reshape(s.shape)
     return p if p.ndim else float(p)
 
 
@@ -120,7 +120,7 @@ def gpd_quantile_rows(threshold, scale, shape, p) -> np.ndarray:
 def gpd_quantile(params: GpdParams, p) -> np.ndarray | float:
     """Inverse of gpd_cdf for p in [0, 1)."""
     p = np.asarray(p, dtype=float)
-    q = gpd_quantile_rows(*params_arrays([params]), p.reshape(1, -1)).reshape(p.shape)
+    q = gpd_quantile_rows(*params.arrays(), p.reshape(1, -1)).reshape(p.shape)
     return q if q.ndim else float(q)
 
 
@@ -140,17 +140,35 @@ class FitReport:
         return json.dumps({**params, **fields})
 
 
-def _row_errors(y: np.ndarray) -> list[str]:
+class GpdFits(NamedTuple):
+    """The fits of a batch's rows, a column per field. A row that cannot be
+    fitted has an `error`, a fit that did not converge a `message` ("" for
+    none), and either has NaN parameters. PWM has NaN loglik, 0 iterations."""
+
+    threshold: np.ndarray
+    scale: np.ndarray
+    shape: np.ndarray
+    loglik: np.ndarray
+    iterations: np.ndarray
+    error: np.ndarray  # str objects
+    message: np.ndarray  # str objects
+
+    def take(self, rows) -> GpdFits:
+        """The fits of `rows` alone."""
+        return GpdFits(*(column[rows] for column in self))
+
+
+def _row_errors(y: np.ndarray) -> np.ndarray:
     """Why each row of excesses y cannot be fitted, or "" when it can."""
     n = y.shape[1]
     degenerate = np.all(y == y[:, :1], axis=1) if n else np.zeros(len(y), bool)
-    return [
+    return np.array([
         "degenerate sample: all exceedances equal" if equal
         else f"need at least 5 exceedances, got {n}" if n < 5
         else "exceedances must lie strictly above the threshold" if below
         else ""
         for equal, below in zip(degenerate.tolist(), np.any(y <= 0, axis=1).tolist())
-    ]
+    ], dtype=object)
 
 
 def _pwm_estimates(y: np.ndarray):
@@ -264,10 +282,10 @@ def _mle_rows(y: np.ndarray, xi0: np.ndarray, sigma0: np.ndarray):
     return xi, sigma, loglik, np.abs(at - start) + GOLDEN_STEPS
 
 
-def fit_gpd_rows(exceedances, thresholds, method: str) -> list[FitReport | EvdError]:
+def fit_gpd_rows(exceedances, thresholds, method: str) -> GpdFits:
     """Fit the GPD to each row of a k x n array of exceedances over its own
     threshold, by maximum likelihood ("MLE") or probability-weighted moments
-    ("PWM"). A row that cannot be fitted maps to the EvdError saying why.
+    ("PWM"); a row's fit does not depend on the other rows.
 
     MLE starts from the PWM estimate when that is valid, inside the search
     box and supports the sample, else from (0.1, mean excess); see _mle_rows.
@@ -276,65 +294,48 @@ def fit_gpd_rows(exceedances, thresholds, method: str) -> list[FitReport | EvdEr
     method = method.upper()
     if method not in METHODS:
         raise EvdError(f"unknown fit method {method!r}")
-    x = np.asarray(exceedances, dtype=float)
-    thresholds = np.asarray(thresholds, dtype=float)
-    y_all = x - thresholds[:, None]
-    errors = _row_errors(y_all)
-    reports: list[FitReport | EvdError] = [EvdError(e) for e in errors]
-    ok = np.array([not e for e in errors], dtype=bool)
-    if not ok.any():
-        return reports
-    y = y_all[ok]
-    _, _, xi, sigma = _pwm_estimates(y)
-    if method == "MLE":
-        with np.errstate(invalid="ignore"):
-            feasible = np.all(1.0 + xi[:, None] * y / sigma[:, None] > 0.0, axis=1)
-            start = (np.isfinite(xi) & (XI_MIN < xi) & (xi < XI_MAX) & (sigma > 0)
-                     & ((np.abs(xi) <= XI_SWITCH) | feasible))
-        xi0 = np.where(start, xi, 0.1)
-        sigma0 = np.where(start, sigma, np.mean(y, axis=1))
-        xi, sigma, loglik, iterations = _mle_rows(y, xi0, sigma0)
-    n, rows, psi = y_all.shape[1], np.flatnonzero(ok).tolist(), thresholds.tolist()
-    if method == "PWM":
-        loglik, iterations = [None] * len(rows), [0] * len(rows)
-    else:
-        loglik, iterations = loglik.tolist(), iterations.tolist()
-    for i, shape, scale, ll, steps in zip(rows, xi.tolist(), sigma.tolist(), loglik, iterations):
-        message = ""
-        if method == "PWM" and not (math.isfinite(shape) and scale > 0):
-            message = "PWM estimator undefined (b0 - 2*b1 <= 0)"
-        elif method == "MLE" and min(abs(shape - XI_MIN), abs(shape - XI_MAX)) < 1e-6:
-            message = "shape at search boundary"
-        reports[i] = FitReport(
-            params=None if message else GpdParams(psi[i], scale, shape), n=n, method=method,
-            loglik=None if message else ll, converged=not message, iterations=steps,
-            message=message,
-        )
-    return reports
-
-
-def fit_tails(method: str, *tails) -> list:
-    """What each of several (exceedances, thresholds, finish) triples' finish
-    returns from the reports of its own rows, all rows fitted by one
-    fit_gpd_rows call; a row's report does not depend on the other rows."""
-    if not tails:
-        return []
-    reports = fit_gpd_rows(np.vstack([x for x, _, _ in tails]),
-                           np.concatenate([t for _, t, _ in tails]), method)
-    found, start = [], 0
-    for x, _, finish in tails:
-        found.append(finish(reports[start : start + len(x)]))
-        start += len(x)
-    return found
+    threshold = np.asarray(thresholds, dtype=float)
+    y = np.asarray(exceedances, dtype=float) - threshold[:, None]
+    error = _row_errors(y)
+    scale, shape, loglik = (np.full(len(y), np.nan) for _ in range(3))
+    iterations = np.zeros(len(y), dtype=int)
+    message = np.full(len(y), "", dtype=object)
+    rows = np.flatnonzero(error == "")
+    if rows.size:
+        y = y[rows]
+        _, _, xi, sigma = _pwm_estimates(y)
+        if method == "MLE":
+            with np.errstate(invalid="ignore"):
+                feasible = np.all(1.0 + xi[:, None] * y / sigma[:, None] > 0.0, axis=1)
+                start = (np.isfinite(xi) & (XI_MIN < xi) & (xi < XI_MAX) & (sigma > 0)
+                         & ((np.abs(xi) <= XI_SWITCH) | feasible))
+            xi0 = np.where(start, xi, 0.1)
+            sigma0 = np.where(start, sigma, np.mean(y, axis=1))
+            xi, sigma, loglik[rows], iterations[rows] = _mle_rows(y, xi0, sigma0)
+            failed = np.minimum(np.abs(xi - XI_MIN), np.abs(xi - XI_MAX)) < 1e-6
+            message[rows[failed]] = "shape at search boundary"
+        else:
+            failed = ~(np.isfinite(xi) & (sigma > 0))
+            message[rows[failed]] = "PWM estimator undefined (b0 - 2*b1 <= 0)"
+        loglik[rows[failed]] = np.nan
+        shape[rows[~failed]], scale[rows[~failed]] = xi[~failed], sigma[~failed]
+    return GpdFits(threshold, scale, shape, loglik, iterations, error, message)
 
 
 def fit_gpd(exceedances, threshold: float, method: str) -> FitReport:
-    """Fit of the GPD to one sample of threshold exceedances: the one-row
-    call of fit_gpd_rows, raising the EvdError of a sample it cannot fit."""
-    (report,) = fit_gpd_rows(np.reshape(exceedances, (1, -1)), [threshold], method)
-    if isinstance(report, EvdError):
-        raise report
-    return report
+    """Fit of the GPD to one sample of threshold exceedances: a view of the
+    one-row call of fit_gpd_rows, raising the EvdError of a sample it cannot
+    fit."""
+    x = np.reshape(exceedances, (1, -1))
+    fits = fit_gpd_rows(x, [threshold], method)
+    (error,), (message,), (loglik,) = fits.error, fits.message, fits.loglik.tolist()
+    if error:
+        raise EvdError(error)
+    return FitReport(
+        params=None if message else GpdParams(*(float(column[0]) for column in fits[:3])),
+        n=x.shape[1], method=method.upper(), loglik=None if math.isnan(loglik) else loglik,
+        converged=not message, iterations=int(fits.iterations[0]), message=message,
+    )
 
 
 def fit_gpd_pwm(exceedances, threshold: float) -> FitReport:

@@ -7,6 +7,11 @@ competitor, and repeat over replicates. Summaries (box-whisker percentiles)
 and bias/uncertainty metrics are computed against direct empirical estimates
 from the full catalog. A seeded synthetic cyclone world with straight-line
 tracks and GPD peak intensities provides a desk-scale ground truth.
+
+Cells travel as columns: estimate_cells and a chunk of replicates give a
+CellTable, one key per (location, estimator, method, n) cell and a row of
+values and flags per sample, and a ReplicateResult is one replicate's row
+of it.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ import warnings
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .baselines import empirical_rv, location_series, single_tails
+from .baselines import empirical_rv, location_series, single_cells, single_tails
 from .catalog import (
     CatalogError,
     CycloneCatalog,
@@ -30,9 +35,10 @@ from .catalog import (
     extract_exposures,
     extract_stm,
     select_region,
+    top_n_positions,
 )
-from .evd import METHODS, GpdParams, fit_tails, gpd_quantile
-from .returns import ReturnValueEstimate, stme_tails
+from .evd import METHODS, GpdParams, fit_gpd_rows, gpd_quantile
+from .returns import ReturnValueEstimate, stme_cells
 
 # The estimators that fit a tail, in the order their cells come.
 ESTIMATORS = ("STME", "SINGLE")
@@ -44,6 +50,11 @@ CHUNK_CELLS = 1 << 16
 
 KM_PER_DEG_LAT = 110.57
 KM_PER_DEG_LON_EQ = 111.32
+
+
+def _unique(values) -> tuple:
+    """`values` with repeats dropped, each kept at its first place."""
+    return tuple(dict.fromkeys(values))
 
 
 @dataclass(frozen=True)
@@ -64,9 +75,9 @@ class ExperimentConfig:
             raise CatalogError(f"need >= 2 replicates, got {self.replicates}")
         if any(n < 5 for n in self.n_ladder):
             raise CatalogError("every n on the ladder must be >= 5")
-        object.__setattr__(self, "n_ladder", tuple(int(n) for n in self.n_ladder))
+        object.__setattr__(self, "n_ladder", _unique(int(n) for n in self.n_ladder))
         for field, known in (("methods", METHODS), ("estimators", ESTIMATORS)):
-            names = tuple(name.upper() for name in getattr(self, field))
+            names = _unique(name.upper() for name in getattr(self, field))
             if set(names) - set(known):
                 raise CatalogError(f"unknown {field} {sorted(set(names) - set(known))}")
             object.__setattr__(self, field, names)
@@ -76,11 +87,33 @@ class ExperimentConfig:
 CellKey = tuple[int, str, str, int]
 
 
-@dataclass(frozen=True)
+class CellTable(NamedTuple):
+    """The cells of one or more samples: column c of `values` (samples x
+    cells, NaN where a cell has no value) and of `flags` (the reason a cell
+    has no value, "at_upper_bound" or "") belongs to keys[c]."""
+
+    keys: tuple[CellKey, ...]
+    values: np.ndarray
+    flags: np.ndarray  # str objects
+
+
+def cell_keys(location_ids, n_ladder, methods, estimators) -> tuple[CellKey, ...]:
+    """The cells of an estimation in order: ladder, method, STME before SINGLE,
+    location. A value repeated in a list gives one cell, at its first place."""
+    return tuple((loc, e, method, n)
+                 for n, method in itertools.product(_unique(n_ladder), _unique(methods))
+                 for e in ESTIMATORS if e in estimators for loc in _unique(location_ids))
+
+
+@dataclass(frozen=True, eq=False)
 class ReplicateResult:
+    """One replicate's row of a cell table: the value of each of `keys`, NaN
+    where there is none, and the reason it has none ("" where it has one)."""
+
     index: int
-    estimates: dict[CellKey, float]
-    failures: dict[CellKey, str]
+    keys: tuple[CellKey, ...]
+    values: np.ndarray
+    reasons: np.ndarray  # str objects
 
 
 def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -123,55 +156,61 @@ def analysis_locations(regional: CycloneCatalog, location_ids) -> tuple[int, ...
     missing = set(location_ids) - set(regional.location_ids)
     if missing:
         raise CatalogError(f"locations {sorted(missing)} not in region")
-    return tuple(dict.fromkeys(location_ids))
-
-
-def _sample_cells(
-    catalog: CycloneCatalog, location_ids, samples: np.ndarray, T: float, T0: float, n_ladder,
-    methods, estimators,
-) -> list[dict[CellKey, ReturnValueEstimate | str]]:
-    """The cells of each sample of the catalog, a row of ascending row
-    positions in `samples`, as estimate_cells gives them. For each (n,
-    method) the tails of every sample go to one fit and one inversion. Only
-    the blocks that the requested estimators read are built."""
-    columns = catalog.columns(location_ids)
-    (n_samples, m), n_loc = samples.shape, len(location_ids)
-    fitted = [e for e in ESTIMATORS if e in estimators]
-    tails = {}
-    if "STME" in fitted:
-        stm = extract_stm(catalog)
-        exposures = extract_exposures(catalog, stm).values[:, columns]
-        tails["STME"] = partial(stme_tails, stm, samples, exposures, location_ids)
-    if "SINGLE" in fitted:
-        # a column per (sample, location), sample-major
-        block = catalog.swh[samples[:, :, None], columns].transpose(1, 0, 2)
-        block = block.reshape(m, n_samples * n_loc)
-        tails["SINGLE"] = partial(single_tails, block, list(location_ids) * n_samples)
-    cells: list[dict[CellKey, ReturnValueEstimate | str]] = [{} for _ in range(n_samples)]
-    for n, method in itertools.product(n_ladder, methods):
-        found = (fit_tails(method, *(tails[e](n, T, T0, method) for e in fitted)) if n <= m
-                 else [[f"n={n} exceeds sample size {m}"] * (n_samples * n_loc)] * len(fitted))
-        for estimator, results in zip(fitted, found):
-            for k, r in enumerate(results):
-                cells[k // n_loc][location_ids[k % n_loc], estimator, method, n] = (
-                    str(r) if isinstance(r, Exception) else r)
-    return cells
+    return _unique(location_ids)
 
 
 def estimate_cells(
-    catalog: CycloneCatalog,
-    T: float,
-    T0: float,
-    n_ladder: Sequence[int],
-    methods: Sequence[str],
-    estimators: Sequence[str],
-    location_ids: Sequence[int],
-) -> dict[CellKey, ReturnValueEstimate | str]:
-    """Every (location, estimator, method, n) cell of a T0-year catalog,
-    mapped to its T-year estimate or to the reason there is none. Cells come
-    in ladder, then method order; STME before SINGLE, locations innermost."""
-    samples = np.arange(len(catalog.event_ids))[None]
-    return _sample_cells(catalog, location_ids, samples, T, T0, n_ladder, methods, estimators)[0]
+    catalog: CycloneCatalog, T: float, T0: float, n_ladder: Sequence[int],
+    methods: Sequence[str], estimators: Sequence[str], location_ids: Sequence[int],
+    samples: np.ndarray | None = None,
+) -> CellTable:
+    """Every (location, estimator, method, n) cell of each sample of a T0-year
+    catalog, a row of ascending row positions in `samples` (by default one
+    sample of every row): its T-year estimate, or NaN and the reason there is
+    none. For each (n, method) the tails of every sample go to one fit and
+    one inversion; only the blocks the requested estimators read are built."""
+    if samples is None:
+        samples = np.arange(len(catalog.event_ids))[None]
+    location_ids, n_ladder, methods = map(_unique, (location_ids, n_ladder, methods))
+    columns = catalog.columns(location_ids)
+    (n_samples, m), n_loc = samples.shape, len(location_ids)
+    stme, single = "STME" in estimators, "SINGLE" in estimators
+    keys = cell_keys(location_ids, n_ladder, methods, estimators)
+    if stme:
+        stm = extract_stm(catalog)
+        exposures = extract_exposures(catalog, stm).values[:, columns]
+    if single:
+        # a column per (sample, location), sample-major
+        block = catalog.swh[samples[:, :, None], columns].transpose(1, 0, 2).reshape(m, -1)
+        block_ids = list(location_ids) * n_samples
+    # a samples x locations slab per (n, method) block and estimator, STME first
+    shape = (n_samples, len(n_ladder) * len(methods), stme + single, n_loc)
+    values, flags = np.full(shape, np.nan), np.full(shape, "", dtype=object)
+    for b, (n, method) in enumerate(itertools.product(n_ladder, methods)):
+        if n > m:
+            flags[:, b] = f"n={n} exceeds sample size {m}"
+            continue
+        tails = []  # the (tail rows, thresholds) of each estimator
+        if stme:  # each sample's n largest STM values, in event order
+            keep, psi = top_n_positions(stm.values[samples], stm.event_ids[samples], n)
+            events = np.take_along_axis(samples, keep, axis=1)
+            tails.append((stm.values[events], psi))
+        if single:
+            reason, *tail = single_tails(block, block_ids, n)
+            tails.append(tail)
+        if not tails:  # no estimator that fits a tail was requested
+            continue
+        fits = fit_gpd_rows(*(np.concatenate(part) for part in zip(*tails)), method)
+        if stme:
+            found = stme_cells(fits.take(slice(n_samples)), events, exposures, location_ids, T,
+                               T0, n)
+            values[:, b, 0], flags[:, b, 0] = (a.reshape(n_samples, n_loc) for a in found)
+        if single:
+            found = single_cells(reason, fits.take(slice(stme * n_samples, None)), block_ids, T,
+                                 T0, n, method)
+            values[:, b, -1], flags[:, b, -1] = (a.reshape(n_samples, n_loc) for a in found)
+    return CellTable(keys, values.reshape(n_samples, len(keys)),
+                     flags.reshape(n_samples, len(keys)))
 
 
 def empirical_estimates(
@@ -192,20 +231,17 @@ def empirical_estimates(
     return found
 
 
-def _run_chunk(
-    indices: Sequence[int], regional: CycloneCatalog, config: ExperimentConfig
-) -> list[ReplicateResult]:
+def _run_chunk(indices: Sequence[int], regional: CycloneCatalog,
+               config: ExperimentConfig) -> list[ReplicateResult]:
     """The replicates at `indices`, estimated together; a replicate's result
-    does not depend on the others."""
+    does not depend on the others. A cell with a value has no flag."""
     samples = np.array([period_rows(regional, config.T0, replicate_rng(config.master_seed, i))
                         for i in indices])
-    cells = _sample_cells(regional, analysis_locations(regional, config.location_ids), samples,
-                          config.T, config.T0, config.n_ladder, config.methods, config.estimators)
-    return [ReplicateResult(
-        index=i,
-        estimates={k: r.value for k, r in found.items() if not isinstance(r, str)},
-        failures={k: r for k, r in found.items() if isinstance(r, str)},
-    ) for i, found in zip(indices, cells)]
+    keys, values, flags = estimate_cells(
+        regional, config.T, config.T0, config.n_ladder, config.methods, config.estimators,
+        analysis_locations(regional, config.location_ids), samples)
+    reasons = np.where(np.isnan(values), flags, "")
+    return [ReplicateResult(i, keys, v, r) for i, v, r in zip(indices, values, reasons)]
 
 
 def _run_replicate(
@@ -304,25 +340,29 @@ class SummaryStats:
 
 
 def summarize(results: list[ReplicateResult]) -> SummaryStats:
-    """Box-whisker summary of each cell with at least two estimates;
-    percentiles by linear interpolation of order statistics, outliers outside
-    the 2.5-97.5% whiskers. Cells with equal counts are summarised together,
-    a row each; the cells keep the order in which they first appear."""
-    pooled: dict[CellKey, list[float]] = {}
-    for rep in results:
-        for key, value in rep.estimates.items():
-            pooled.setdefault(key, []).append(value)
-    cells = dict.fromkeys(key for key, values in pooled.items() if len(values) >= 2)
-    by_count: dict[int, list[CellKey]] = {}
-    for key in cells:
-        by_count.setdefault(len(pooled[key]), []).append(key)
-    for count, keys in by_count.items():
-        arr = np.array([pooled[key] for key in keys])
+    """Box-whisker summary of each cell with at least two estimates, over
+    the results of one experiment, which share their keys; percentiles by
+    linear interpolation of order statistics, outliers outside the 2.5-97.5%
+    whiskers. Cells with equal counts are summarised together, a row each;
+    the cells come in the order in which they first have a value, replicate
+    by replicate."""
+    if not results:
+        return SummaryStats(cells={})
+    keys = results[0].keys
+    values = np.array([rep.values for rep in results]).T  # cells x replicates
+    valued = ~np.isnan(values)
+    counts = valued.sum(axis=1)
+    order = np.argsort(valued.argmax(axis=1), kind="stable")
+    order = order[counts[order] >= 2]
+    cells = dict.fromkeys(keys[c] for c in order.tolist())
+    for count in dict.fromkeys(counts[order].tolist()):
+        group = order[counts[order] == count]
+        arr = values[group][valued[group]].reshape(len(group), count)
         q = np.percentile(arr, [2.5, 25.0, 50.0, 75.0, 97.5], axis=1)
         outside = (arr < q[0][:, None]) | (arr > q[4][:, None])
-        for key, row, mean, out, (q025, q25, q50, q75, q975) in zip(
-                keys, arr, arr.mean(axis=1).tolist(), outside, q.T.tolist()):
-            cells[key] = CellStats(
+        for c, row, mean, out, (q025, q25, q50, q75, q975) in zip(
+                group.tolist(), arr, arr.mean(axis=1).tolist(), outside, q.T.tolist()):
+            cells[keys[c]] = CellStats(
                 count=count, mean=mean, median=q50, q25=q25, q75=q75, q025=q025, q975=q975,
                 outliers=tuple(row[out].tolist()),
             )

@@ -7,11 +7,15 @@ e_1..e_m, the SWH CDF is the exact finite mixture
 F_H(h) = (1/m) * sum_i F_S(h / e_i), which is inverted by bisection to get
 the quantile at the per-retained-event target probability
 p* = 1 - (T0 / n) / T for the T-year return value.
+
+The batched calls take and give columns: parameter arrays in, and value,
+at_upper_bound and reason arrays out. stme_cells is the STM-E step of
+experiments.estimate_cells after its tail fit; a ReturnValueEstimate is a
+one-row view, built by return_value and run_stme.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,15 +27,14 @@ from .catalog import (
     CycloneCatalog,
     ExposureMatrix,
     RegionSpec,
-    StmSeries,
     select_region,
-    top_n_positions,
 )
-from .evd import EvdError, GpdParams, gpd_cdf_rows, params_arrays
+from .evd import EvdError, GpdFits, GpdParams, gpd_cdf_rows
 
 BISECTION_TOL = 1e-6  # metres
 BISECTION_MAX_ITER = 200
 BRACKET_MAX = 1e12  # metres
+BRACKET_EXCEEDED = "return-value bracket exceeded 1e12 m"
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,8 @@ class _AtomRows:
 
     def cdf(self, params, h: np.ndarray) -> np.ndarray:
         """SWH CDF of row r at h[r] (0 for a row without atoms) under row r's
-        entry of the GPD params_arrays; with one row and one entry, at every h."""
+        entry of the GPD parameter arrays (threshold, scale, shape); with one
+        row and one entry, at every h."""
         p = np.where(self.mask, gpd_cdf_rows(*params, h[:, None] / self.scale), 0.0)
         # a running sum, so that the masked atoms add exact zeros and leave
         # a row's total bit-identical to the sum over its positive atoms alone
@@ -105,7 +109,7 @@ def swh_cdf(fit: GpdParams, ecdf: ExposureEcdf, h) -> np.ndarray | float:
     h = np.asarray(h, dtype=float)
     if np.any(h < 0):
         raise CatalogError("SWH evaluation point must be >= 0")
-    p = _AtomRows(ecdf.atoms[:, None]).cdf(params_arrays([fit]), h.reshape(-1)).reshape(h.shape)
+    p = _AtomRows(ecdf.atoms[:, None]).cdf(fit.arrays(), h.reshape(-1)).reshape(h.shape)
     return p if h.ndim else float(p)
 
 
@@ -119,34 +123,32 @@ def target_probability(T: float, T0: float, n: int) -> float:
     return p
 
 
-def return_values(
-    fits, atoms: np.ndarray, location_ids, T: float, T0: float, n: int,
-    method: str = "", estimator: str = "STME",
-) -> list[ReturnValueEstimate | CatalogError | EvdError]:
+def return_values(fits, atoms: np.ndarray, location_ids, T: float, T0: float, n: int):
     """T-year return value at each column of the events x locations exposure
     block `atoms` (NaN where an event has no atom), column k belonging to
-    location_ids[k] and fitted by the GpdParams fits[k]: the swh_cdf quantile
-    at p* = 1 - (T0/n)/T, found for all columns at once by bracketing and
-    bisection (1e-6 m). A location without a value maps to the error saying
-    why. A column whose shape is < 0 with an upper bound within 1e12 m is
-    bracketed by the location's upper bound, and a quantile within 1e-6 m of
-    it is flagged "at_upper_bound". A column's value does not depend on the
-    other columns."""
+    location_ids[k] and fitted by entry k of the (threshold, scale, shape)
+    arrays `fits`: the swh_cdf quantile at p* = 1 - (T0/n)/T, found for all
+    columns at once by bracketing and bisection (1e-6 m). Gives the values
+    (NaN where there is none), whether each is at the upper bound and the
+    reason each column without a value has none ("" where it has one). A
+    column whose shape is < 0 with an upper bound within 1e12 m is bracketed
+    by the location's upper bound, and a quantile within 1e-6 m of it is at
+    that bound. A column's value does not depend on the other columns."""
     rows = _AtomRows(atoms)
-    results: list[ReturnValueEstimate | CatalogError | EvdError | None] = [
-        CatalogError(f"location {loc}: no exposure data among retained events") if not size
-        else CatalogError(f"location {loc}: all exposures zero") if size == n_zero
-        else None
-        for loc, size, n_zero in zip(location_ids, rows.size.tolist(), rows.n_zero.tolist())
-    ]
     live = rows.size > rows.n_zero
+    reason = np.full(len(live), "", dtype=object)
+    for k in np.flatnonzero(~live).tolist():
+        reason[k] = (f"location {location_ids[k]}: all exposures zero" if rows.size[k]
+                     else f"location {location_ids[k]}: no exposure data among retained events")
+    value, at_bound = np.full(len(live), np.nan), np.zeros(len(live), dtype=bool)
     try:
         p_target = target_probability(T, T0, n)
     except CatalogError as err:
-        return [r or err for r in results]
+        reason[live] = str(err)
+        return value, at_bound, reason
     if not live.any():
-        return results
-    params = threshold, scale, shape = params_arrays(fits)
+        return value, at_bound, reason
+    params = threshold, scale, shape = fits
     e_max = np.where(rows.mask, rows.scale, 0.0).max(axis=1)
     # a shape just below zero puts the upper bound out of bisection's reach
     # (or overflows it to inf); such a column is bracketed as if unbounded
@@ -154,7 +156,6 @@ def return_values(
         upper = np.where(shape < 0, threshold - scale / shape, np.inf)
         bounded = upper <= BRACKET_MAX
         hi = np.where(bounded, e_max * upper, np.maximum(1.0, e_max * (threshold + scale)))
-    at_bound = np.zeros(len(live), dtype=bool)
     if bounded.any():
         at_bound = bounded & (rows.cdf(params, np.maximum(hi - BISECTION_TOL, 0.0)) < p_target)
     low = live & ~bounded
@@ -162,8 +163,7 @@ def return_values(
         low &= rows.cdf(params, hi) < p_target
     while low.any():
         hi = np.where(low, 2.0 * hi, hi)
-        for k in np.flatnonzero(low & (hi > BRACKET_MAX)):
-            results[k] = EvdError("return-value bracket exceeded 1e12 m")
+        reason[low & (hi > BRACKET_MAX)] = BRACKET_EXCEEDED
         low &= hi <= BRACKET_MAX
         low &= rows.cdf(params, hi) < p_target
     lo = np.zeros_like(hi)
@@ -175,73 +175,46 @@ def return_values(
         above = rows.cdf(params, mid) >= p_target
         hi = np.where(active & above, mid, hi)
         lo = np.where(active & ~above, mid, lo)
-    for k, (loc, value, flag) in enumerate(zip(location_ids, hi.tolist(), at_bound.tolist())):
-        if results[k] is None:
-            try:
-                results[k] = ReturnValueEstimate(
-                    location_id=loc, T=float(T), T0=float(T0), n=int(n), value=value,
-                    method=method, estimator=estimator, flag="at_upper_bound" if flag else "",
-                )
-            except CatalogError as err:
-                results[k] = err
-    return results
+    found = reason == ""
+    value[found] = hi[found]
+    return value, at_bound & found, reason
 
 
-def return_value(
-    fit: GpdParams,
-    ecdf: ExposureEcdf,
-    T: float,
-    T0: float,
-    n: int,
-    method: str = "",
-    estimator: str = "STME",
-) -> ReturnValueEstimate:
-    """T-year return value at one location; see return_values."""
-    (result,) = return_values([fit], ecdf.atoms[:, None], [ecdf.location_id], T, T0, n, method,
-                              estimator)
-    if isinstance(result, Exception):
-        raise result
-    return result
+def return_value(fit: GpdParams, ecdf: ExposureEcdf, T: float, T0: float, n: int,
+                 method: str = "", estimator: str = "STME") -> ReturnValueEstimate:
+    """T-year return value at one location: a view of one column of
+    return_values, raising the reason when there is none."""
+    (value,), (at_bound,), (reason,) = return_values(
+        fit.arrays(), ecdf.atoms[:, None], [ecdf.location_id], T, T0, n)
+    if reason:
+        raise (EvdError if reason == BRACKET_EXCEEDED else CatalogError)(reason)
+    return ReturnValueEstimate(
+        location_id=ecdf.location_id, T=float(T), T0=float(T0), n=int(n), value=float(value),
+        method=method, estimator=estimator, flag="at_upper_bound" if at_bound else "",
+    )
 
 
-def stme_tails(
-    stm: StmSeries, samples: np.ndarray, exposures: np.ndarray, location_ids, n: int, T: float,
-    T0: float, method: str = "MLE",
-):
-    """The STM-E step of each sample, split around its tail fit for
-    fit_tails. A sample is a row of ascending positions into `stm` (event
-    ids ascending, as extract_stm gives them) and into the rows of the
-    events x locations exposure block `exposures`, column k belonging to
-    location_ids[k]. Gives each sample's n largest STM values in event
-    order, their threshold, and the finish that inverts the return value at
-    each (sample, location) column, sample-major, or gives the error saying
-    why there is none."""
-    keep, psi = top_n_positions(stm.values[samples], stm.event_ids[samples], n)
-    events = np.take_along_axis(samples, keep, axis=1)
-
-    def finish(reports):
-        failed = [EvdError(f"tail fit failed: {r}") if isinstance(r, EvdError)
-                  else None if r.converged else EvdError(f"tail fit failed: {r.message}")
-                  for r in reports]
-        live = [k for k, f in enumerate(failed) if f is None]
-        atoms = np.asarray(exposures)[events[live]].transpose(1, 0, 2)  # n x samples x locations
-        found = iter(return_values(
-            [reports[k].params for k in live for _ in location_ids], atoms.reshape(n, -1),
-            list(location_ids) * len(live), T, T0, n, method.upper(), "STME"))
-        width = len(location_ids)
-        return [r for f in failed for r in ([f] * width if f else itertools.islice(found, width))]
-
-    return stm.values[events], psi, finish
+def stme_cells(fits: GpdFits, events, exposures, location_ids, T: float, T0: float, n: int):
+    """The STM-E step of each sample after the fit of its n largest STM values,
+    at `events`, rows of the exposure block (column k of location_ids[k]):
+    the value of each (sample, location) cell, sample-major, NaN where there
+    is none, and its flag: the reason it has none, "at_upper_bound" or ""."""
+    width = len(location_ids)
+    reason = fits.error + fits.message
+    live = np.flatnonzero(reason == "")
+    atoms = np.asarray(exposures)[events[live]].transpose(1, 0, 2)  # n x samples x locations
+    value, at_bound, why = return_values(
+        [np.repeat(column[live], width) for column in fits[:3]], atoms.reshape(n, -1),
+        list(location_ids) * len(live), T, T0, n)
+    values = np.full((len(reason), width), np.nan)
+    flags = np.repeat(("tail fit failed: " + reason)[:, None], width, axis=1)
+    values[live] = value.reshape(len(live), width)
+    flags[live] = np.where(at_bound, "at_upper_bound", why).reshape(len(live), width)
+    return values.ravel(), flags.ravel()
 
 
-def run_stme(
-    catalog: CycloneCatalog,
-    region: RegionSpec,
-    n: int,
-    T: float,
-    method: str = "MLE",
-    location_ids=None,
-) -> list[ReturnValueEstimate]:
+def run_stme(catalog: CycloneCatalog, region: RegionSpec, n: int, T: float, method: str = "MLE",
+             location_ids=None) -> list[ReturnValueEstimate]:
     """Full STM-E pipeline: region selection and the STME cells of
     experiments.estimate_cells, with T0 the catalog duration. Locations
     without an estimate are reported as warnings; when no location has one,
@@ -254,7 +227,10 @@ def run_stme(
     region_ids = set(sub.location_ids)
     known = [loc for loc in results if loc in region_ids]
     cells = estimate_cells(sub, T, sub.duration_years, (n,), (method,), ("STME",), known)
-    results.update((loc, r) for (loc, *_), r in cells.items())
+    for (loc, *_), value, flag in zip(cells.keys, cells.values[0].tolist(), cells.flags[0]):
+        results[loc] = flag if math.isnan(value) else ReturnValueEstimate(
+            location_id=loc, T=float(T), T0=float(sub.duration_years), n=int(n), value=value,
+            method=method.upper(), estimator="STME", flag=flag)
     estimates = [r for r in results.values() if not isinstance(r, str)]
     if not estimates:
         reason = next(iter(results.values()), "no locations")

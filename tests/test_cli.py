@@ -88,7 +88,7 @@ class TestSynth:
             (e, j, v) for e, row in zip(event_ids.tolist(), values.tolist())
             for j, v in zip(location_ids, row) if not np.isnan(v)
         ]
-        _write_csv(tmp_path / "b.csv", ["e", "j", "v"], rows)
+        _write_csv(tmp_path / "b.csv", ["e", "j", "v"], [zip(*rows)])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -536,6 +536,25 @@ class TestExperiment:
         for name, data in ref.items():
             assert (out / name).read_bytes() == data
 
+    def test_repeated_list_values_give_one_cell_each(self, synth_dir, tmp_path, capsys):
+        # repeats are dropped where the cells are decided, so both runs record
+        # the same experiment, and each can resume the other
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        repeats = ["--n", "10", "--method", "pwm", "--estimator", "stme", "--estimator",
+                   "single", "--estimator", "stme"]
+        assert self.run_experiment(synth_dir, once) == 0
+        assert self.run_experiment(synth_dir, twice, extra=repeats) == 0
+        files = sorted(p.relative_to(once) for p in once.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(twice) for p in twice.rglob("*") if p.is_file())
+        assert "manifest.json" in map(str, files) and len(files) == 9
+        for name in files:
+            assert (once / name).read_bytes() == (twice / name).read_bytes(), name
+        (twice / "replicates" / "rep_0001.csv").unlink()
+        capsys.readouterr()
+        assert self.run_experiment(synth_dir, twice) == 0
+        assert "resuming: 3 completed replicates found" in capsys.readouterr().out
+        assert (twice / "results.csv").read_bytes() == (once / "results.csv").read_bytes()
+
     def test_jobs_and_resume_leave_outputs_unchanged(self, synth_dir, tmp_path):
         # the replicates run in chunks, one chunk per worker; a resumed run
         # computes one replicate from the middle of a chunk on its own
@@ -680,19 +699,19 @@ class TestExperiment:
 
 class TestWriteCsv:
     def test_failed_write_leaves_no_file(self, tmp_path):
-        def rows():
-            yield (1, 2.5)
+        def blocks():
+            yield [1], [2.5]
             raise RuntimeError("interrupted")
 
         path = tmp_path / "table.csv"
         with pytest.raises(RuntimeError):
-            _write_csv(path, ["a", "b"], rows())
+            _write_csv(path, ["a", "b"], blocks())
         assert os.listdir(tmp_path) == []
         # an existing file is replaced whole or not at all
-        _write_csv(path, ["a", "b"], [(1, 2.5)])
+        _write_csv(path, ["a", "b"], [([1], [2.5])])
         before = path.read_bytes()
         with pytest.raises(RuntimeError):
-            _write_csv(path, ["a", "b"], rows())
+            _write_csv(path, ["a", "b"], blocks())
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["table.csv"]
 
@@ -953,17 +972,47 @@ class TestOptionTable:
 
 
 class TestTracedNames:
-    def test_every_traced_name_resolves(self):
-        """perfbench/trace_cli.py wraps stme functions by module attribute name;
-        a renamed or deleted function would leave its span silently empty."""
-        import importlib
+    @staticmethod
+    def trace_cli():
         import types
 
         path = Path(__file__).parents[1] / "perfbench" / "trace_cli.py"
         trace_cli = types.ModuleType("trace_cli")
         # compiled from source, so no bytecode cache is written next to it
         exec(compile(path.read_text(), str(path), "exec"), trace_cli.__dict__)
+        return trace_cli
+
+    def test_every_traced_name_resolves(self):
+        """perfbench/trace_cli.py wraps stme functions by module attribute name;
+        a renamed or deleted function would leave its span silently empty."""
+        import importlib
+
+        trace_cli = self.trace_cli()
         names = [entry[:2] for entry in (*trace_cli.SPANS.values(), *trace_cli.COUNTED.values())]
         assert names
         for module, attr in names:
             assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+    def test_counts_read_the_one_row_views(self):
+        """trace_cli reads its fit and estimate counts from the results of the
+        one-row views fit_gpd_mle, fit_gpd_pwm and return_value."""
+        from stme.evd import GpdParams, fit_gpd_mle, fit_gpd_pwm, gpd_quantile
+        from stme.returns import ExposureEcdf, return_value
+
+        trace_cli = self.trace_cli()
+        sample = gpd_quantile(GpdParams(3.9, 1.0, 0.1), np.linspace(0.05, 0.95, 20))
+        converged = fit_gpd_mle(sample, 3.9)
+        assert converged.converged and converged.iterations > 0
+        assert trace_cli._fit_counts(converged, ()) == {
+            "nonconverged": 0, "iterations": converged.iterations, "boundary": 0}
+        assert trace_cli._fit_counts(fit_gpd_pwm(sample, 3.9), ()) == {
+            "nonconverged": 0, "iterations": 0, "boundary": 0}
+        boundary = fit_gpd_mle(np.arange(2, 13) ** 6.0, 1.0)
+        assert trace_cli._fit_counts(boundary, ()) == {
+            "nonconverged": 1, "iterations": boundary.iterations, "boundary": 1}
+        plain = return_value(GpdParams(5.0, 2.0, 0.1), ExposureEcdf(1, np.array([0.5, 1.0])),
+                             500.0, 200.0, 30)
+        at_bound = return_value(GpdParams(5.0, 2.0, -2.0), ExposureEcdf(1, np.array([1.0])),
+                                1e6, 200.0, 30)
+        assert trace_cli._estimate_counts(plain, ()) == {"at_upper_bound": 0}
+        assert trace_cli._estimate_counts(at_bound, ()) == {"at_upper_bound": 1}

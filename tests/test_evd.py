@@ -9,6 +9,7 @@ from stme.evd import (
     XI_MIN,
     EvdError,
     METHODS,
+    GpdFits,
     GpdParams,
     fit_gpd,
     fit_gpd_mle,
@@ -23,6 +24,12 @@ from stme.evd import (
 def gpd_sample(params, rng, size):
     """Inverse-transform generator used as the fitting oracle."""
     return np.asarray(gpd_quantile(params, rng.uniform(size=size)))
+
+
+def assert_same_fits(got: GpdFits, want: GpdFits):
+    """Every column of two batches of fits equal, bit for bit (NaN equal)."""
+    for name, g, w in zip(GpdFits._fields, got, want):
+        assert np.array_equal(g, w, equal_nan=g.dtype.kind == "f"), name
 
 
 class TestCdfQuantile:
@@ -188,13 +195,20 @@ class TestMleSearch:
     def test_rows_fail_one_by_one(self):
         rng = np.random.default_rng(32)
         good = gpd_sample(GpdParams(0.0, 1.0, 0.1), rng, 8)
-        reports = fit_gpd_rows(
-            np.array([good, np.full(8, 2.0), good - good.min()]), [0.0, 0.0, 0.0], "MLE"
-        )
-        assert reports[0] == fit_gpd_mle(good, 0.0)
-        assert str(reports[1]) == "degenerate sample: all exceedances equal"
-        assert str(reports[2]) == "exceedances must lie strictly above the threshold"
-        assert isinstance(reports[1], EvdError) and isinstance(reports[2], EvdError)
+        boundary = np.arange(2, 10) ** 6.0
+        fits = fit_gpd_rows(np.array([good, np.full(8, 2.0), good - good.min(), boundary]),
+                            [0.0, 0.0, 0.0, 1.0], "MLE")
+        report = fit_gpd_mle(good, 0.0)
+        assert (fits.threshold[0], fits.scale[0], fits.shape[0], fits.loglik[0]) == (
+            report.params.threshold, report.params.scale, report.params.shape, report.loglik)
+        # a row that cannot be fitted has an error, a fit that did not
+        # converge a message
+        assert fits.error.tolist() == [
+            "", "degenerate sample: all exceedances equal",
+            "exceedances must lie strictly above the threshold", ""]
+        assert fits.message.tolist() == ["", "", "", "shape at search boundary"]
+        assert fits.iterations[3] == fit_gpd_mle(boundary, 1.0).iterations > 0
+        assert np.isnan(fits.scale[1:]).all() and np.isnan(fits.loglik[1:]).all()
 
     def test_unknown_method(self):
         with pytest.raises(EvdError, match="unknown fit method"):
@@ -208,16 +222,25 @@ class TestMleSearch:
                min_size=2, max_size=2)),
            threshold=st.floats(-1.0, 1.0), method=st.sampled_from(METHODS))
     def test_fit_gpd_is_one_row_of_fit_gpd_rows(self, rows, threshold, method):
-        # the one-sample fit is row 0 of a batch, raising that row's EvdError
-        want = fit_gpd_rows(np.array(rows), [threshold, 0.5], method.lower())[0]
-        if isinstance(want, EvdError):
+        # the one-sample fit is a view of row 0 of a batch, raising that
+        # row's error
+        fits = fit_gpd_rows(np.array(rows), [threshold, 0.5], method.lower())
+        if fits.error[0]:
             with pytest.raises(EvdError) as err:
                 fit_gpd(rows[0], threshold, method)
-            assert str(err.value) == str(want)
+            assert str(err.value) == fits.error[0]
+            return
+        report = fit_gpd(rows[0], threshold, method)
+        assert (report.n, report.method, report.converged, report.message, report.iterations) == (
+            len(rows[0]), method, not fits.message[0], fits.message[0], fits.iterations[0])
+        assert report.loglik == (None if np.isnan(fits.loglik[0]) else fits.loglik[0])
+        if report.converged:
+            assert (report.params.threshold, report.params.scale, report.params.shape) == (
+                fits.threshold[0], fits.scale[0], fits.shape[0])
         else:
-            assert fit_gpd(rows[0], threshold, method) == want
-            fitter = fit_gpd_mle if method == "MLE" else fit_gpd_pwm
-            assert fitter(rows[0], threshold) == want
+            assert report.params is None and np.isnan(fits.shape[0])
+        fitter = fit_gpd_mle if method == "MLE" else fit_gpd_pwm
+        assert fitter(rows[0], threshold) == report
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -239,17 +262,17 @@ class TestMleSearch:
             rows[0] = thresholds[0] + 1.0
         batch = fit_gpd_rows(rows, thresholds, method)
         fitter = fit_gpd_mle if method == "MLE" else fit_gpd_pwm
-        for row, threshold, got in zip(rows, thresholds, batch):
+        for k, (row, threshold) in enumerate(zip(rows, thresholds)):
             try:
                 want = fitter(row, threshold)
             except EvdError as err:
-                assert isinstance(got, EvdError) and str(got) == str(err)
+                assert batch.error[k] == str(err)
                 continue
-            assert (got.converged, got.message, got.iterations) == (
+            assert (not batch.message[k], batch.message[k], batch.iterations[k]) == (
                 want.converged, want.message, want.iterations)
             if want.converged:
-                assert abs(got.params.shape - want.params.shape) <= 1e-9
-                assert got.params.scale == pytest.approx(want.params.scale, rel=1e-9)
+                assert abs(batch.shape[k] - want.params.shape) <= 1e-9
+                assert batch.scale[k] == pytest.approx(want.params.scale, rel=1e-9)
 
 
     @settings(max_examples=40, deadline=None)
@@ -271,12 +294,8 @@ class TestMleSearch:
             rows.append(row)
             thresholds.append(t)
         batch = fit_gpd_rows(np.array(rows), thresholds, method)
-        for row, t, got in zip(rows, thresholds, batch):
-            (want,) = fit_gpd_rows(row[None], [t], method)
-            if isinstance(want, EvdError):
-                assert type(got) is EvdError and str(got) == str(want)
-            else:
-                assert got == want
+        for k, (row, t) in enumerate(zip(rows, thresholds)):
+            assert_same_fits(batch.take([k]), fit_gpd_rows(row[None], [t], method))
 
 
 class TestPwm:

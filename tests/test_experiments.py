@@ -10,14 +10,17 @@ from stme.baselines import empirical_rv, location_series, single_location_rv
 from stme.catalog import CatalogError, CycloneCatalog, RegionSpec, extract_stm
 from stme.evd import EvdError
 from stme.returns import run_stme
+import stme.baselines
 import stme.evd
 import stme.experiments
+import stme.returns
 from stme.experiments import (
     CellStats,
     ExperimentConfig,
     ReplicateResult,
     SynthWorldConfig,
     analysis_locations,
+    cell_keys,
     estimate_cells,
     performance_metrics,
     _chunks,
@@ -30,6 +33,18 @@ from stme.experiments import (
 )
 from tests.test_catalog import footprint_dicts
 from tests.test_returns import exposure_world
+
+
+def result_rows(results):
+    """Replicate results as comparable rows, with None for NaN."""
+    return [(r.index, r.keys, [None if v != v else v for v in r.values.tolist()],
+             r.reasons.tolist()) for r in results]
+
+
+def cell_dict(cells, row=0):
+    """Sample `row` of a cell table as {key: (value or None, flag)}."""
+    return {key: (None if np.isnan(value) else value, flag)
+            for key, value, flag in zip(cells.keys, cells.values[row].tolist(), cells.flags[row])}
 
 
 class TestExperimentConfig:
@@ -81,9 +96,10 @@ class TestSamplePeriod:
 
 
 class TestSummarize:
+    KEYS = ((1, "STME", "MLE", 20),)
+
     def rep(self, index, value):
-        return ReplicateResult(index=index, estimates={(1, "STME", "MLE", 20): value},
-                               failures={})
+        return ReplicateResult(index, self.KEYS, np.array([value]), np.array([""], dtype=object))
 
     def test_hand_percentiles(self):
         results = [self.rep(i, v) for i, v in enumerate([1.0, 2.0, 3.0, 4.0, 5.0])]
@@ -111,10 +127,8 @@ class TestSummarize:
         assert all(v > stats.q975 or v < stats.q025 for v in stats.outliers)
 
     def test_all_failed_cell_reported_empty(self):
-        results = [
-            ReplicateResult(index=i, estimates={}, failures={(1, "STME", "MLE", 20): "x"})
-            for i in range(3)
-        ]
+        results = [ReplicateResult(i, self.KEYS, np.array([np.nan]), np.array(["x"], dtype=object))
+                   for i in range(3)]
         assert summarize(results).cells == {}
 
 
@@ -211,14 +225,14 @@ class TestRunExperiment:
                                methods=("PWM",), location_ids=(1, 2), master_seed=5)
         a = run_experiment(world, RegionSpec(), cfg)
         b = run_experiment(world, RegionSpec(), cfg)
-        assert a == b
+        assert result_rows(a) == result_rows(b)
 
     def test_jobs_do_not_change_results(self, world):
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10,), replicates=4,
                                methods=("PWM",), location_ids=(1, 2), master_seed=5)
         serial = run_experiment(world, RegionSpec(), cfg, jobs=1)
         parallel = run_experiment(world, RegionSpec(), cfg, jobs=3)
-        assert serial == parallel
+        assert result_rows(serial) == result_rows(parallel)
 
     def test_pool_tasks_carry_only_replicate_indices(self, world, monkeypatch):
         # the catalog and config reach each worker once, through the pool
@@ -236,15 +250,14 @@ class TestRunExperiment:
                                methods=("MLE",), location_ids=(1, 2), master_seed=5)
         parallel = run_experiment(world, RegionSpec(), cfg, jobs=2)
         assert tasks == [([0, 1],), ([2],)]
-        assert parallel == run_experiment(world, RegionSpec(), cfg, jobs=1)
+        assert result_rows(parallel) == result_rows(run_experiment(world, RegionSpec(), cfg))
 
     def test_grid_coverage(self, world):
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10, 15), replicates=3,
                                methods=("PWM", "MLE"), location_ids=(1,), master_seed=6)
         results = run_experiment(world, RegionSpec(), cfg)
         for rep in results:
-            keys = set(rep.estimates) | set(rep.failures)
-            assert keys == {
+            assert set(rep.keys) == {
                 (1, est, method, n)
                 for est in ("STME", "SINGLE")
                 for method in ("PWM", "MLE")
@@ -255,7 +268,7 @@ class TestRunExperiment:
         # STM-E and SINGLE rows of every replicate in a chunk share one fit
         calls = []
         fit = stme.evd.fit_gpd_rows
-        monkeypatch.setattr(stme.evd, "fit_gpd_rows",
+        monkeypatch.setattr(stme.experiments, "fit_gpd_rows",
                             lambda x, t, method: calls.append(len(x)) or fit(x, t, method))
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10, 15), replicates=8,
                                location_ids=(1, 2, 3), master_seed=5)
@@ -296,29 +309,27 @@ class TestEstimateCells:
         monkeypatch.setattr(CycloneCatalog, "columns", counted)
         cells = estimate_cells(world, 500.0, 200.0, (10, 20), ("MLE", "PWM"),
                                ("STME", "SINGLE"), (3, 1, 2))
-        assert list(cells) == [
+        assert cells.keys == tuple(
             (loc, est, method, n)
             for n in (10, 20)
             for method in ("MLE", "PWM")
             for est in ("STME", "SINGLE")
             for loc in (3, 1, 2)
-        ]
+        )
         assert calls == [(3, 1, 2)]  # the locations' columns are taken once
-        for (loc, est, method, n), result in cells.items():
-            assert (result.location_id, result.estimator, result.method, result.n) == (
-                loc, est, method, n)
+        assert cells.values.shape == (1, len(cells.keys)) and not np.isnan(cells.values).any()
 
     def test_n_beyond_sample_fails_every_cell(self):
         world = exposure_world({1: 1.0, 2: 0.5}, [5.0 + 0.1 * k for k in range(12)])
         cells = estimate_cells(world, 500.0, 200.0, (20,), ("PWM",), ("STME", "SINGLE"), (1, 2))
-        assert len(cells) == 4
-        assert set(cells.values()) == {"n=20 exceeds sample size 12"}
+        assert len(cells.keys) == 4 and np.isnan(cells.values).all()
+        assert set(cells.flags[0]) == {"n=20 exceeds sample size 12"}
 
     def test_failed_fit_gives_every_stme_cell_the_reason(self):
         world = exposure_world({1: 1.0, 2: 0.5}, np.arange(1, 13) ** 6.0)
         cells = estimate_cells(world, 500.0, 200.0, (10,), ("MLE",), ("STME",), (1, 2))
-        assert cells == {
-            (loc, "STME", "MLE", 10): "tail fit failed: shape at search boundary"
+        assert cell_dict(cells) == {
+            (loc, "STME", "MLE", 10): (None, "tail fit failed: shape at search boundary")
             for loc in (1, 2)
         }
 
@@ -338,8 +349,8 @@ class TestEstimateCells:
     @functools.cache
     def all_cells():
         world = TestEstimateCells.holed_world()
-        return estimate_cells(world, 500.0, 200.0, (10, 40), ("MLE", "PWM"), ("STME", "SINGLE"),
-                              world.location_ids)
+        return cell_dict(estimate_cells(world, 500.0, 200.0, (10, 40), ("MLE", "PWM"),
+                                        ("STME", "SINGLE"), world.location_ids))
 
     @settings(max_examples=25, deadline=None)
     @given(ids=st.lists(st.integers(1, 35), min_size=1, max_size=8, unique=True))
@@ -348,16 +359,16 @@ class TestEstimateCells:
         # whatever order
         cells = estimate_cells(self.holed_world(), 500.0, 200.0, (10, 40), ("MLE", "PWM"),
                                ("STME", "SINGLE"), ids)
-        assert {loc for loc, *_ in cells} == set(ids)
-        for key, result in cells.items():
-            assert result == self.all_cells()[key]
+        assert {loc for loc, *_ in cells.keys} == set(ids)
+        for key, cell in cell_dict(cells).items():
+            assert cell == self.all_cells()[key]
 
     def test_holed_world_covers_failures(self):
         cells = self.all_cells()
-        assert cells[(35, "SINGLE", "PWM", 40)] == "location 35: n=40 exceeds 3 values"
+        assert cells[(35, "SINGLE", "PWM", 40)] == (None, "location 35: n=40 exceeds 3 values")
         assert cells[(35, "STME", "PWM", 40)] == (
-            "location 35: no exposure data among retained events")
-        assert all(not isinstance(cells[(1, e, "PWM", 40)], str) for e in ("STME", "SINGLE"))
+            None, "location 35: no exposure data among retained events")
+        assert all(cells[(1, e, "PWM", 40)][0] is not None for e in ("STME", "SINGLE"))
 
     @settings(max_examples=12, deadline=None)
     @given(indices=st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True),
@@ -374,11 +385,27 @@ class TestEstimateCells:
             sample = sample_period(world, T0, replicate_rng(seed, i))
             cells = estimate_cells(sample, 500.0, T0, cfg.n_ladder, cfg.methods,
                                    cfg.estimators, tuple(ids))
-            assert got == ReplicateResult(
-                index=i,
-                estimates={k: r.value for k, r in cells.items() if not isinstance(r, str)},
-                failures={k: r for k, r in cells.items() if isinstance(r, str)},
-            )
+            # a replicate's row carries no at_upper_bound flag
+            reasons = np.where(np.isnan(cells.values[0]), cells.flags[0], "")
+            assert result_rows([got]) == result_rows(
+                [ReplicateResult(i, cells.keys, cells.values[0], reasons)])
+
+    def test_repeated_list_values_give_one_cell_each(self):
+        world = self.holed_world()
+        once = estimate_cells(world, 500.0, 200.0, (10, 20), ("MLE", "PWM"), ("STME", "SINGLE"),
+                              (3, 1))
+        twice = estimate_cells(world, 500.0, 200.0, (10, 20, 10), ("MLE", "PWM", "MLE"),
+                               ("SINGLE", "STME", "SINGLE"), (3, 1, 3))
+        assert twice.keys == once.keys == cell_keys((3, 1), (10, 20), ("MLE", "PWM"),
+                                                    ("STME", "SINGLE"))
+        assert len(set(once.keys)) == len(once.keys) == 16
+        assert cell_dict(twice) == cell_dict(once)
+        none = estimate_cells(world, 500.0, 200.0, (10,), ("MLE",), ("EMPIRICAL",), (3, 1))
+        assert none.keys == () and none.values.shape == none.flags.shape == (1, 0)
+        cfg = ExperimentConfig(T0=200.0, T=500.0, n_ladder=(10, 20, 10), methods=("mle", "MLE"),
+                               estimators=("single", "stme", "SINGLE"))
+        assert (cfg.n_ladder, cfg.methods, cfg.estimators) == ((10, 20), ("MLE",),
+                                                               ("SINGLE", "STME"))
 
     def test_analysis_locations(self):
         world = exposure_world({1: 1.0, 2: 0.5, 3: 0.2}, [5.0 + 0.1 * k for k in range(12)])
@@ -401,9 +428,11 @@ class TestOneDriver:
         known = [loc for loc in ids if loc <= 35]
         cells = estimate_cells(world, 500.0, world.duration_years, (n,), (method,), ("STME",),
                                known)
-        want = [r for r in cells.values() if not isinstance(r, str)]
+        want = [(loc, value, flag) for (loc, *_), (value, flag) in cell_dict(cells).items()
+                if value is not None]
         reasons = {loc: f"location {loc} not in exposure matrix" for loc in ids}
-        reasons.update((loc, r) for (loc, *_), r in cells.items())
+        reasons.update((loc, None if value is not None else flag)
+                       for (loc, *_), (value, flag) in cell_dict(cells).items())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -413,23 +442,56 @@ class TestOneDriver:
                 assert str(err) == (
                     f"{method} STM-E: no estimate at any location ({reasons[ids[0]]})")
                 return
-        assert got == want
+        assert [(e.location_id, e.value, e.flag) for e in got] == want
+        assert {(e.T, e.T0, e.n, e.method, e.estimator) for e in got} == {
+            (500.0, world.duration_years, n, method.upper(), "STME")}
         assert [str(w.message) for w in caught] == [
-            f"location {loc}: {r}" for loc, r in reasons.items() if isinstance(r, str)]
+            f"location {loc}: {r}" for loc, r in reasons.items() if r is not None]
 
     @pytest.mark.parametrize("method", ["MLE", "PWM"])
     def test_single_location_rv_is_the_single_cell(self, method):
         world = TestEstimateCells.holed_world()
-        cells = estimate_cells(world, 500.0, 200.0, (10,), (method,), ("SINGLE",),
-                               world.location_ids)
+        cells = cell_dict(estimate_cells(world, 500.0, 200.0, (10,), (method,), ("SINGLE",),
+                                         world.location_ids))
         for loc in world.location_ids:
             cell = cells[loc, "SINGLE", method, 10]
             try:
                 got = single_location_rv(location_series(world, loc), 10, 500.0, 200.0, method)
             except (CatalogError, EvdError) as err:
-                assert str(err) == cell
+                assert cell == (None, str(err))
             else:
-                assert got == cell
+                assert cell == (got.value, got.flag)
+
+    def test_builds_no_per_cell_object(self, monkeypatch):
+        # the batched path carries cells as columns: a chunk of replicates
+        # builds no fit or estimate object, and run_stme one estimate per
+        # location that has a value
+        built = dict.fromkeys(("GpdParams", "FitReport", "ReturnValueEstimate"), 0)
+
+        def counting(cls):
+            class Counted(cls):
+                def __init__(self, *args, **kwargs):
+                    built[cls.__name__] += 1
+                    super().__init__(*args, **kwargs)
+
+            return Counted
+
+        counted = {name: counting(getattr(stme.evd, name)) for name in ("GpdParams", "FitReport")}
+        counted["ReturnValueEstimate"] = counting(stme.returns.ReturnValueEstimate)
+        for module in (stme.evd, stme.returns, stme.baselines, stme.experiments):
+            for name, cls in counted.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, cls)
+        world = TestEstimateCells.holed_world()
+        cfg = ExperimentConfig(T0=50.0, T=500.0, n_ladder=(5, 15, 40), replicates=4)
+        results = _run_chunk([0, 1, 2, 3], world, cfg)
+        assert sum(np.count_nonzero(~np.isnan(r.values)) for r in results) > 900
+        assert built == {"GpdParams": 0, "FitReport": 0, "ReturnValueEstimate": 0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            estimates = run_stme(world, RegionSpec(), 40, 500.0, "PWM")
+        assert len(estimates) == 34  # location 35 is hit by three events only
+        assert built == {"GpdParams": 0, "FitReport": 0, "ReturnValueEstimate": 34}
 
     @pytest.mark.parametrize("estimator, stm_calls, single_calls", [
         ("STME", 1, 0), ("SINGLE", 0, 2)])
@@ -450,7 +512,7 @@ class TestOneDriver:
             monkeypatch.setattr(stme.experiments, name, counted(name))
         world = TestEstimateCells.holed_world()
         cells = estimate_cells(world, 500.0, 200.0, (10,), ("MLE", "PWM"), (estimator,), (1, 2))
-        assert {est for _, est, _, _ in cells} == {estimator}
+        assert {est for _, est, _, _ in cells.keys} == {estimator}
         assert calls == {"extract_stm": stm_calls, "extract_exposures": stm_calls,
                          "single_tails": single_calls}
 

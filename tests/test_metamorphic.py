@@ -2,6 +2,7 @@
 reorderings and scalings that the model must respect, checked cell by cell
 through experiments.estimate_cells on small synthetic worlds."""
 
+import csv
 import functools
 import math
 from dataclasses import replace
@@ -10,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stme.catalog import CycloneCatalog, Location
+from stme.catalog import CycloneCatalog, Location, RegionSpec, load_catalog, select_region
+from stme.cli import main
 from stme.evd import GOLDEN_STEPS
 from stme.experiments import SynthWorldConfig, empirical_estimates, estimate_cells, synth_catalog
 from stme.returns import BISECTION_TOL, target_probability
@@ -24,11 +26,13 @@ def world(seed):
     return synth_catalog(SynthWorldConfig(duration_years=400.0, seed=seed))
 
 
-def cells_of(catalog, location_ids):
+def cells_of(catalog, location_ids, ladder=LADDER):
     """Every cell of estimate_cells as {key: (value or None, flag or reason)}."""
-    cells = estimate_cells(catalog, T, T0, LADDER, METHODS, ESTIMATORS, location_ids)
-    return {key: (None, r) if isinstance(r, str) else (r.value, r.flag)
-            for key, r in cells.items()}
+    keys, (values,), (flags,) = estimate_cells(catalog, T, T0, ladder, METHODS, ESTIMATORS,
+                                               location_ids)
+    assert len(set(keys)) == len(keys)
+    return {key: (None if math.isnan(value) else value, flag)
+            for key, value, flag in zip(keys, values.tolist(), flags)}
 
 
 @functools.cache
@@ -115,3 +119,28 @@ class TestScaling:
         empirical = empirical_estimates(w, 300.0, w.location_ids)
         for loc, e in empirical_estimates(scaled, 300.0, w.location_ids).items():
             assert e.value == k * empirical[loc].value
+
+
+class TestCommandLine:
+    def test_return_values_rows_are_the_cells(self, tmp_path):
+        # estimates.csv holds the cells of estimate_cells on the region the
+        # command reads (--location-ids sets it too), in any order of the ids
+        world_dir = tmp_path / "world"
+        assert main(["synth", "--out", str(world_dir), "--years", "400", "--seed", "5"]) == 0
+        inputs = [world_dir / "footprints.csv", world_dir / "locations.csv"]
+        catalog = select_region(load_catalog(*inputs, 400.0), RegionSpec(location_ids=(1, 2, 3)))
+        want = cells_of(catalog, (3, 1, 2), ladder=(20,))
+        for ids in (("3", "1", "2"), ("2", "3", "1")):
+            out = tmp_path / "-".join(ids)
+            assert main(["return-values", "--footprints", str(inputs[0]), "--locations",
+                         str(inputs[1]), "--duration", "400", "--T", str(T), "--T0", str(T0),
+                         "--n", "20", "--method", "mle", "--method", "pwm", "--estimator",
+                         "stme", "--estimator", "single", "--location-ids", *ids,
+                         "--out", str(out)]) == 0
+            with open(out / "estimates.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            got = {(int(r["location_id"]), r["estimator"], r["method"], int(r["n"])):
+                   (r["value_m"], r["flag"]) for r in rows}
+            assert len(got) == len(rows) == len(want)
+            assert got == {key: ("" if value is None else format(value, ".10g"), flag)
+                           for key, (value, flag) in want.items()}

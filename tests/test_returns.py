@@ -54,6 +54,11 @@ def atom_block(atom_lists, seed=None):
     return block if seed is None else np.random.default_rng(seed).permuted(block, axis=0)
 
 
+def columns_of(fits):
+    """The (threshold, scale, shape) arrays of a list of GpdParams."""
+    return np.array([[f.threshold, f.scale, f.shape] for f in fits]).T
+
+
 def exposure_world(exposure_by_loc, stm_values, duration=200.0):
     """Catalog where event e has footprint stm_values[e] * exposure_by_loc[j]."""
     loc_ids = sorted(exposure_by_loc)
@@ -164,44 +169,47 @@ class TestReturnValues:
              seed=0)
     def test_equals_return_value_per_location(self, fit, atom_lists, n, T, seed):
         ecdfs = [ExposureEcdf(j, np.asarray(a)) for j, a in enumerate(atom_lists, start=1)]
-        batch = return_values([fit] * len(ecdfs), atom_block(atom_lists, seed),
-                              [e.location_id for e in ecdfs],
-                              T, 200.0, n, method="MLE", estimator="STME")
-        for ecdf, got in zip(ecdfs, batch):
+        batch = return_values(columns_of([fit] * len(ecdfs)), atom_block(atom_lists, seed),
+                              [e.location_id for e in ecdfs], T, 200.0, n)
+        for ecdf, value, at_bound, reason in zip(ecdfs, *batch, strict=True):
             try:
                 want = return_value(fit, ecdf, T, 200.0, n, method="MLE", estimator="STME")
             except (CatalogError, EvdError) as err:
-                assert type(got) is type(err) and str(got) == str(err)
-            else:
-                assert got == want  # value and flag, bit for bit
+                assert np.isnan(value) and not at_bound and reason == str(err)
+            else:  # value and flag, bit for bit
+                assert (value, at_bound, reason) == (
+                    want.value, want.flag == "at_upper_bound", "")
 
     def test_location_errors_stay_per_location(self):
         params = GpdParams(5.0, 2.0, 0.1)
         block = atom_block([[0.5, 1.0], [0.0, 0.0], []])
-        good, zero, empty = return_values([params] * 3, block, [1, 2, 3], 500.0, 200.0, 30)
-        assert good == return_value(params, ExposureEcdf(1, block[:, 0]), 500.0, 200.0, 30)
-        assert isinstance(zero, CatalogError) and str(zero) == "location 2: all exposures zero"
-        assert isinstance(empty, CatalogError)
-        assert str(empty) == "location 3: no exposure data among retained events"
+        values, _, reasons = return_values(columns_of([params] * 3), block, [1, 2, 3], 500.0,
+                                           200.0, 30)
+        assert values[0] == return_value(params, ExposureEcdf(1, block[:, 0]), 500.0, 200.0,
+                                         30).value
+        assert np.isnan(values[1:]).all()
+        assert reasons.tolist() == ["", "location 2: all exposures zero",
+                                    "location 3: no exposure data among retained events"]
 
     def test_shape_just_below_zero_bracketed_as_exponential(self):
         # the upper endpoint 5 + 2 / 1e-300 overflows to inf
         block = atom_block([[0.5, 1.0], [0.0]])
-        tiny, bad = return_values([GpdParams(5.0, 2.0, -1e-300)] * 2, block, [1, 2], 500.0, 200.0,
-                                  30)
+        values, _, reasons = return_values(columns_of([GpdParams(5.0, 2.0, -1e-300)] * 2), block,
+                                           [1, 2], 500.0, 200.0, 30)
         exponential = GpdParams(5.0, 2.0, 0.0)
-        assert tiny == return_value(exponential, ExposureEcdf(1, block[:, 0]), 500.0, 200.0, 30)
-        assert isinstance(bad, CatalogError) and str(bad) == "location 2: all exposures zero"
+        assert values[0] == return_value(exponential, ExposureEcdf(1, block[:, 0]), 500.0, 200.0,
+                                         30).value
+        assert reasons[1] == "location 2: all exposures zero"
 
     def test_upper_bound_flag(self):
         # survival (1 - 2 z)^(1/2) near the upper endpoint 6: the quantile
         # at p* = 1 - 6.7e-6 lies within 1e-6 m of it
         params = GpdParams(5.0, 2.0, -2.0)
-        first, second = return_values([params] * 2, atom_block([[1.0], [0.0, 0.5]]), [1, 2], 1e6,
-                                      200.0, 30)
-        assert (first.flag, second.flag) == ("at_upper_bound", "at_upper_bound")
-        assert first.value == pytest.approx(6.0, abs=2 * BISECTION_TOL)
-        assert second.value == pytest.approx(3.0, abs=2 * BISECTION_TOL)
+        values, at_bound, _ = return_values(columns_of([params] * 2),
+                                            atom_block([[1.0], [0.0, 0.5]]), [1, 2], 1e6, 200.0, 30)
+        assert at_bound.tolist() == [True, True]
+        assert values[0] == pytest.approx(6.0, abs=2 * BISECTION_TOL)
+        assert values[1] == pytest.approx(3.0, abs=2 * BISECTION_TOL)
 
 
 def assert_columns_match(fits, atom_lists, n, T, seed=None):
@@ -209,14 +217,11 @@ def assert_columns_match(fits, atom_lists, n, T, seed=None):
     for bit; returns the batch."""
     block = atom_block(atom_lists, seed)
     ids = list(range(1, len(fits) + 1))
-    batch = return_values(fits, block, ids, T, 200.0, n, method="MLE", estimator="STME")
-    for k, got in enumerate(batch):
-        (want,) = return_values([fits[k]], block[:, [k]], [ids[k]], T, 200.0, n, method="MLE",
-                                estimator="STME")
-        if isinstance(want, Exception):
-            assert type(got) is type(want) and str(got) == str(want)
-        else:
-            assert got == want
+    batch = values, at_bound, reasons = return_values(columns_of(fits), block, ids, T, 200.0, n)
+    for k in range(len(fits)):
+        want = return_values(columns_of([fits[k]]), block[:, [k]], [ids[k]], T, 200.0, n)
+        assert np.array_equal(values[[k]], want[0], equal_nan=True)
+        assert (at_bound[k], reasons[k]) == (want[1][0], want[2][0])
     return batch
 
 
@@ -237,13 +242,18 @@ class TestReturnValuesPerColumn:
                 GpdParams(5.0, 2.0, -2.0), GpdParams(10.0, 5.0, 1.5), GpdParams(5.0, 2.0, 0.1),
                 GpdParams(5.0, 2.0, 0.1)]
         atoms = [[0.5, 1.0], [0.5, 1.0], [0.2, 0.9], [1.0], [1.0], [], [0.0, 0.0]]
-        batch = assert_columns_match(fits, atoms, 60, 1e9)
-        assert [type(r).__name__ for r in batch] == ["ReturnValueEstimate"] * 4 + [
-            "EvdError", "CatalogError", "CatalogError"]
-        assert [r.flag for r in batch[:4]] == ["", "", "", "at_upper_bound"]
-        assert str(batch[4]) == "return-value bracket exceeded 1e12 m"
-        assert str(batch[5]) == "location 6: no exposure data among retained events"
-        assert str(batch[6]) == "location 7: all exposures zero"
+        values, at_bound, reasons = assert_columns_match(fits, atoms, 60, 1e9)
+        assert np.isnan(values).tolist() == [False] * 4 + [True] * 3
+        assert at_bound.tolist() == [False, False, False, True, False, False, False]
+        assert reasons.tolist() == [""] * 4 + [
+            "return-value bracket exceeded 1e12 m",
+            "location 6: no exposure data among retained events",
+            "location 7: all exposures zero"]
+        # the one-column view raises each reason as the error it names
+        with pytest.raises(EvdError, match="bracket exceeded"):
+            return_value(fits[4], ExposureEcdf(5, np.array([1.0])), 1e9, 200.0, 60)
+        with pytest.raises(CatalogError, match="all exposures zero"):
+            return_value(fits[6], ExposureEcdf(7, np.array([0.0, 0.0])), 1e9, 200.0, 60)
 
 
 class TestReturnValue:
@@ -399,15 +409,16 @@ class TestStmeCells:
         rows = np.isin(exposures.event_ids, retained.event_ids)
         kept = ExposureMatrix(exposures.event_ids[rows], exposures.location_ids,
                               exposures.values[rows])
-        assert list(cells) == [(3, "STME", "pwm", 20), (1, "STME", "pwm", 20)]
-        for loc, est in zip([3, 1], cells.values(), strict=True):
+        assert cells.keys == ((3, "STME", "pwm", 20), (1, "STME", "pwm", 20))
+        for loc, value, flag in zip([3, 1], cells.values[0], cells.flags[0], strict=True):
             expected = return_value(
                 report.params, exposure_ecdf(kept, loc), T=500.0, T0=200.0, n=20,
                 method="PWM",
             )
-            assert est == expected
+            assert (value, flag) == (expected.value, expected.flag)
 
     def test_failed_fit_gives_every_location_the_reason(self):
         cat = exposure_world({1: 1.0, 2: 0.5}, np.arange(1, 13) ** 6.0)
         cells = estimate_cells(cat, 500.0, 200.0, (10,), ("MLE",), ("STME",), [1, 2])
-        assert list(cells.values()) == ["tail fit failed: shape at search boundary"] * 2
+        assert np.isnan(cells.values).all()
+        assert cells.flags.tolist() == [["tail fit failed: shape at search boundary"] * 2]
