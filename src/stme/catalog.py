@@ -120,6 +120,10 @@ class RegionSpec:
     location_ids: tuple[int, ...] | None = None
     min_depth: float | None = None
 
+    def __post_init__(self):
+        if self.location_ids is not None:  # each id once, at its first place
+            object.__setattr__(self, "location_ids", tuple(dict.fromkeys(self.location_ids)))
+
     def resolve(self, catalog: CycloneCatalog) -> list[int]:
         wanted = set(self.location_ids) if self.location_ids is not None else None
         missing = (wanted or set()) - set(catalog.location_ids)

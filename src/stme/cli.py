@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import csv
+import itertools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import asdict, astuple, replace
@@ -65,11 +66,37 @@ class UsageError(ValueError):
     """Invalid configuration or input; maps to exit code 2."""
 
 
-def _column(values) -> list[str]:
-    """The CSV text of each entry of a column: a float through .10g, NaN as
-    "", anything else through str."""
-    return ["" if v != v else format(v, ".10g") if isinstance(v, float) else str(v)
-            for v in np.asarray(values, dtype=object).tolist()]
+# Characters that make the csv module quote a field (QUOTE_MINIMAL).
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _conversion(column) -> tuple[str, list]:
+    """The printf conversion of a column and the values it takes: an integer
+    array through %d, a float64 array without NaN through %.10g, anything
+    else as text (a float through .10g, NaN as "", the rest through str),
+    quoted as csv.writer quotes it."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return "%d", column.tolist()
+    if isinstance(column, np.ndarray) and column.dtype == np.float64 and not np.isnan(column).any():
+        return "%.10g", column.tolist()
+    text = ["" if v != v else format(v, ".10g") if isinstance(v, float) else str(v)
+            for v in np.asarray(column, dtype=object).tolist()]
+    if _NEEDS_QUOTES.search("".join(text)):
+        text = ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in text]
+    return "%s", text
+
+
+def _block_text(block) -> str:
+    """The CSV lines of a block of equal-length columns, formatted with one
+    printf template repeated once per row."""
+    conversions = [_conversion(column) for column in block]
+    if not conversions:
+        return ""
+    formats, columns = zip(*conversions)
+    if len(columns) == 1:  # csv.writer quotes a row of one empty field
+        columns = (['""' if v == "" else v for v in columns[0]],)
+    template = ",".join(formats) + "\r\n"
+    return template * len(columns[0]) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 @contextlib.contextmanager
@@ -89,13 +116,12 @@ def _replacing(path):
 
 def _write_csv(path, header, blocks):
     """Write `header` to `path`, then the rows of each block of `blocks`: a
-    block is a sequence of equal-length columns, each formatted as a whole
-    by _column."""
+    block is a sequence of equal-length columns. The bytes are those that
+    csv.writer gives for the text of each column, CRLF line ends included."""
     with _replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(_block_text([[name] for name in header]))
         for block in blocks:
-            writer.writerows(zip(*map(_column, block)))
+            fh.write(_block_text(block))
 
 
 def _write_json(path, payload, sort_keys=False):
@@ -547,7 +573,7 @@ def cmd_experiment(s) -> int:
         "footprints_sha256": _sha256(s["input"]["footprints"]),
         "locations_sha256": _sha256(s["input"]["locations"]),
         "duration_years": regional.duration_years,
-        "region": s["region"],
+        "region": asdict(RegionSpec(**s["region"])),
         **asdict(exp_config),
     }
     _check_manifest(outdir, manifest)

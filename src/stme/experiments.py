@@ -76,6 +76,8 @@ class ExperimentConfig:
         if any(n < 5 for n in self.n_ladder):
             raise CatalogError("every n on the ladder must be >= 5")
         object.__setattr__(self, "n_ladder", _unique(int(n) for n in self.n_ladder))
+        if self.location_ids is not None:
+            object.__setattr__(self, "location_ids", _unique(self.location_ids))
         for field, known in (("methods", METHODS), ("estimators", ESTIMATORS)):
             names = _unique(name.upper() for name in getattr(self, field))
             if set(names) - set(known):

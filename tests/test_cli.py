@@ -1,14 +1,19 @@
 import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stme.cli import (
     _OPTIONS, _cells, _jobs, _settings, _write_csv, finite, build_parser, load_config, main,
@@ -555,6 +560,17 @@ class TestExperiment:
         assert "resuming: 3 completed replicates found" in capsys.readouterr().out
         assert (twice / "results.csv").read_bytes() == (once / "results.csv").read_bytes()
 
+    def test_repeated_location_ids_are_recorded_once(self, synth_dir, tmp_path, capsys):
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        assert self.run_experiment(synth_dir, once) == 0
+        assert self.run_experiment(synth_dir, twice, extra=["--location-ids", "1", "1", "2"]) == 0
+        manifest = json.loads((twice / "manifest.json").read_text())
+        assert manifest["location_ids"] == manifest["region"]["location_ids"] == [1, 2]
+        capsys.readouterr()
+        assert self.run_experiment(synth_dir, twice) == 0  # ARGS give --location-ids 1 2
+        assert "resuming: 4 completed replicates found" in capsys.readouterr().out
+        assert (twice / "results.csv").read_bytes() == (once / "results.csv").read_bytes()
+
     def test_jobs_and_resume_leave_outputs_unchanged(self, synth_dir, tmp_path):
         # the replicates run in chunks, one chunk per worker; a resumed run
         # computes one replicate from the middle of a chunk on its own
@@ -697,6 +713,50 @@ class TestExperiment:
         assert not (out / "results.csv").exists()
 
 
+def oracle_column(values) -> list[str]:
+    """The column formatter that _write_csv's output was defined by: a float
+    through .10g, NaN as "", anything else through str. Its text went
+    through csv.writer."""
+    return ["" if v != v else format(v, ".10g") if isinstance(v, float) else str(v)
+            for v in np.asarray(values, dtype=object).tolist()]
+
+
+INT64 = st.one_of(st.integers(-(2**63 - 1), 2**63 - 1), st.sampled_from([0, 2**63 - 1, -(2**63 - 1)]))
+FLOATS = st.one_of(
+    st.floats(),
+    # -0.0, the smallest subnormal, and values that round at the 10th digit
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e-300,
+                     0.12345678905, 1.0000000005, 9.9999999995, 99999999995.0, 1e16 + 2.0]),
+)
+TEXT = st.text(st.one_of(st.sampled_from(',"\r\n %'), st.characters(blacklist_categories=("Cs",))),
+               max_size=5)
+SCALARS = st.one_of(st.integers(-(2**70), 2**70), FLOATS, FLOATS.map(np.float64), TEXT)
+
+
+@st.composite
+def csv_blocks(draw):
+    """A zero-argument function giving a fresh block: columns of equal length
+    as int64 arrays, float64 arrays (with or without NaN), lists of mixed
+    scalars or lists of text, given as a list of columns or as a zip of rows."""
+    rows, width = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    columns = []
+    for _ in range(width):
+        kind = draw(st.sampled_from(["int64", "float64", "float64_no_nan", "mixed", "text"]))
+        if kind == "int64":
+            columns.append(np.array(draw(st.lists(INT64, min_size=rows, max_size=rows)),
+                                    dtype=np.int64))
+        elif kind in ("float64", "float64_no_nan"):
+            elements = FLOATS.filter(lambda v: v == v) if kind == "float64_no_nan" else FLOATS
+            columns.append(np.array(draw(st.lists(elements, min_size=rows, max_size=rows))))
+        else:
+            elements = SCALARS if kind == "mixed" else TEXT
+            columns.append(draw(st.lists(elements, min_size=rows, max_size=rows)))
+    if draw(st.booleans()):
+        rows_of = [tuple(c[i] for c in columns) for i in range(rows)]
+        return lambda: zip(*rows_of)
+    return lambda: list(columns)
+
+
 class TestWriteCsv:
     def test_failed_write_leaves_no_file(self, tmp_path):
         def blocks():
@@ -714,6 +774,21 @@ class TestWriteCsv:
             _write_csv(path, ["a", "b"], blocks())
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["table.csv"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(header=st.lists(TEXT, min_size=1, max_size=4), blocks=st.lists(csv_blocks(), max_size=4))
+    def test_bytes_equal_csv_writer_of_column_text(self, header, blocks):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.csv")
+            _write_csv(path, header, (block() for block in blocks))
+            with open(path, "rb") as fh:
+                got = fh.read()
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(header)
+        for block in blocks:
+            writer.writerows(zip(*map(oracle_column, block())))
+        assert got == want.getvalue().encode("utf-8")
 
 
 class TestConfigFile:

@@ -1,13 +1,17 @@
 """Metamorphic properties of the whole estimation path: relabellings,
 reorderings and scalings that the model must respect, checked cell by cell
-through experiments.estimate_cells on small synthetic worlds."""
+through experiments.estimate_cells on small synthetic worlds, and byte by
+byte through the files the command line writes."""
 
 import csv
 import functools
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,7 +125,57 @@ class TestScaling:
             assert e.value == k * empirical[loc].value
 
 
+STM_INPUTS = ("footprints.csv", "locations.csv")
+
+
+@pytest.fixture(scope="module")
+def stm_world(tmp_path_factory):
+    """The input lines of a 400-year world and the stm.csv and exposures.csv
+    that `stm` writes from them."""
+    world_dir = tmp_path_factory.mktemp("stm_world")
+    assert main(["synth", "--out", str(world_dir), "--years", "400", "--seed", "5"]) == 0
+    inputs = {name: (world_dir / name).read_text().splitlines() for name in STM_INPUTS}
+    return inputs, run_stm(world_dir, inputs)
+
+
+def run_stm(directory, inputs):
+    """stm.csv and exposures.csv, as bytes, of `stm` on the given input lines."""
+    for name in STM_INPUTS:
+        (directory / name).write_text("\n".join(inputs[name]) + "\n")
+    out = directory / "stm"
+    assert main(["stm", "--footprints", str(directory / STM_INPUTS[0]), "--locations",
+                 str(directory / STM_INPUTS[1]), "--duration", "400", "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in ("stm.csv", "exposures.csv")}
+
+
 class TestCommandLine:
+    @settings(max_examples=5, deadline=None)
+    @given(first=st.integers(-10**6, 10**6), gaps=st.integers(0, 2**32 - 1))
+    def test_stm_monotone_event_relabelling(self, stm_world, first, gaps):
+        # only the cyclone_id column of either file changes, to the new label
+        inputs, base = stm_world
+        rows = [line.split(",") for line in inputs["footprints.csv"][1:]]
+        old = list(dict.fromkeys(int(row[0]) for row in rows))
+        steps = np.random.default_rng(gaps).integers(1, 1000, size=len(old))
+        label = dict(zip(old, (first + np.cumsum(steps)).tolist()))
+        footprints = [inputs["footprints.csv"][0],
+                      *(",".join([str(label[int(row[0])]), *row[1:]]) for row in rows)]
+        with tempfile.TemporaryDirectory() as tmp:
+            got = run_stm(Path(tmp), {**inputs, "footprints.csv": footprints})
+        for name, data in base.items():
+            want = [line.split(",") for line in data.decode().split("\r\n")]
+            want[1:-1] = [[str(label[int(row[0])]), *row[1:]] for row in want[1:-1]]
+            assert got[name] == "\r\n".join(",".join(row) for row in want).encode(), name
+
+    @settings(max_examples=5, deadline=None)
+    @given(new_id=st.integers(36, 10**6), data=st.data())
+    def test_stm_added_location_without_footprint(self, stm_world, new_id, data):
+        inputs, base = stm_world
+        locations = list(inputs["locations.csv"])
+        locations.insert(data.draw(st.integers(1, len(locations))), f"{new_id},-61.0,16.0,")
+        with tempfile.TemporaryDirectory() as tmp:
+            assert run_stm(Path(tmp), {**inputs, "locations.csv": locations}) == base
+
     def test_return_values_rows_are_the_cells(self, tmp_path):
         # estimates.csv holds the cells of estimate_cells on the region the
         # command reads (--location-ids sets it too), in any order of the ids
