@@ -56,9 +56,9 @@ from .diagnostics import (
 )
 from .experiments import (
     CellStats,
+    CellTable,
     ExperimentConfig,
     PerformanceMetrics,
-    ReplicateResult,
     SummaryStats,
     SynthWorldConfig,
     performance_metrics,

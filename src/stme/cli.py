@@ -48,8 +48,8 @@ from .diagnostics import (
 from .evd import METHODS, EvdError, fit_gpd
 from .experiments import (
     ESTIMATORS,
+    CellTable,
     ExperimentConfig,
-    ReplicateResult,
     SynthWorldConfig,
     analysis_locations,
     cell_keys,
@@ -57,6 +57,7 @@ from .experiments import (
     estimate_cells,
     performance_metrics,
     run_replicates,
+    stack_cells,
     summarize,
     synth_catalog,
 )
@@ -159,6 +160,13 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def finite(text: str) -> float:
     """A finite float; argparse names the type `finite` in its messages."""
     value = float(text)
@@ -241,7 +249,7 @@ _OPTIONS = (
            action="append", help="transect orientation in degrees (repeatable)"),
     Option("--n-perm", None, "n_perm", int, _DIAG, 999),
     Option("--n-null", None, "n_null", int, _DIAG, 1000),
-    Option("--seed", "experiment", "seed", int, _DIAG + _EXP, 0),
+    Option("--seed", "experiment", "seed", _seed, _DIAG + _EXP, 0),
     Option("--replicates", "experiment", "replicates", int, _EXP, 100),
     Option("--jobs", "experiment", "jobs", _jobs, _EXP, 1,
            help="parallel workers (results identical for any value)"),
@@ -254,7 +262,7 @@ _OPTIONS = (
         ("--decay-km", "decay_km"), ("--noise", "noise_sigma_log"))),
     Option("--poisson", "synth", "poisson_counts", _boolean, _SYNTH,
            action="store_const", const=True),
-    Option("--seed", "synth", "seed", int, _SYNTH),
+    Option("--seed", "synth", "seed", _seed, _SYNTH),
 )
 
 
@@ -412,8 +420,7 @@ def cmd_return_values(s) -> int:
         raise UsageError(f"need T > T0 > 0, got T={T}, T0={T0}")
     targets = analysis_locations(sub, analysis["location_ids"])
     empirical = empirical_estimates(sub, T, targets) if "EMPIRICAL" in estimators else {}
-    keys, (values,), (flags,) = (estimate_cells(sub, T, T0, (n,), methods, fitted, targets)
-                                 if fitted else ((), [np.empty(0)], [()]))
+    keys, (values,), (flags,) = estimate_cells(sub, T, T0, (n,), methods, fitted, targets)
     outdir = _outdir(s)
     _write_csv(os.path.join(outdir, "estimates.csv"), _ESTIMATE_HEADER, [
         (*zip(*keys), [T] * len(keys), [T0] * len(keys), values, flags),
@@ -486,19 +493,20 @@ def _replicate_path(outdir, index):
     return os.path.join(outdir, "replicates", f"rep_{index:04d}.csv")
 
 
-def _replicate_blocks(results):
-    """The rows of each replicate result, a block each: its cells with a
-    value, then those without, each in key order."""
-    for result in results:
-        keys, missing = result.keys, np.isnan(result.values).tolist()
-        order = sorted(range(len(keys)), key=lambda c: (missing[c], keys[c]))
-        yield ([result.index] * len(order), *zip(*(keys[c] for c in order)),
-               result.values[order], result.reasons[order])
+def _replicate_blocks(indices, table: CellTable):
+    """The rows of each replicate, a block each, replicate indices[r] being
+    row r of `table`: its cells with a value, then those without, each in
+    key order."""
+    by_key = sorted(range(len(table.keys)), key=table.keys.__getitem__)
+    columns = [np.array(column) for column in zip(*(table.keys[c] for c in by_key))]
+    for index, values, flags in zip(indices, table.values[:, by_key], table.flags[:, by_key]):
+        order = np.argsort(np.isnan(values), kind="stable")
+        yield [index] * len(order), *(c[order] for c in columns), values[order], flags[order]
 
 
-def _read_replicate(outdir, index, keys) -> ReplicateResult:
+def _read_replicate(outdir, index, keys) -> CellTable:
     """Replicate `index` from its file, which must hold one row for each of
-    `keys` and no other row."""
+    `keys` and no other row, as a one-row table."""
     path = _replicate_path(outdir, index)
     position = {key: c for c, key in enumerate(keys)}
     values, reasons = np.full(len(keys), np.nan), np.full(len(keys), None, dtype=object)
@@ -518,7 +526,7 @@ def _read_replicate(outdir, index, keys) -> ReplicateResult:
     missing = [key for key, reason in zip(keys, reasons) if reason is None]
     if missing:
         raise CatalogError(f"{path}: no row for {len(missing)} cells, such as {min(missing)}")
-    return ReplicateResult(index, keys, values, reasons)
+    return CellTable(keys, values[None], reasons[None])
 
 
 def _sha256(path) -> str:
@@ -585,15 +593,16 @@ def cmd_experiment(s) -> int:
     done = replicates - len(pending)
     if done:
         print(f"resuming: {done} completed replicates found")
-    for result in fresh:
-        path = _replicate_path(outdir, result.index)
-        _write_csv(path, _REPLICATE_HEADER, _replicate_blocks([result]))
-        print(f"replicate {result.index + 1}/{replicates} done", file=sys.stderr)
+    for index, row in fresh:
+        path = _replicate_path(outdir, index)
+        _write_csv(path, _REPLICATE_HEADER, _replicate_blocks([index], row))
+        print(f"replicate {index + 1}/{replicates} done", file=sys.stderr)
     locations = analysis_locations(regional, exp_config.location_ids)
     keys = tuple(sorted(cell_keys(locations, ladder, methods, estimators)))
-    results = [_read_replicate(outdir, i, keys) for i in range(replicates)]
+    results = stack_cells(_read_replicate(outdir, i, keys) for i in range(replicates))
 
-    _write_csv(os.path.join(outdir, "results.csv"), _REPLICATE_HEADER, _replicate_blocks(results))
+    _write_csv(os.path.join(outdir, "results.csv"), _REPLICATE_HEADER,
+               _replicate_blocks(range(replicates), results))
 
     summary = summarize(results)
     _write_csv(

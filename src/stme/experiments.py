@@ -8,10 +8,9 @@ and bias/uncertainty metrics are computed against direct empirical estimates
 from the full catalog. A seeded synthetic cyclone world with straight-line
 tracks and GPD peak intensities provides a desk-scale ground truth.
 
-Cells travel as columns: estimate_cells and a chunk of replicates give a
-CellTable, one key per (location, estimator, method, n) cell and a row of
-values and flags per sample, and a ReplicateResult is one replicate's row
-of it.
+Cells travel as columns: estimate_cells gives a CellTable, one key per
+(location, estimator, method, n) cell and a row of values and flags per
+sample, and an experiment is one such table with a row per replicate.
 """
 
 from __future__ import annotations
@@ -107,15 +106,10 @@ def cell_keys(location_ids, n_ladder, methods, estimators) -> tuple[CellKey, ...
                  for e in ESTIMATORS if e in estimators for loc in _unique(location_ids))
 
 
-@dataclass(frozen=True, eq=False)
-class ReplicateResult:
-    """One replicate's row of a cell table: the value of each of `keys`, NaN
-    where there is none, and the reason it has none ("" where it has one)."""
-
-    index: int
-    keys: tuple[CellKey, ...]
-    values: np.ndarray
-    reasons: np.ndarray  # str objects
+def stack_cells(tables) -> CellTable:
+    """The rows of cell tables that share their keys, in order, as one table."""
+    keys, values, flags = zip(*tables)
+    return CellTable(keys[0], np.concatenate(values), np.concatenate(flags))
 
 
 def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -178,6 +172,8 @@ def estimate_cells(
     (n_samples, m), n_loc = samples.shape, len(location_ids)
     stme, single = "STME" in estimators, "SINGLE" in estimators
     keys = cell_keys(location_ids, n_ladder, methods, estimators)
+    if not keys:  # no estimator that fits a tail was requested, or an empty list
+        return CellTable(keys, np.empty((n_samples, 0)), np.empty((n_samples, 0), dtype=object))
     if stme:
         stm = extract_stm(catalog)
         exposures = extract_exposures(catalog, stm).values[:, columns]
@@ -200,8 +196,6 @@ def estimate_cells(
         if single:
             reason, *tail = single_tails(block, block_ids, n)
             tails.append(tail)
-        if not tails:  # no estimator that fits a tail was requested
-            continue
         fits = fit_gpd_rows(*(np.concatenate(part) for part in zip(*tails)), method)
         if stme:
             found = stme_cells(fits.take(slice(n_samples)), events, exposures, location_ids, T,
@@ -234,22 +228,19 @@ def empirical_estimates(
 
 
 def _run_chunk(indices: Sequence[int], regional: CycloneCatalog,
-               config: ExperimentConfig) -> list[ReplicateResult]:
-    """The replicates at `indices`, estimated together; a replicate's result
-    does not depend on the others. A cell with a value has no flag."""
+               config: ExperimentConfig) -> CellTable:
+    """The cell table of the replicates at `indices`, a row each, estimated
+    together; no row depends on the others, and no valued cell has a flag."""
     samples = np.array([period_rows(regional, config.T0, replicate_rng(config.master_seed, i))
                         for i in indices])
     keys, values, flags = estimate_cells(
         regional, config.T, config.T0, config.n_ladder, config.methods, config.estimators,
         analysis_locations(regional, config.location_ids), samples)
-    reasons = np.where(np.isnan(values), flags, "")
-    return [ReplicateResult(i, keys, v, r) for i, v, r in zip(indices, values, reasons)]
+    return CellTable(keys, values, np.where(np.isnan(values), flags, ""))
 
 
-def _run_replicate(
-    index: int, regional: CycloneCatalog, config: ExperimentConfig
-) -> ReplicateResult:
-    return _run_chunk([index], regional, config)[0]
+def _run_replicate(index: int, regional: CycloneCatalog, config: ExperimentConfig) -> CellTable:
+    return _run_chunk([index], regional, config)
 
 
 def _chunks(indices: Sequence[int], jobs: int, longest: int) -> list[list[int]]:
@@ -265,19 +256,20 @@ def run_replicates(
     config: ExperimentConfig,
     indices: Sequence[int],
     jobs: int = 1,
-) -> Iterator[ReplicateResult]:
-    """Run the replicates at `indices` on a region catalog, a chunk at a
-    time, yielding each result in index order as soon as its chunk and every
-    earlier one are done. The location ids and the period's event count are
-    checked before this returns; results do not depend on `jobs`."""
+) -> Iterator[tuple[int, CellTable]]:
+    """Run the replicates at `indices` on a region catalog a chunk at a time,
+    yielding (index, one-row cell table) in index order once its chunk and
+    every earlier one are done. The location ids and the period's event
+    count are checked before this returns; rows do not depend on `jobs`."""
     locations = analysis_locations(regional, config.location_ids)
     size = period_size(regional, config.T0)
     if not size:
         raise CatalogError(f"T0={config.T0} samples 0 of {len(regional.event_ids)} events")
     chunks = _chunks(indices, jobs, max(1, CHUNK_CELLS // (size * len(locations))))
-    if jobs > 1 and chunks:
-        return _pooled_replicates(regional, config, chunks, jobs)
-    return (result for chunk in chunks for result in _run_chunk(chunk, regional, config))
+    tables = (_pooled_chunks(regional, config, chunks, jobs) if jobs > 1 and chunks
+              else (_run_chunk(chunk, regional, config) for chunk in chunks))
+    return ((i, CellTable(table.keys, table.values[r : r + 1], table.flags[r : r + 1]))
+            for chunk, table in zip(chunks, tables) for r, i in enumerate(chunk))
 
 
 # The region catalog and config of this worker process, set once by the
@@ -290,18 +282,17 @@ def _init_worker(regional: CycloneCatalog, config: ExperimentConfig):
     _worker_args = (regional, config)
 
 
-def _worker_chunk(indices: list[int]) -> list[ReplicateResult]:
+def _worker_chunk(indices: list[int]) -> CellTable:
     return _run_chunk(indices, *_worker_args)
 
 
-def _pooled_replicates(regional, config, chunks, jobs) -> Iterator[ReplicateResult]:
-    # a generator of its own, so that run_replicates checks its arguments
-    # when called rather than at the first result
+def _pooled_chunks(regional, config, chunks, jobs) -> Iterator[CellTable]:
+    # a generator, so that run_replicates checks its arguments when called;
+    # a worker per chunk at most, since the pool starts all at the first task
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(regional, config)
+        max_workers=min(jobs, len(chunks)), initializer=_init_worker, initargs=(regional, config)
     ) as pool:
-        for results in pool.map(_worker_chunk, chunks):
-            yield from results
+        yield from pool.map(_worker_chunk, chunks)
 
 
 def run_experiment(
@@ -309,11 +300,12 @@ def run_experiment(
     region: RegionSpec,
     config: ExperimentConfig,
     jobs: int = 1,
-) -> list[ReplicateResult]:
-    """Run the full replicate grid; results depend only on (catalog, region,
-    config), not on the number of workers."""
+) -> CellTable:
+    """Run the full replicate grid: a replicates x cells table that depends
+    only on (catalog, region, config), not on the number of workers."""
     regional = select_region(catalog, region)
-    return list(run_replicates(regional, config, range(config.replicates), jobs))
+    return stack_cells(row for _, row in run_replicates(regional, config,
+                                                        range(config.replicates), jobs))
 
 
 @dataclass(frozen=True)
@@ -341,17 +333,14 @@ class SummaryStats:
     cells: dict[CellKey, CellStats]
 
 
-def summarize(results: list[ReplicateResult]) -> SummaryStats:
-    """Box-whisker summary of each cell with at least two estimates, over
-    the results of one experiment, which share their keys; percentiles by
+def summarize(table: CellTable) -> SummaryStats:
+    """Box-whisker summary of each cell with at least two estimates over the
+    rows of an experiment's cell table, a row per replicate; percentiles by
     linear interpolation of order statistics, outliers outside the 2.5-97.5%
     whiskers. Cells with equal counts are summarised together, a row each;
     the cells come in the order in which they first have a value, replicate
     by replicate."""
-    if not results:
-        return SummaryStats(cells={})
-    keys = results[0].keys
-    values = np.array([rep.values for rep in results]).T  # cells x replicates
+    keys, values = table.keys, table.values.T  # cells x replicates
     valued = ~np.isnan(values)
     counts = valued.sum(axis=1)
     order = np.argsort(valued.argmax(axis=1), kind="stable")

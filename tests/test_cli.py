@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stme.cli import (
-    _OPTIONS, _cells, _jobs, _settings, _write_csv, finite, build_parser, load_config, main,
-    UsageError,
+    _OPTIONS, _cells, _jobs, _seed, _settings, _write_csv, finite, build_parser, load_config,
+    main, UsageError,
 )
 
 
@@ -411,6 +411,32 @@ class TestNonFiniteNumber:
                     "--n", "6"])
         assert code == 2
         assert "config [analysis] T: not a finite number: 'nan'" in capsys.readouterr().err
+
+
+class TestNegativeSeed:
+    ARGV = {"synth": ["--years", "50"],
+            "diagnostics": ["--n-perm", "99"],
+            "experiment": ["--T", "500", "--T0", "100", "--n", "10", "--replicates", "2"]}
+
+    @pytest.mark.parametrize("command, seed", [("synth", "-1"), ("diagnostics", "-5"),
+                                               ("experiment", "-1")])
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_exit_2_before_reading_or_writing(self, tmp_path, capsys, command, seed, by):
+        # the inputs do not exist: the seed is rejected before they are read
+        inputs = [] if command == "synth" else [
+            "--footprints", tmp_path / "none.csv", "--locations", tmp_path / "none.csv",
+            "--duration", "800"]
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(f"[{'synth' if command == 'synth' else 'experiment'}]\nseed = {seed}\n")
+        chosen = ["--seed", seed] if by == "flag" else ["--config", cfg]
+        out = tmp_path / "o"
+        try:
+            code = run([command, *inputs, *self.ARGV[command], *chosen, "--out", out])
+        except SystemExit as exit:  # argparse rejects the flag itself
+            code = exit.code
+        assert code == 2
+        assert f"seed must be non-negative, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestImports:
@@ -931,7 +957,8 @@ def option_samples(opt):
         return [([opt.flag], "yes", True), (None, "off", False)]
     if "choices" in opt.kwargs:
         return [([opt.flag, c.lower()], None, (c,)) for c in opt.kwargs["choices"][:2]]
-    text0, text1, value0, value1 = _SCALARS[{_jobs: int, finite: float}.get(opt.type, opt.type)]
+    scalar = {_jobs: int, _seed: int, finite: float}.get(opt.type, opt.type)
+    text0, text1, value0, value1 = _SCALARS[scalar]
     if opt.kwargs.get("nargs") == "+":
         return [([opt.flag, text0, text1], f"{text0}, {text1}", (value0, value1)),
                 ([opt.flag, text1], text1, (value1,))]
@@ -1044,6 +1071,26 @@ class TestOptionTable:
             assert len(lines) == 1, (opt.section, opt.key)
             if opt.flag:
                 assert f"`{opt.flag}`" in lines[0]
+
+    def test_readme_names_resolve(self):
+        """Every stme.<name> that the README mentions is a module of the
+        package or an attribute of one, so a deleted name cannot linger there."""
+        import importlib
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        names = set(re.findall(r"\bstme(?:\.\w+)+", readme))
+        assert {"stme.run_stme", "stme.experiments.estimate_cells", "stme.fit_gpd_rows"} <= names
+        for name in sorted(names):
+            parts = name.split(".")
+            for k in range(len(parts), 0, -1):  # the longest prefix that is a module
+                try:
+                    found = importlib.import_module(".".join(parts[:k]))
+                    break
+                except ImportError:
+                    continue
+            for part in parts[k:]:
+                assert hasattr(found, part), name
+                found = getattr(found, part)
 
 
 class TestTracedNames:

@@ -16,8 +16,8 @@ import stme.experiments
 import stme.returns
 from stme.experiments import (
     CellStats,
+    CellTable,
     ExperimentConfig,
-    ReplicateResult,
     SynthWorldConfig,
     analysis_locations,
     cell_keys,
@@ -27,6 +27,7 @@ from stme.experiments import (
     _run_chunk,
     replicate_rng,
     run_experiment,
+    run_replicates,
     sample_period,
     summarize,
     synth_catalog,
@@ -35,10 +36,16 @@ from tests.test_catalog import footprint_dicts
 from tests.test_returns import exposure_world
 
 
-def result_rows(results):
-    """Replicate results as comparable rows, with None for NaN."""
-    return [(r.index, r.keys, [None if v != v else v for v in r.values.tolist()],
-             r.reasons.tolist()) for r in results]
+def result_rows(table):
+    """A cell table in comparable form: its keys, then each row's values,
+    with None for NaN, and flags."""
+    return table.keys, [([None if v != v else v for v in values], flags) for values, flags
+                        in zip(table.values.tolist(), table.flags.tolist())]
+
+
+def row(table, r):
+    """Row r of a cell table, as a one-row table."""
+    return CellTable(table.keys, table.values[r : r + 1], table.flags[r : r + 1])
 
 
 def cell_dict(cells, row=0):
@@ -98,12 +105,13 @@ class TestSamplePeriod:
 class TestSummarize:
     KEYS = ((1, "STME", "MLE", 20),)
 
-    def rep(self, index, value):
-        return ReplicateResult(index, self.KEYS, np.array([value]), np.array([""], dtype=object))
+    def table(self, values):
+        """A one-cell experiment table, a row per value."""
+        values = np.array(values, dtype=float)[:, None]
+        return CellTable(self.KEYS, values, np.where(np.isnan(values), "x", "").astype(object))
 
     def test_hand_percentiles(self):
-        results = [self.rep(i, v) for i, v in enumerate([1.0, 2.0, 3.0, 4.0, 5.0])]
-        stats = summarize(results).cells[(1, "STME", "MLE", 20)]
+        stats = summarize(self.table([1.0, 2.0, 3.0, 4.0, 5.0])).cells[(1, "STME", "MLE", 20)]
         assert stats.count == 5
         assert stats.mean == 3.0
         assert stats.median == 3.0
@@ -113,23 +121,19 @@ class TestSummarize:
 
     def test_normal_quantile_oracle(self):
         rng = np.random.default_rng(4)
-        results = [self.rep(i, float(v)) for i, v in enumerate(rng.standard_normal(20_000))]
-        stats = summarize(results).cells[(1, "STME", "MLE", 20)]
+        stats = summarize(self.table(rng.standard_normal(20_000))).cells[(1, "STME", "MLE", 20)]
         assert stats.q025 == pytest.approx(-1.96, abs=0.05)
         assert stats.q975 == pytest.approx(1.96, abs=0.05)
         assert stats.q25 == pytest.approx(-0.6745, abs=0.03)
 
     def test_outliers_outside_whiskers(self):
         values = list(np.linspace(0, 1, 99)) + [100.0]
-        results = [self.rep(i, float(v)) for i, v in enumerate(values)]
-        stats = summarize(results).cells[(1, "STME", "MLE", 20)]
+        stats = summarize(self.table(values)).cells[(1, "STME", "MLE", 20)]
         assert 100.0 in stats.outliers
         assert all(v > stats.q975 or v < stats.q025 for v in stats.outliers)
 
     def test_all_failed_cell_reported_empty(self):
-        results = [ReplicateResult(i, self.KEYS, np.array([np.nan]), np.array(["x"], dtype=object))
-                   for i in range(3)]
-        assert summarize(results).cells == {}
+        assert summarize(self.table([np.nan] * 3)).cells == {}
 
 
 class TestPerformanceMetrics:
@@ -252,17 +256,46 @@ class TestRunExperiment:
         assert tasks == [([0, 1],), ([2],)]
         assert result_rows(parallel) == result_rows(run_experiment(world, RegionSpec(), cfg))
 
+    def test_pool_starts_a_worker_per_chunk_at_most(self, world, monkeypatch):
+        # the pool starts all of its workers at the first task, so 8 jobs on
+        # 3 chunks, or on the 1 replicate a rerun has left, start 3 and 1
+        workers = []
+
+        class RecordingPool(stme.experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(stme.experiments, "ProcessPoolExecutor", RecordingPool)
+        cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10,), replicates=3,
+                               methods=("PWM",), location_ids=(1, 2), master_seed=5)
+        parallel = run_experiment(world, RegionSpec(), cfg, jobs=8)
+        (index, last), = run_replicates(world, cfg, [2], jobs=8)
+        assert workers == [3, 1]
+        assert index == 2
+        assert result_rows(last) == result_rows(row(parallel, 2))
+        assert result_rows(parallel) == result_rows(run_experiment(world, RegionSpec(), cfg))
+
+    def test_replicates_come_as_indexed_rows_of_the_experiment(self, world):
+        cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10, 15), replicates=5,
+                               location_ids=(1, 2), master_seed=7)
+        table = run_experiment(world, RegionSpec(), cfg)
+        got = list(run_replicates(world, cfg, [4, 0, 3]))
+        assert [index for index, _ in got] == [4, 0, 3]
+        for index, one in got:
+            assert result_rows(one) == result_rows(row(table, index))
+
     def test_grid_coverage(self, world):
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10, 15), replicates=3,
                                methods=("PWM", "MLE"), location_ids=(1,), master_seed=6)
-        results = run_experiment(world, RegionSpec(), cfg)
-        for rep in results:
-            assert set(rep.keys) == {
-                (1, est, method, n)
-                for est in ("STME", "SINGLE")
-                for method in ("PWM", "MLE")
-                for n in (10, 15)
-            }
+        table = run_experiment(world, RegionSpec(), cfg)
+        assert table.values.shape == table.flags.shape == (3, len(table.keys))
+        assert set(table.keys) == {
+            (1, est, method, n)
+            for est in ("STME", "SINGLE")
+            for method in ("PWM", "MLE")
+            for n in (10, 15)
+        }
 
     def test_one_fit_call_per_n_and_method_whatever_the_chunk(self, world, monkeypatch):
         # STM-E and SINGLE rows of every replicate in a chunk share one fit
@@ -381,14 +414,15 @@ class TestEstimateCells:
         cfg = ExperimentConfig(T0=T0, T=500.0, n_ladder=(5, 15, 40), replicates=2,
                                location_ids=tuple(ids), master_seed=seed)
         chunk = _run_chunk(indices, world, cfg)
-        for i, got in zip(indices, chunk):
+        assert chunk.values.shape == (len(indices), len(chunk.keys))
+        for r, i in enumerate(indices):
             sample = sample_period(world, T0, replicate_rng(seed, i))
             cells = estimate_cells(sample, 500.0, T0, cfg.n_ladder, cfg.methods,
                                    cfg.estimators, tuple(ids))
             # a replicate's row carries no at_upper_bound flag
-            reasons = np.where(np.isnan(cells.values[0]), cells.flags[0], "")
-            assert result_rows([got]) == result_rows(
-                [ReplicateResult(i, cells.keys, cells.values[0], reasons)])
+            flags = np.where(np.isnan(cells.values), cells.flags, "")
+            assert result_rows(row(chunk, r)) == result_rows(CellTable(cells.keys, cells.values,
+                                                                       flags))
 
     def test_repeated_list_values_give_one_cell_each(self):
         world = self.holed_world()
@@ -485,7 +519,7 @@ class TestOneDriver:
         world = TestEstimateCells.holed_world()
         cfg = ExperimentConfig(T0=50.0, T=500.0, n_ladder=(5, 15, 40), replicates=4)
         results = _run_chunk([0, 1, 2, 3], world, cfg)
-        assert sum(np.count_nonzero(~np.isnan(r.values)) for r in results) > 900
+        assert np.count_nonzero(~np.isnan(results.values)) > 900
         assert built == {"GpdParams": 0, "FitReport": 0, "ReturnValueEstimate": 0}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

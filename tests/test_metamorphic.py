@@ -97,7 +97,7 @@ MLE_RESOLUTION = 16 * max(((math.sqrt(5.0) - 1.0) / 2.0) ** GOLDEN_STEPS,
                           math.sqrt(np.finfo(float).eps))
 
 
-def mle_tolerance(n):
+def mle_tolerance(n, T=T, T0=T0):
     return MLE_RESOLUTION * math.log(1.0 / (1.0 - target_probability(T, T0, n))) ** 2
 
 
@@ -148,18 +148,69 @@ def run_stm(directory, inputs):
     return {name: (out / name).read_bytes() for name in ("stm.csv", "exposures.csv")}
 
 
+# return-values and experiment on the stm_world inputs: T below the 400-year
+# catalog, so that EMPIRICAL and metrics.csv have values; the analysed ids
+# come from the config file, so that a location added to the region is not
+# analysed.
+CLI_T, CLI_T0, ANALYSED = 300.0, 200.0, "2 9 16 20 27 34"
+ESTIMATE_FILES = ("estimates.csv", "results.csv", "summary.csv", "metrics.csv")
+
+
+def run_estimates(directory, inputs):
+    """The files of ESTIMATE_FILES, as bytes, that return-values (all three
+    estimators, both methods) and a 4-replicate experiment write from the
+    given input lines."""
+    for name in STM_INPUTS:
+        (directory / name).write_text("\n".join(inputs[name]) + "\n")
+    (directory / "run.ini").write_text(f"[analysis]\nlocation_ids = {ANALYSED}\n")
+    common = ["--footprints", str(directory / STM_INPUTS[0]), "--locations",
+              str(directory / STM_INPUTS[1]), "--duration", "400", "--T", str(CLI_T),
+              "--T0", str(CLI_T0), "--method", "mle", "--method", "pwm",
+              "--config", str(directory / "run.ini")]
+    assert main(["return-values", *common, "--n", "20", "--estimator", "stme", "--estimator",
+                 "single", "--estimator", "empirical", "--out", str(directory / "rv")]) == 0
+    assert main(["experiment", *common, "--n", "10", "--n", "20", "--replicates", "4",
+                 "--seed", "3", "--out", str(directory / "exp")]) == 0
+    return {name: (directory / ("rv" if name == "estimates.csv" else "exp") / name).read_bytes()
+            for name in ESTIMATE_FILES}
+
+
+@pytest.fixture(scope="module")
+def estimates_world(stm_world, tmp_path_factory):
+    inputs, _ = stm_world
+    return inputs, run_estimates(tmp_path_factory.mktemp("estimates_world"), inputs)
+
+
+def relabelled(footprints, first, gaps):
+    """Footprint lines with the event ids relabelled monotonically."""
+    rows = [line.split(",") for line in footprints[1:]]
+    old = list(dict.fromkeys(int(row[0]) for row in rows))
+    steps = np.random.default_rng(gaps).integers(1, 1000, size=len(old))
+    label = dict(zip(old, (first + np.cumsum(steps)).tolist()))
+    return label, [footprints[0], *(",".join([str(label[int(row[0])]), *row[1:]]) for row in rows)]
+
+
+def half_unit(text):
+    """Half a unit in the last place of a value that %.10g printed."""
+    value = abs(float(text))
+    return 0.0 if value == 0 else 0.5 * 10.0 ** (math.floor(math.log10(value)) - 9)
+
+
+def value_rows(data):
+    """The rows of an estimates or results file keyed by everything but the
+    value, which is kept as text."""
+    rows = list(csv.DictReader(data.decode().splitlines()))
+    return {tuple((k, v) for k, v in row.items() if k != "value_m"): row["value_m"]
+            for row in rows}
+
+
 class TestCommandLine:
     @settings(max_examples=5, deadline=None)
     @given(first=st.integers(-10**6, 10**6), gaps=st.integers(0, 2**32 - 1))
     def test_stm_monotone_event_relabelling(self, stm_world, first, gaps):
         # only the cyclone_id column of either file changes, to the new label
         inputs, base = stm_world
-        rows = [line.split(",") for line in inputs["footprints.csv"][1:]]
-        old = list(dict.fromkeys(int(row[0]) for row in rows))
-        steps = np.random.default_rng(gaps).integers(1, 1000, size=len(old))
-        label = dict(zip(old, (first + np.cumsum(steps)).tolist()))
-        footprints = [inputs["footprints.csv"][0],
-                      *(",".join([str(label[int(row[0])]), *row[1:]]) for row in rows)]
+        label, footprints = relabelled(inputs["footprints.csv"], first, gaps)
         with tempfile.TemporaryDirectory() as tmp:
             got = run_stm(Path(tmp), {**inputs, "footprints.csv": footprints})
         for name, data in base.items():
@@ -198,3 +249,59 @@ class TestCommandLine:
             assert len(got) == len(rows) == len(want)
             assert got == {key: ("" if value is None else format(value, ".10g"), flag)
                            for key, (value, flag) in want.items()}
+
+    @settings(max_examples=5, deadline=None)
+    @given(first=st.integers(-10**6, 10**6), gaps=st.integers(0, 2**32 - 1))
+    def test_estimates_monotone_event_relabelling(self, estimates_world, first, gaps):
+        inputs, base = estimates_world
+        _, footprints = relabelled(inputs["footprints.csv"], first, gaps)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert run_estimates(Path(tmp), {**inputs, "footprints.csv": footprints}) == base
+
+    @settings(max_examples=5, deadline=None)
+    @given(new_id=st.integers(36, 10**6), data=st.data())
+    def test_estimates_added_location_without_footprint(self, estimates_world, new_id, data):
+        inputs, base = estimates_world
+        locations = list(inputs["locations.csv"])
+        locations.insert(data.draw(st.integers(1, len(locations))), f"{new_id},-61.0,16.0,")
+        with tempfile.TemporaryDirectory() as tmp:
+            assert run_estimates(Path(tmp), {**inputs, "locations.csv": locations}) == base
+
+    def test_scaled_swh_scales_every_estimate(self, stm_world, estimates_world, tmp_path):
+        # doubling is exact in binary, and repr writes the doubled input
+        # exactly: EMPIRICAL and SINGLE PWM double up to the rounding of the
+        # two prints, STME and SINGLE MLE within the bounds of TestScaling
+        inputs, base = estimates_world
+        footprints = [inputs["footprints.csv"][0]]
+        for line in inputs["footprints.csv"][1:]:
+            event, loc, swh = line.split(",")
+            footprints.append(f"{event},{loc},{2.0 * float(swh)!r}")
+        scaled = {**inputs, "footprints.csv": footprints}
+        got = run_estimates(tmp_path, scaled)
+        checked = set()
+        for name in ("estimates.csv", "results.csv"):
+            want_rows, got_rows = value_rows(base[name]), value_rows(got[name])
+            assert got_rows.keys() == want_rows.keys(), name
+            for key, text in got_rows.items():
+                row, want = dict(key), want_rows[key]
+                assert (text == "") == (want == ""), (name, row)
+                if not text:
+                    continue
+                estimator, method = row["estimator"], row["method"]
+                bound = half_unit(text) + 2.0 * half_unit(want)
+                if method == "MLE":
+                    bound += 2.0 * float(want) * mle_tolerance(int(row["n"]), CLI_T, CLI_T0)
+                if estimator == "STME":
+                    bound += 3.0 * BISECTION_TOL
+                assert abs(float(text) - 2.0 * float(want)) <= bound, (name, row)
+                checked.add((estimator, method))
+        assert checked == {("EMPIRICAL", ""), *((e, m) for e in ("STME", "SINGLE")
+                                                for m in ("MLE", "PWM"))}
+        # stm_m is one of the input values, so it doubles to the last digit
+        stm_base, stm_scaled = stm_world[1], run_stm(tmp_path, scaled)
+        assert stm_scaled["exposures.csv"] == stm_base["exposures.csv"]
+        rows = [list(csv.reader(data.decode().splitlines()))
+                for data in (stm_base["stm.csv"], stm_scaled["stm.csv"])]
+        assert [row[1] for row in rows[1][1:]] == [format(2.0 * float(row[1]), ".10g")
+                                                   for row in rows[0][1:]]
+        assert [row[::2] for row in rows[1]] == [row[::2] for row in rows[0]]
