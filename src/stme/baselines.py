@@ -44,8 +44,8 @@ def single_tails(samples: np.ndarray, location_ids, n: int):
     block `samples` (NaN: no value), column k belonging to location_ids[k],
     up to its tail fit: the reason each column cannot be fitted ("" where it
     can), and the n largest values of each column that can, descending, with
-    their thresholds."""
-    samples = np.asarray(samples, dtype=float)
+    their thresholds. The tails are ordered in `samples`, a float array, which
+    this leaves with each column sorted in descending order, NaN last."""
     counts = np.count_nonzero(~np.isnan(samples), axis=0)
     reason = np.full(len(counts), "", dtype=object)
     for k in np.flatnonzero((counts < n) | (n < 5)).tolist():
@@ -53,12 +53,15 @@ def single_tails(samples: np.ndarray, location_ids, n: int):
         reason[k] = (f"location {loc}: no footprint data" if not count
                      else f"n={n} too small for a tail fit" if n < 5
                      else f"location {loc}: n={n} exceeds {count} values")
-    desc = samples.T[reason == ""]  # a location per row, negated in place to sort NaN last
-    desc *= -1
-    desc.sort(axis=1)
-    desc *= -1
-    if not len(desc):
+    samples *= -1  # negated, so that the sort puts NaN last
+    samples.sort(axis=0)
+    samples *= -1
+    fitted = reason == ""
+    if not fitted.any():
         return reason, np.empty((0, n)), np.empty(0)
+    # a row per column that can be fitted, as far as tail_thresholds reads;
+    # contiguous rows, so that the fit sums each row in the same order
+    desc = np.ascontiguousarray(samples[: n + 1, fitted].T)
     return reason, desc[:, :n], tail_thresholds(desc, n)
 
 
@@ -89,7 +92,7 @@ def single_location_rv(series: LocationSeries, n: int, T: float, T0: float,
     """Single-location return value at one location: a view of one column
     of single_tails and single_cells, raising the reason when there is none."""
     ids = [series.location_id]
-    reason, tail, psi = single_tails(series.values[:, None], ids, n)
+    reason, tail, psi = single_tails(series.values[:, None].copy(), ids, n)
     if reason[0]:
         raise CatalogError(reason[0])
     fits = fit_gpd_rows(tail, psi, method)

@@ -408,15 +408,30 @@ def extract_stm(catalog: CycloneCatalog) -> StmSeries:
     return StmSeries(catalog.event_ids, values, argmax_ids)
 
 
-def extract_exposures(catalog: CycloneCatalog, stm: StmSeries) -> ExposureMatrix:
-    """Exposure E_j = footprint(j) / STM per event; absent entries stay NaN."""
+def _check_stm(catalog: CycloneCatalog, stm: StmSeries):
+    """Exposures need an STM above zero for each of the catalog's events."""
     if not np.array_equal(stm.event_ids, catalog.event_ids):
         raise CatalogError("STM series does not cover the catalog's events")
     degenerate = stm.values <= 0
     if degenerate.any():
         i = int(np.argmax(degenerate))
         raise CatalogError(f"event {stm.event_ids[i]}: degenerate STM {stm.values[i]}")
+
+
+def extract_exposures(catalog: CycloneCatalog, stm: StmSeries) -> ExposureMatrix:
+    """Exposure E_j = footprint(j) / STM per event; absent entries stay NaN."""
+    _check_stm(catalog, stm)
     return ExposureMatrix(catalog.event_ids, catalog.location_ids, catalog.swh / stm.values[:, None])
+
+
+def exposure_atoms(catalog: CycloneCatalog, stm: StmSeries, rows: np.ndarray,
+                   columns: np.ndarray) -> np.ndarray:
+    """The entries of extract_exposures(catalog, stm) at the table rows
+    `rows`, an integer array of any shape, and the table columns `columns`,
+    by the same division: an array of shape rows.shape + (len(columns),)
+    that holds only those entries, not the whole matrix."""
+    _check_stm(catalog, stm)
+    return catalog.swh[rows[..., None], columns] / stm.values[rows][..., None]
 
 
 def tail_thresholds(desc: np.ndarray, n: int) -> np.ndarray:

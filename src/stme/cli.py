@@ -439,19 +439,27 @@ def cmd_return_values(s) -> int:
     return 0
 
 
-def cmd_diagnostics(s) -> int:
+def _diagnostics_inputs(s):
+    """The STM series and exposure matrix of the region catalog, events with
+    an STM above --min-stm only when it is given, and the region's locations
+    by id. The footprint table is released on return: from here on the
+    exposure matrix is the one events x locations table held."""
     sub = _region_catalog(s)
-    band, min_stm, seed = s[None]["band"], s[None]["min_stm"], s["experiment"]["seed"]
+    min_stm = s[None]["min_stm"]
     if min_stm is not None:
         keep = extract_stm(sub).values > min_stm
         if keep.sum() < 3:
             raise UsageError(f"fewer than 3 STM values above {min_stm} m")
         sub = replace(sub, event_ids=sub.event_ids[keep], swh=sub.swh[keep])
     stm = extract_stm(sub)
-    exposures = extract_exposures(sub, stm)
+    return stm, extract_exposures(sub, stm), {loc.id: loc for loc in sub.locations}
+
+
+def cmd_diagnostics(s) -> int:
+    band, min_stm, seed = s[None]["band"], s[None]["min_stm"], s["experiment"]["seed"]
+    stm, exposures, loc_by_id = _diagnostics_inputs(s)
     taus, frac = tau_map(stm, exposures, band=band)
     rng = np.random.default_rng(seed)
-    loc_by_id = {loc.id: loc for loc in sub.locations}
     lons = np.array([loc_by_id[j].lon for j in stm.argmax_location_ids.tolist()])
     lats = np.array([loc_by_id[j].lat for j in stm.argmax_location_ids.tolist()])
     trend = {}
@@ -462,6 +470,7 @@ def cmd_diagnostics(s) -> int:
     kl = exposure_kl_test(
         exposures, stm, location_id=taus[0].location_id, n_null=s[None]["n_null"], rng=rng
     )
+    del exposures  # the report and its writes need no events x locations table
     report = {
         "band": band,
         "tau": [asdict(t) for t in taus],
@@ -535,7 +544,7 @@ def _sha256(path) -> str:
 
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
 

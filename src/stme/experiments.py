@@ -31,7 +31,7 @@ from .catalog import (
     CycloneCatalog,
     Location,
     RegionSpec,
-    extract_exposures,
+    exposure_atoms,
     extract_stm,
     select_region,
     top_n_positions,
@@ -164,7 +164,10 @@ def estimate_cells(
     catalog, a row of ascending row positions in `samples` (by default one
     sample of every row): its T-year estimate, or NaN and the reason there is
     none. For each (n, method) the tails of every sample go to one fit and
-    one inversion; only the blocks the requested estimators read are built."""
+    one inversion; only the blocks the requested estimators read are built.
+    Besides the catalog, this holds at most the footprints of the samples at
+    the analysed locations, which the single-location tails are sorted in,
+    and one (n, method) block's exposures at its retained events."""
     if samples is None:
         samples = np.arange(len(catalog.event_ids))[None]
     location_ids, n_ladder, methods = map(_unique, (location_ids, n_ladder, methods))
@@ -176,10 +179,9 @@ def estimate_cells(
         return CellTable(keys, np.empty((n_samples, 0)), np.empty((n_samples, 0), dtype=object))
     if stme:
         stm = extract_stm(catalog)
-        exposures = extract_exposures(catalog, stm).values[:, columns]
     if single:
         # a column per (sample, location), sample-major
-        block = catalog.swh[samples[:, :, None], columns].transpose(1, 0, 2).reshape(m, -1)
+        block = catalog.swh[samples.T[:, :, None], columns].reshape(m, -1)
         block_ids = list(location_ids) * n_samples
     # a samples x locations slab per (n, method) block and estimator, STME first
     shape = (n_samples, len(n_ladder) * len(methods), stme + single, n_loc)
@@ -198,8 +200,8 @@ def estimate_cells(
             tails.append(tail)
         fits = fit_gpd_rows(*(np.concatenate(part) for part in zip(*tails)), method)
         if stme:
-            found = stme_cells(fits.take(slice(n_samples)), events, exposures, location_ids, T,
-                               T0, n)
+            atoms = exposure_atoms(catalog, stm, events.T, columns)
+            found = stme_cells(fits.take(slice(n_samples)), atoms, location_ids, T, T0, n)
             values[:, b, 0], flags[:, b, 0] = (a.reshape(n_samples, n_loc) for a in found)
         if single:
             found = single_cells(reason, fits.take(slice(stme * n_samples, None)), block_ids, T,
@@ -333,6 +335,22 @@ class SummaryStats:
     cells: dict[CellKey, CellStats]
 
 
+_BOX_QUANTILES = np.array([2.5, 25.0, 50.0, 75.0, 97.5]) / 100
+
+
+def _box_percentiles(rows: np.ndarray) -> np.ndarray:
+    """np.percentile(rows, [2.5, 25, 50, 75, 97.5], axis=1) of rows of two or
+    more values, by numpy's linear rule and arithmetic, bit for bit, but
+    without np.percentile's call of np.unique, which imports numpy.ma."""
+    ordered = np.sort(rows, axis=1)
+    virtual = (rows.shape[1] - 1) * _BOX_QUANTILES
+    below = np.floor(virtual)
+    gamma, lo = virtual - below, below.astype(int)
+    a, b = ordered[:, lo], ordered[:, lo + 1]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma).T
+
+
 def summarize(table: CellTable) -> SummaryStats:
     """Box-whisker summary of each cell with at least two estimates over the
     rows of an experiment's cell table, a row per replicate; percentiles by
@@ -349,7 +367,7 @@ def summarize(table: CellTable) -> SummaryStats:
     for count in dict.fromkeys(counts[order].tolist()):
         group = order[counts[order] == count]
         arr = values[group][valued[group]].reshape(len(group), count)
-        q = np.percentile(arr, [2.5, 25.0, 50.0, 75.0, 97.5], axis=1)
+        q = _box_percentiles(arr)
         outside = (arr < q[0][:, None]) | (arr > q[4][:, None])
         for c, row, mean, out, (q025, q25, q50, q75, q975) in zip(
                 group.tolist(), arr, arr.mean(axis=1).tolist(), outside, q.T.tolist()):

@@ -194,15 +194,17 @@ def return_value(fit: GpdParams, ecdf: ExposureEcdf, T: float, T0: float, n: int
     )
 
 
-def stme_cells(fits: GpdFits, events, exposures, location_ids, T: float, T0: float, n: int):
+def stme_cells(fits: GpdFits, atoms, location_ids, T: float, T0: float, n: int):
     """The STM-E step of each sample after the fit of its n largest STM values,
-    at `events`, rows of the exposure block (column k of location_ids[k]):
-    the value of each (sample, location) cell, sample-major, NaN where there
-    is none, and its flag: the reason it has none, "at_upper_bound" or ""."""
+    `atoms` holding their exposures (n x samples x locations, location k
+    being location_ids[k]): the value of each (sample, location) cell,
+    sample-major, NaN where there is none, and its flag: the reason it has
+    none, "at_upper_bound" or ""."""
     width = len(location_ids)
     reason = fits.error + fits.message
     live = np.flatnonzero(reason == "")
-    atoms = np.asarray(exposures)[events[live]].transpose(1, 0, 2)  # n x samples x locations
+    if len(live) < len(reason):  # else no copy: the block can be as large as the catalog
+        atoms = atoms[:, live]
     value, at_bound, why = return_values(
         [np.repeat(column[live], width) for column in fits[:3]], atoms.reshape(n, -1),
         list(location_ids) * len(live), T, T0, n)

@@ -161,3 +161,24 @@ class TestSingleTails:
                 assert np.isnan(value) and why == str(err)
             else:  # a column's fit does not depend on the other columns
                 assert (value, why) == (want.value, "")
+
+    def test_orders_the_block_in_place(self):
+        world = synth_catalog(SynthWorldConfig(duration_years=60.0, seed=4))
+        samples = world.swh.copy()
+        samples[::3, ::2] = np.nan
+        samples[:, 0] = np.nan
+        original = samples.copy()
+        reason, tail, psi = single_tails(samples, world.location_ids, 10)
+        # each column keeps its values, sorted descending with NaN last
+        want = -np.sort(-original, axis=0)
+        assert np.array_equal(samples, want, equal_nan=True)
+        fitted = reason == ""
+        assert not fitted[0] and fitted[1:].all()
+        assert np.array_equal(tail, want[:10, fitted].T)
+        assert np.array_equal(psi, tail_thresholds(want[:, fitted].T, 10))
+
+    def test_single_location_rv_leaves_the_series_untouched(self):
+        values = gpd_sample(GpdParams(2.0, 1.5, 0.05), np.random.default_rng(1), 120)
+        series = LocationSeries(1, values.copy())
+        single_location_rv(series, 30, 500.0, 200.0, "PWM")
+        assert np.array_equal(series.values, values)

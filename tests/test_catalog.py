@@ -522,6 +522,32 @@ class TestExtractExposures:
         for row in mat.values:
             assert np.nanmax(row) == 1.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 1000), shape=st.sampled_from([(7,), (3, 4), (2, 3, 2)]))
+    def test_atoms_are_entries_of_the_matrix(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        cat = random_catalog(rng, 12, 5, missing_frac=0.3)
+        stm = extract_stm(cat)
+        rows = rng.integers(0, 12, size=shape)
+        columns = rng.permutation(5)[:3]
+        atoms = catalog.exposure_atoms(cat, stm, rows, columns)
+        want = extract_exposures(cat, stm).values[rows[..., None], columns]
+        assert atoms.shape == (*shape, 3)
+        np.testing.assert_array_equal(atoms, want)  # the same division, NaN where absent
+
+    def test_atoms_and_matrix_check_the_stm(self):
+        cat = make_catalog({1: {1: 2.5, 2: 5.0}, 2: {1: 1.0, 2: 3.0}, 3: {1: 4.0}})
+        stm = extract_stm(cat)
+        short = StmSeries(stm.event_ids[:2], stm.values[:2], stm.argmax_location_ids[:2])
+        zero = StmSeries(stm.event_ids, [5.0, 0.0, 4.0], stm.argmax_location_ids)
+        rows, columns = np.array([0, 2]), np.array([1])
+        for build in (lambda s: extract_exposures(cat, s),
+                      lambda s: catalog.exposure_atoms(cat, s, rows, columns)):
+            with pytest.raises(CatalogError, match="does not cover the catalog's events"):
+                build(short)
+            with pytest.raises(CatalogError, match="event 2: degenerate STM 0.0"):
+                build(zero)
+
 
 class TestTopNEvents:
     def test_order_statistics(self):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -387,6 +388,43 @@ class TestDiagnostics:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("extra", [(), ("--min-stm", "6")])
+    def test_footprint_table_released_before_tau_map(self, synth_dir, tmp_path, monkeypatch,
+                                                     extra):
+        # from tau_map on, the exposure matrix is the one events x locations
+        # table held: every footprint table, unfiltered or filtered, is gone
+        import stme.cli
+
+        tables, alive = [], []
+        region_catalog, extract_exposures = stme.cli._region_catalog, stme.cli.extract_exposures
+        tau_map = stme.cli.tau_map
+
+        def loaded(s):
+            catalog = region_catalog(s)
+            tables.append(weakref.ref(catalog.swh))
+            return catalog
+
+        def exposures(catalog, stm):
+            tables.append(weakref.ref(catalog.swh))
+            return extract_exposures(catalog, stm)
+
+        def mapped(*args, **kwargs):
+            alive.extend(table() is not None for table in tables)
+            return tau_map(*args, **kwargs)
+
+        monkeypatch.setattr(stme.cli, "_region_catalog", loaded)
+        monkeypatch.setattr(stme.cli, "extract_exposures", exposures)
+        monkeypatch.setattr(stme.cli, "tau_map", mapped)
+        code = run([
+            "diagnostics", "--footprints", synth_dir / "footprints.csv",
+            "--locations", synth_dir / "locations.csv", "--duration", "800",
+            "--out", tmp_path / "diag", "--n-perm", "99", "--n-null", "100", *extra,
+        ])
+        assert code == 0
+        assert len(tables) == 2 and alive == [False, False]
+        if extra:  # --min-stm filtered the table: exposures came from a new one
+            assert tables[0] is not tables[1]
+
 
 class TestNonFiniteNumber:
     @pytest.mark.parametrize("command, argv", [
@@ -489,6 +527,23 @@ class TestImports:
         for name in ("diagnostics.json", "tau_map.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+
+    def test_experiment_does_not_import_numpy_ma(self, synth_dir, tmp_path):
+        # np.percentile imports numpy.ma through np.unique; summarize does not
+        code = (
+            "import sys; from stme.cli import main; code = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])); "
+            "sys.exit(code)"
+        )
+        args = ["experiment", "--footprints", synth_dir / "footprints.csv",
+                "--locations", synth_dir / "locations.csv", "--duration", "800",
+                "--T", "200", "--T0", "100", "--n", "10", "--replicates", "4",
+                "--location-ids", "1", "2", "--out", tmp_path / "exp"]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                             capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+        assert (tmp_path / "exp" / "summary.csv").read_text().count("\n") > 1
 
     def test_catalog_commands_do_not_load_openssl(self, synth_dir, tmp_path):
         # hashlib loads OpenSSL (_hashlib); only experiment hashes its inputs

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -134,6 +135,19 @@ class TestSummarize:
 
     def test_all_failed_cell_reported_empty(self):
         assert summarize(self.table([np.nan] * 3)).cells == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 4).flatmap(lambda k: st.integers(2, 40).flatmap(
+        lambda n: st.lists(st.one_of(
+            st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=n, max_size=n),
+            st.lists(st.sampled_from([0.0, 1.5, 2.0, -3.25]), min_size=n, max_size=n),
+            st.floats(-1e6, 1e6).map(lambda v: [v] * n)), min_size=k, max_size=k))))
+    def test_percentiles_equal_numpy(self, rows):
+        # ties, two values and constant rows included: np.percentile's linear
+        # rule, bit for bit
+        arr = np.array(rows, dtype=float)
+        want = np.percentile(arr, [2.5, 25.0, 50.0, 75.0, 97.5], axis=1)
+        assert np.array_equal(stme.experiments._box_percentiles(arr), want)
 
 
 class TestPerformanceMetrics:
@@ -358,6 +372,12 @@ class TestEstimateCells:
         assert len(cells.keys) == 4 and np.isnan(cells.values).all()
         assert set(cells.flags[0]) == {"n=20 exceeds sample size 12"}
 
+    def test_degenerate_stm_is_an_error(self):
+        # an event whose footprint is all zero has no exposures
+        world = exposure_world({1: 1.0, 2: 0.5}, [(5.0 + 0.1 * k) * (k != 3) for k in range(12)])
+        with pytest.raises(CatalogError, match="event 4: degenerate STM 0.0"):
+            estimate_cells(world, 500.0, 200.0, (10,), ("PWM",), ("STME",), (1, 2))
+
     def test_failed_fit_gives_every_stme_cell_the_reason(self):
         world = exposure_world({1: 1.0, 2: 0.5}, np.arange(1, 13) ** 6.0)
         cells = estimate_cells(world, 500.0, 200.0, (10,), ("MLE",), ("STME",), (1, 2))
@@ -527,11 +547,13 @@ class TestOneDriver:
         assert len(estimates) == 34  # location 35 is hit by three events only
         assert built == {"GpdParams": 0, "FitReport": 0, "ReturnValueEstimate": 34}
 
-    @pytest.mark.parametrize("estimator, stm_calls, single_calls", [
-        ("STME", 1, 0), ("SINGLE", 0, 2)])
+    # a SINGLE-only request builds no STM series and no exposures; STME
+    # builds the exposures of each (n, method) block's retained events only
+    @pytest.mark.parametrize("estimator, stm_calls, atoms_calls, single_calls", [
+        ("STME", 1, 2, 0), ("SINGLE", 0, 0, 2)])
     def test_builds_only_the_requested_blocks(self, monkeypatch, estimator, stm_calls,
-                                              single_calls):
-        calls = {"extract_stm": 0, "extract_exposures": 0, "single_tails": 0}
+                                              atoms_calls, single_calls):
+        calls = {"extract_stm": 0, "exposure_atoms": 0, "single_tails": 0}
 
         def counted(name):
             original = getattr(stme.experiments, name)
@@ -547,8 +569,35 @@ class TestOneDriver:
         world = TestEstimateCells.holed_world()
         cells = estimate_cells(world, 500.0, 200.0, (10,), ("MLE", "PWM"), (estimator,), (1, 2))
         assert {est for _, est, _, _ in cells.keys} == {estimator}
-        assert calls == {"extract_stm": stm_calls, "extract_exposures": stm_calls,
+        assert calls == {"extract_stm": stm_calls, "exposure_atoms": atoms_calls,
                          "single_tails": single_calls}
+
+
+class TestMemory:
+    """What estimate_cells holds on top of the catalog, in units of its
+    events x locations table: the footprints of the samples at the analysed
+    locations for SINGLE, and one (n, method) block's exposures for STME."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return synth_catalog(SynthWorldConfig(duration_years=800.0, spacing_deg=0.05, seed=11))
+
+    @staticmethod
+    def tables_above(world, estimators):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            estimate_cells(world, 500.0, 200.0, (60,), ("MLE",), estimators, world.location_ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - before) / world.swh.nbytes
+
+    @pytest.mark.parametrize("estimators, bound", [
+        (("STME",), 1.1), (("STME", "SINGLE"), 2.3)])
+    def test_peak_above_the_catalog(self, world, estimators, bound):
+        assert world.swh.shape == (480, 425)
+        assert self.tables_above(world, estimators) <= bound
 
 
 class TestSynthWorld:
