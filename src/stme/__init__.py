@@ -49,7 +49,6 @@ from .diagnostics import (
     KlResult,
     TauResult,
     exposure_kl_test,
-    kendall_tau,
     ks_uniformity,
     tau_map,
     trend_permutation_test,

@@ -40,7 +40,9 @@ from .catalog import (
 )
 from .diagnostics import (
     DiagnosticsError,
-    exposure_kl_test,
+    check_sample_sizes,
+    exposure_profiles,
+    kl_profile_test,
     ks_uniformity,
     tau_map,
     trend_permutation_test,
@@ -457,26 +459,24 @@ def _diagnostics_inputs(s):
 
 def cmd_diagnostics(s) -> int:
     band, min_stm, seed = s[None]["band"], s[None]["min_stm"], s["experiment"]["seed"]
+    n_perm, n_null = s[None]["n_perm"], s[None]["n_null"]
+    check_sample_sizes(n_perm, n_null)
     stm, exposures, loc_by_id = _diagnostics_inputs(s)
     taus, frac = tau_map(stm, exposures, band=band)
+    profiles = exposure_profiles(exposures.values)
+    del exposures  # released before numpy.random (and OpenSSL) loads
     rng = np.random.default_rng(seed)
     lons = np.array([loc_by_id[j].lon for j in stm.argmax_location_ids.tolist()])
     lats = np.array([loc_by_id[j].lat for j in stm.argmax_location_ids.tolist()])
-    trend = {}
-    for orientation in s[None]["orientation"]:
-        trend[str(orientation)] = trend_permutation_test(
-            stm, lons, lats, orientation, n_perm=s[None]["n_perm"], rng=rng
-        )
-    kl = exposure_kl_test(
-        exposures, stm, location_id=taus[0].location_id, n_null=s[None]["n_null"], rng=rng
-    )
-    del exposures  # the report and its writes need no events x locations table
+    trend = {str(o): trend_permutation_test(stm, lons, lats, o, n_perm=n_perm, rng=rng)
+             for o in s[None]["orientation"]}
+    kl = kl_profile_test(profiles, stm, taus[0].location_id, n_null=n_null, rng=rng)
     report = {
         "band": band,
         "tau": [asdict(t) for t in taus],
         "tau_exceedance_fraction": frac,
         "trend_p_values": trend,
-        "kl": {k: v for k, v in asdict(kl).items() if k != "null_sample"},
+        "kl": {k: v for k, v in vars(kl).items() if k != "null_sample"},
     }
     probs = list(trend.values())
     if len(probs) >= 5:

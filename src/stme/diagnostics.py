@@ -7,10 +7,10 @@ permutation tests for linear STM trends along oriented transects, a
 Kullback-Leibler comparison of extreme-STM exposure profiles against a
 random-pair null, and KS aggregation of the resulting probabilities.
 
-Kendall's tau-b is computed from integer pair counts, for every location
-in one pass. scipy is needed only by the KS aggregation (`ks_uniformity`,
-which `stme diagnostics` runs with five or more orientations) and is
-imported inside it.
+Kendall's tau-b comes from integer pair counts and the exposure profiles
+from one bincount, for all locations or events at once. scipy is needed
+only by the KS aggregation (`ks_uniformity`, which `stme diagnostics` runs
+with five or more orientations) and is imported inside it.
 """
 
 from __future__ import annotations
@@ -26,8 +26,12 @@ from .catalog import ExposureMatrix, StmSeries
 # smoothing keeps the divergence finite on disjoint supports.
 KL_BINS = 10
 KL_SMOOTHING = 0.5
-# Cells per column block of the tau-b pair counts: bounds their temporaries.
+# Cells per block of the tau-b pair counts and of the exposure profiles, and
+# null pairs per block of the KL test: bound their temporaries.
 TAU_BLOCK_CELLS = 1 << 14
+KL_BLOCK_PAIRS = 1 << 12
+# KlResult.null_sample holds every null divergence: at most 128 MiB of them.
+KL_NULL_MAX_BYTES = 1 << 27
 
 
 class DiagnosticsError(ValueError):
@@ -39,6 +43,17 @@ def kendall_tau_null_sd(n: int) -> float:
     if n < 3:
         raise DiagnosticsError(f"need n >= 3, got {n}")
     return math.sqrt(2.0 * (2.0 * n + 5.0) / (9.0 * n * (n - 1.0)))
+
+
+def check_sample_sizes(n_perm: int = 99, n_null: int = 100):
+    """Raises unless n_perm >= 99 and 100 <= n_null <= KL_NULL_MAX_BYTES / 8."""
+    if n_perm < 99:
+        raise DiagnosticsError(f"need n_perm >= 99, got {n_perm}")
+    if n_null < 100:
+        raise DiagnosticsError(f"need n_null >= 100, got {n_null}")
+    if n_null * 8 > KL_NULL_MAX_BYTES:
+        raise DiagnosticsError(f"need n_null <= {KL_NULL_MAX_BYTES // 8} (null sample cap "
+                               f"{KL_NULL_MAX_BYTES} bytes), got {n_null}")
 
 
 def _tie_pairs(ordered: np.ndarray, n_valid: np.ndarray) -> np.ndarray:
@@ -113,19 +128,6 @@ def _tau_b(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return tau
 
 
-def kendall_tau(x, y) -> tuple[float, float]:
-    """Tie-corrected (tau-b) Kendall rank correlation and its Gaussian null
-    sd; NaN when either input is constant or holds a NaN."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DiagnosticsError("length mismatch")
-    null_sd = kendall_tau_null_sd(x.size)  # checks n >= 3
-    if np.isnan(x).any() or np.isnan(y).any():
-        return math.nan, null_sd
-    return float(_tau_b(x.ravel(), y.reshape(-1, 1))[0]), null_sd
-
-
 def _check_same_events(stm: StmSeries, exposures: ExposureMatrix):
     """The STM series and the exposure matrix must share their rows."""
     if not np.array_equal(stm.event_ids, exposures.event_ids):
@@ -142,9 +144,8 @@ class TauResult:
     n_events: int
 
 
-def tau_map(
-    stm: StmSeries, exposures: ExposureMatrix, band: float = 0.90
-) -> tuple[list[TauResult], float]:
+def tau_map(stm: StmSeries, exposures: ExposureMatrix,
+            band: float = 0.90) -> tuple[list[TauResult], float]:
     """Per-location Kendall's tau between STM and exposure, flagged against the
     Gaussian independence band. Returns the results and the exceedance
     fraction (locations outside the band / locations tested)."""
@@ -164,29 +165,16 @@ def tau_map(
         if n < 3:
             continue
         sd = kendall_tau_null_sd(n)
-        if tau > z_crit * sd:
-            flag = "above"
-        elif tau < -z_crit * sd:
-            flag = "below"
-        else:
-            flag = "inside"
+        flag = "above" if tau > z_crit * sd else "below" if tau < -z_crit * sd else "inside"
         n_outside += flag != "inside"
-        results.append(
-            TauResult(location_id=loc, tau=tau, null_sd=sd, band=band, flag=flag, n_events=n)
-        )
+        results.append(TauResult(loc, tau, sd, band, flag, n))
     if not results:
         raise DiagnosticsError("no location with enough data for Kendall's tau")
     return results, n_outside / len(results)
 
 
-def trend_permutation_test(
-    stm: StmSeries,
-    lons,
-    lats,
-    orientation_deg: float,
-    n_perm: int = 999,
-    rng: np.random.Generator | None = None,
-) -> float:
+def trend_permutation_test(stm: StmSeries, lons, lats, orientation_deg: float, n_perm: int = 999,
+                           rng: np.random.Generator | None = None) -> float:
     """Permutation p-value for a linear STM trend along an oriented transect.
 
     The statistic is the least-squares slope of STM against the coordinate
@@ -195,14 +183,12 @@ def trend_permutation_test(
     """
     if len(stm) < 10:
         raise DiagnosticsError(f"need >= 10 events, got {len(stm)}")
-    if n_perm < 99:
-        raise DiagnosticsError(f"need n_perm >= 99, got {n_perm}")
+    check_sample_sizes(n_perm=n_perm)
     if rng is None:
         rng = np.random.default_rng()
     theta = math.radians(orientation_deg)
-    proj = np.asarray(lons, dtype=float) * math.cos(theta) + np.asarray(
-        lats, dtype=float
-    ) * math.sin(theta)
+    proj = (np.asarray(lons, dtype=float) * math.cos(theta)
+            + np.asarray(lats, dtype=float) * math.sin(theta))
     proj_c = proj - proj.mean()
     ss = float(np.sum(proj_c**2))
     if ss == 0.0:
@@ -216,24 +202,6 @@ def trend_permutation_test(
     return (1 + n_ge) / (n_perm + 1)
 
 
-def _exposure_histogram(sample: np.ndarray) -> np.ndarray:
-    counts, _ = np.histogram(sample, bins=KL_BINS, range=(0.0, 1.0))
-    smoothed = counts + KL_SMOOTHING
-    return smoothed / smoothed.sum()
-
-
-def _divergence(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.sum((p - q) * np.log(p / q)))
-
-
-def kl_symmetric(sample_a, sample_b) -> float:
-    """Symmetrised KL (J-divergence) between smoothed exposure histograms."""
-    return _divergence(
-        _exposure_histogram(np.asarray(sample_a, dtype=float)),
-        _exposure_histogram(np.asarray(sample_b, dtype=float)),
-    )
-
-
 @dataclass(frozen=True)
 class KlResult:
     location_id: int
@@ -243,13 +211,64 @@ class KlResult:
     non_exceedance: float  # fraction of the null at or below kl_star
 
 
-def exposure_kl_test(
-    exposures: ExposureMatrix,
-    stm: StmSeries,
-    location_id: int,
-    n_null: int = 1000,
-    rng: np.random.Generator | None = None,
-) -> KlResult:
+def exposure_profiles(exposures: np.ndarray) -> np.ndarray:
+    """The smoothed KL_BINS-bin histogram on [0, 1] of each row's non-NaN
+    values, as a rows x KL_BINS array of probabilities. Each row equals
+    np.histogram(row, KL_BINS, (0, 1)) bit for bit, by its rule for uniform
+    bins: index floor(x * KL_BINS), corrected by one across a bin edge, 1.0
+    in the last bin, values outside [0, 1] left out. The rows are counted by
+    one bincount per block of at most TAU_BLOCK_CELLS cells."""
+    n_rows, n_cols = exposures.shape
+    edges = np.linspace(0.0, 1.0, KL_BINS + 1)
+    counts = np.empty((n_rows, KL_BINS), dtype=np.int64)
+    block = max(1, TAU_BLOCK_CELLS // max(1, n_cols))
+    for start in range(0, n_rows, block):
+        values = exposures[start:start + block]
+        kept = np.flatnonzero((values >= 0.0) & (values <= 1.0))
+        x = values.ravel()[kept]
+        index = (x * KL_BINS).astype(np.intp)
+        index[index == KL_BINS] -= 1
+        index[x < edges[index]] -= 1
+        index[(x >= edges[index + 1]) & (index != KL_BINS - 1)] += 1
+        counts[start:start + block] = np.bincount(
+            kept // n_cols * KL_BINS + index, minlength=len(values) * KL_BINS
+        ).reshape(-1, KL_BINS)
+    smoothed = counts + KL_SMOOTHING
+    return smoothed / smoothed.sum(axis=1, keepdims=True)
+
+
+def _divergences(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Symmetrised KL (J-divergence) between profiles along the last axis."""
+    return np.sum((p - q) * np.log(p / q), axis=-1)
+
+
+def kl_profile_test(profiles: np.ndarray, stm: StmSeries, location_id: int, n_null: int = 1000,
+                    rng: np.random.Generator | None = None) -> KlResult:
+    """exposure_kl_test on the events' exposure profiles, one row per event of
+    stm as exposure_profiles gives them, so the exposure matrix can go first.
+
+    The null pairs are one rng.choice(events, 2, replace=False) each, drawn in
+    order; their divergences are computed KL_BLOCK_PAIRS pairs at a time."""
+    check_sample_sizes(n_null=n_null)
+    if len(stm) < 3:
+        raise DiagnosticsError("need at least 3 events")
+    if rng is None:
+        rng = np.random.default_rng()
+    kl_star = float(_divergences(*profiles[[np.argmax(stm.values), np.argmin(stm.values)]]))
+    null = np.empty(n_null)
+    m = len(profiles)
+    for start in range(0, n_null, KL_BLOCK_PAIRS):
+        pairs = np.array([rng.choice(m, size=2, replace=False)
+                          for _ in range(min(KL_BLOCK_PAIRS, n_null - start))])
+        null[start:start + len(pairs)] = _divergences(profiles[pairs[:, 0]], profiles[pairs[:, 1]])
+    return KlResult(
+        location_id=int(location_id), n_events=m, kl_star=kl_star,
+        null_sample=null, non_exceedance=float(np.mean(null <= kl_star)),
+    )
+
+
+def exposure_kl_test(exposures: ExposureMatrix, stm: StmSeries, location_id: int,
+                     n_null: int = 1000, rng: np.random.Generator | None = None) -> KlResult:
     """Tests whether a location's extreme-STM exposure profiles are typical.
 
     A cyclone's exposure sample is its exposures over all region locations.
@@ -258,26 +277,8 @@ def exposure_kl_test(
     distinct event pairs. location_id labels the report (the profile spans
     the whole region).
     """
-    if n_null < 100:
-        raise DiagnosticsError(f"need n_null >= 100, got {n_null}")
-    if len(stm) < 3:
-        raise DiagnosticsError("need at least 3 events")
-    if rng is None:
-        rng = np.random.default_rng()
     _check_same_events(stm, exposures)
-    hists = [_exposure_histogram(row[~np.isnan(row)]) for row in exposures.values]
-    i_max = int(np.argmax(stm.values))
-    i_min = int(np.argmin(stm.values))
-    kl_star = _divergence(hists[i_max], hists[i_min])
-    null = np.empty(n_null)
-    m = len(hists)
-    for k in range(n_null):
-        i, j = rng.choice(m, size=2, replace=False)
-        null[k] = _divergence(hists[i], hists[j])
-    return KlResult(
-        location_id=int(location_id), n_events=m, kl_star=kl_star,
-        null_sample=null, non_exceedance=float(np.mean(null <= kl_star)),
-    )
+    return kl_profile_test(exposure_profiles(exposures.values), stm, location_id, n_null, rng)
 
 
 def ks_uniformity(probs) -> tuple[float, float]:

@@ -388,16 +388,36 @@ class TestDiagnostics:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-perm", "5", "need n_perm >= 99"), ("--n-null", "5", "need n_null >= 100"),
+        ("--n-null", "1000000000", "null sample cap"),
+    ])
+    def test_sample_sizes_checked_before_the_catalog_is_read(self, tmp_path, capsys, flag,
+                                                             value, message):
+        # the inputs do not exist, so a size error shows the sizes came first
+        # (and nothing was allocated for them either way)
+        code = run([
+            "diagnostics", "--footprints", tmp_path / "missing.csv",
+            "--locations", tmp_path / "missing.csv", "--duration", "800",
+            "--out", tmp_path / "diag", flag, value,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "diag").exists()
+
     @pytest.mark.parametrize("extra", [(), ("--min-stm", "6")])
     def test_footprint_table_released_before_tau_map(self, synth_dir, tmp_path, monkeypatch,
                                                      extra):
         # from tau_map on, the exposure matrix is the one events x locations
-        # table held: every footprint table, unfiltered or filtered, is gone
+        # table held: every footprint table, unfiltered or filtered, is gone;
+        # when numpy.random is first asked for a generator, the exposure
+        # matrix is gone as well
         import stme.cli
 
-        tables, alive = [], []
+        tables, matrices, alive, alive_at_rng = [], [], [], []
         region_catalog, extract_exposures = stme.cli._region_catalog, stme.cli.extract_exposures
-        tau_map = stme.cli.tau_map
+        tau_map, default_rng = stme.cli.tau_map, np.random.default_rng
 
         def loaded(s):
             catalog = region_catalog(s)
@@ -406,15 +426,22 @@ class TestDiagnostics:
 
         def exposures(catalog, stm):
             tables.append(weakref.ref(catalog.swh))
-            return extract_exposures(catalog, stm)
+            matrix = extract_exposures(catalog, stm)
+            matrices.append(weakref.ref(matrix.values))
+            return matrix
 
         def mapped(*args, **kwargs):
             alive.extend(table() is not None for table in tables)
             return tau_map(*args, **kwargs)
 
+        def generator(*args, **kwargs):
+            alive_at_rng.append([ref() is not None for ref in tables + matrices])
+            return default_rng(*args, **kwargs)
+
         monkeypatch.setattr(stme.cli, "_region_catalog", loaded)
         monkeypatch.setattr(stme.cli, "extract_exposures", exposures)
         monkeypatch.setattr(stme.cli, "tau_map", mapped)
+        monkeypatch.setattr(np.random, "default_rng", generator)
         code = run([
             "diagnostics", "--footprints", synth_dir / "footprints.csv",
             "--locations", synth_dir / "locations.csv", "--duration", "800",
@@ -422,6 +449,7 @@ class TestDiagnostics:
         ])
         assert code == 0
         assert len(tables) == 2 and alive == [False, False]
+        assert len(matrices) == 1 and alive_at_rng[0] == [False, False, False]
         if extra:  # --min-stm filtered the table: exposures came from a new one
             assert tables[0] is not tables[1]
 

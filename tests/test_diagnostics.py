@@ -1,17 +1,26 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stme import diagnostics
 from stme.catalog import ExposureMatrix, StmSeries
 from stme.diagnostics import (
+    KL_BINS,
+    KL_BLOCK_PAIRS,
+    KL_NULL_MAX_BYTES,
+    KL_SMOOTHING,
     DiagnosticsError,
+    KlResult,
+    _tau_b,
+    check_sample_sizes,
     exposure_kl_test,
-    kendall_tau,
+    exposure_profiles,
     kendall_tau_null_sd,
-    kl_symmetric,
+    kl_profile_test,
     ks_uniformity,
     tau_map,
     trend_permutation_test,
@@ -32,6 +41,36 @@ def matrix(columns):
     n_events = len(next(iter(columns.values())))
     values = np.column_stack([np.asarray(columns[j], dtype=float) for j in loc_ids])
     return ExposureMatrix(np.arange(1, n_events + 1), np.array(loc_ids), values)
+
+
+def kendall_tau(x, y):
+    """Tau-b of two samples through the batched _tau_b, with its Gaussian
+    null sd; NaN when either sample holds a NaN."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    null_sd = kendall_tau_null_sd(x.size)  # checks n >= 3
+    if np.isnan(x).any() or np.isnan(y).any():
+        return math.nan, null_sd
+    return float(_tau_b(x, y.reshape(-1, 1))[0]), null_sd
+
+
+def histogram_profile(sample, bins=KL_BINS):
+    """The smoothed exposure histogram of one sample by np.histogram: the
+    oracle of exposure_profiles."""
+    counts, _ = np.histogram(sample, bins=bins, range=(0.0, 1.0))
+    smoothed = counts + KL_SMOOTHING
+    return smoothed / smoothed.sum()
+
+
+def divergence(p, q):
+    return float(np.sum((p - q) * np.log(p / q)))
+
+
+def kl_symmetric(a, b):
+    """J-divergence between the smoothed exposure histograms of two samples,
+    as two NaN-padded rows through exposure_profiles."""
+    rows = np.full((2, max(len(a), len(b), 1)), np.nan)
+    rows[0, :len(a)], rows[1, :len(b)] = a, b
+    return divergence(*exposure_profiles(rows))
 
 
 class TestKendallTau:
@@ -265,6 +304,72 @@ class TestTrendPermutation:
             trend_permutation_test(stm, [0, 1, 2], [0, 0, 0], 0.0)
 
 
+def edge_values(bins, ulps=1):
+    """Bin edges as np.histogram computes them and as k / bins, each with its
+    floating-point neighbours up to `ulps` away: below 0 and above 1 fall
+    outside the range."""
+    values = [np.linspace(0.0, 1.0, bins + 1), np.arange(bins + 1) / bins]
+    for direction in (-np.inf, np.inf):
+        below_or_above = values[:2]
+        for _ in range(ulps):
+            below_or_above = [np.nextafter(v, direction) for v in below_or_above]
+            values.extend(below_or_above)
+    return np.unique(np.concatenate(values))
+
+
+EDGE_VALUES = edge_values(KL_BINS)
+
+
+@st.composite
+def profile_cases(draw):
+    """An exposure-like matrix with values on and next to the bin edges,
+    exact 0 and 1, NaN holes and single rows or columns, and a block size
+    that puts block boundaries inside it."""
+    n_rows, n_cols = draw(st.integers(1, 40)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(size=(n_rows, n_cols))
+    on_edge = rng.uniform(size=values.shape) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    values[on_edge] = rng.choice(EDGE_VALUES, size=int(on_edge.sum()))
+    values[rng.uniform(size=values.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = np.nan
+    block = draw(st.sampled_from([1, n_cols - 1, n_cols, 2 * n_cols + 1, 1 << 14]))
+    return values, block
+
+
+class TestExposureProfiles:
+    @settings(max_examples=300, deadline=None)
+    @given(case=profile_cases())
+    def test_equals_np_histogram(self, case):
+        values, block = case
+        with mock.patch.object(diagnostics, "TAU_BLOCK_CELLS", block):
+            profiles = exposure_profiles(values)
+        expected = np.array([histogram_profile(row[~np.isnan(row)]) for row in values])
+        assert profiles.shape == (len(values), KL_BINS) and profiles.dtype == np.float64
+        np.testing.assert_array_equal(profiles.view(np.int64), expected.view(np.int64))
+
+    def test_every_edge_value_alone(self):
+        values = EDGE_VALUES.reshape(-1, 1)
+        expected = np.array([histogram_profile(row) for row in values])
+        np.testing.assert_array_equal(exposure_profiles(values), expected)
+        assert exposure_profiles(np.array([[1.0]]))[0].argmax() == KL_BINS - 1
+
+    @pytest.mark.parametrize("bins", [7, KL_BINS, 49])
+    def test_edge_corrections_at_other_bin_counts(self, bins):
+        # with 10 bins no value needs the upward correction; with 7 some do
+        values = edge_values(bins, ulps=4).reshape(-1, 1)
+        with mock.patch.object(diagnostics, "KL_BINS", bins):
+            profiles = exposure_profiles(values)
+        expected = np.array([histogram_profile(row, bins) for row in values])
+        np.testing.assert_array_equal(profiles, expected)
+
+    def test_default_blocks_split_rows(self):
+        # 7,000 columns: two rows per block of 1 << 14 cells, three blocks
+        rng = np.random.default_rng(18)
+        values = rng.uniform(size=(5, 7000))
+        values[rng.uniform(size=values.shape) < 0.2] = np.nan
+        expected = np.array([histogram_profile(row[~np.isnan(row)]) for row in values])
+        np.testing.assert_array_equal(exposure_profiles(values), expected)
+
+
 class TestKl:
     def test_identical_samples_zero(self):
         s = np.array([0.1, 0.4, 0.9])
@@ -353,11 +458,77 @@ class TestExposureKlTest:
         expected = []
         for _ in range(100):
             i, j = draw.choice(n_events, size=2, replace=False)
-            expected.append(kl_symmetric(samples[i], samples[j]))
+            expected.append(divergence(histogram_profile(samples[i]),
+                                       histogram_profile(samples[j])))
         np.testing.assert_array_equal(res.null_sample, expected)
-        assert res.kl_star == kl_symmetric(
-            samples[int(np.argmax(stm.values))], samples[int(np.argmin(stm.values))]
-        )
+        assert res.kl_star == divergence(histogram_profile(samples[int(np.argmax(stm.values))]),
+                                         histogram_profile(samples[int(np.argmin(stm.values))]))
+
+
+def per_pair_kl_test(profiles, stm, location_id, n_null, rng):
+    """The KL test one null pair at a time: the oracle of kl_profile_test."""
+    kl_star = divergence(profiles[int(np.argmax(stm.values))],
+                         profiles[int(np.argmin(stm.values))])
+    m = len(profiles)
+    null = np.empty(n_null)
+    for k in range(n_null):
+        i, j = rng.choice(m, size=2, replace=False)
+        null[k] = divergence(profiles[i], profiles[j])
+    return KlResult(location_id=int(location_id), n_events=m, kl_star=kl_star,
+                    null_sample=null, non_exceedance=float(np.mean(null <= kl_star)))
+
+
+class TestKlProfileTest:
+    @pytest.mark.parametrize("n_null", [100, KL_BLOCK_PAIRS - 1, KL_BLOCK_PAIRS,
+                                        KL_BLOCK_PAIRS + 1])
+    def test_equals_per_pair_loop(self, n_null):
+        rng = np.random.default_rng(n_null)
+        stm = stm_series(rng.uniform(5, 20, size=60))
+        values = rng.uniform(0, 1, size=(60, 30))
+        values[rng.uniform(size=values.shape) < 0.3] = np.nan
+        profiles = np.array([histogram_profile(row[~np.isnan(row)]) for row in values])
+        got_rng, want_rng = np.random.default_rng(19), np.random.default_rng(19)
+        got = kl_profile_test(profiles, stm, 7, n_null=n_null, rng=got_rng)
+        want = per_pair_kl_test(profiles, stm, 7, n_null, want_rng)
+        assert (got.location_id, got.n_events, got.kl_star, got.non_exceedance) == (
+            want.location_id, want.n_events, want.kl_star, want.non_exceedance)
+        np.testing.assert_array_equal(got.null_sample, want.null_sample)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state  # same draws
+
+    def test_exposure_kl_test_is_the_profile_test(self):
+        rng = np.random.default_rng(20)
+        stm = stm_series(rng.uniform(5, 20, size=30))
+        exposures = ExposureMatrix(stm.event_ids, np.arange(12), rng.uniform(size=(30, 12)))
+        a = exposure_kl_test(exposures, stm, 4, n_null=300, rng=np.random.default_rng(21))
+        b = kl_profile_test(exposure_profiles(exposures.values), stm, 4, n_null=300,
+                            rng=np.random.default_rng(21))
+        assert (a.kl_star, a.non_exceedance) == (b.kl_star, b.non_exceedance)
+        np.testing.assert_array_equal(a.null_sample, b.null_sample)
+
+    def test_null_sample_cap(self):
+        profiles = exposure_profiles(np.random.default_rng(22).uniform(size=(5, 4)))
+        stm = stm_series([1.0, 2.0, 3.0, 4.0, 5.0])
+        with mock.patch.object(diagnostics, "KL_NULL_MAX_BYTES", 8 * 150):
+            assert kl_profile_test(profiles, stm, 1, n_null=150).null_sample.size == 150
+            with pytest.raises(DiagnosticsError, match="null sample cap"):
+                kl_profile_test(profiles, stm, 1, n_null=151)
+
+
+class TestSampleSizes:
+    def test_bounds(self):
+        cap = KL_NULL_MAX_BYTES // 8
+        check_sample_sizes(99, 100)
+        check_sample_sizes(10**9, cap)  # n_perm costs time, not memory: no cap
+        for n_perm, n_null, message in [(98, 100, "n_perm >= 99"), (99, 99, "n_null >= 100"),
+                                        (99, cap + 1, "null sample cap"),
+                                        (99, 10**9, "null sample cap")]:
+            with pytest.raises(DiagnosticsError, match=message):
+                check_sample_sizes(n_perm, n_null)
+
+    def test_cap_is_stated_in_bytes(self):
+        with pytest.raises(DiagnosticsError) as err:
+            check_sample_sizes(n_null=10**9)
+        assert f"{KL_NULL_MAX_BYTES} bytes" in str(err.value)
 
 
 class TestKsUniformity:
