@@ -40,6 +40,7 @@ from .catalog import (
 )
 from .diagnostics import (
     DiagnosticsError,
+    check_band,
     check_sample_sizes,
     exposure_profiles,
     kl_profile_test,
@@ -460,6 +461,7 @@ def _diagnostics_inputs(s):
 def cmd_diagnostics(s) -> int:
     band, min_stm, seed = s[None]["band"], s[None]["min_stm"], s["experiment"]["seed"]
     n_perm, n_null = s[None]["n_perm"], s[None]["n_null"]
+    check_band(band)
     check_sample_sizes(n_perm, n_null)
     stm, exposures, loc_by_id = _diagnostics_inputs(s)
     taus, frac = tau_map(stm, exposures, band=band)
@@ -539,10 +541,17 @@ def _read_replicate(outdir, index, keys) -> CellTable:
 
 
 def _sha256(path) -> str:
-    # imported here: hashlib loads OpenSSL, 3.4 MB that only experiment needs
-    import hashlib
-
-    digest = hashlib.sha256()
+    # CPython's built-in SHA-256 first: hashlib loads OpenSSL (libcrypto),
+    # +3.6 MB of peak RSS in a bare interpreter, which the --jobs coordinator
+    # would load for these two digests alone
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    digest = sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
@@ -690,6 +699,9 @@ def main(argv=None) -> int:
         return args.func(_settings(args, config))
     except (UsageError, CatalogError, DiagnosticsError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # an input too large for what the size checks foresee
+        print(f"error: out of memory: {err}".removesuffix(": "), file=sys.stderr)
         return 2
     except (EvdError, RuntimeError) as err:
         print(f"compute error: {err}", file=sys.stderr)

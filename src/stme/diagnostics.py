@@ -45,6 +45,12 @@ def kendall_tau_null_sd(n: int) -> float:
     return math.sqrt(2.0 * (2.0 * n + 5.0) / (9.0 * n * (n - 1.0)))
 
 
+def check_band(band: float):
+    """Raises unless 0 < band < 1."""
+    if not 0.0 < band < 1.0:
+        raise DiagnosticsError(f"band {band} outside (0, 1)")
+
+
 def check_sample_sizes(n_perm: int = 99, n_null: int = 100):
     """Raises unless n_perm >= 99 and 100 <= n_null <= KL_NULL_MAX_BYTES / 8."""
     if n_perm < 99:
@@ -149,8 +155,7 @@ def tau_map(stm: StmSeries, exposures: ExposureMatrix,
     """Per-location Kendall's tau between STM and exposure, flagged against the
     Gaussian independence band. Returns the results and the exceedance
     fraction (locations outside the band / locations tested)."""
-    if not 0.0 < band < 1.0:
-        raise DiagnosticsError(f"band {band} outside (0, 1)")
+    check_band(band)
     _check_same_events(stm, exposures)
     # imported here: statistics loads decimal and fractions, which would add
     # 0.5 MB to the peak memory of every other command

@@ -430,6 +430,13 @@ def performance_metrics(
     return metrics
 
 
+# synth_catalog holds the world's events x locations table of float64
+# footprints, and a Python Location object per grid point: at most 1 GiB of
+# the one and 2**20 of the other.
+SYNTH_MAX_BYTES = 1 << 30
+SYNTH_MAX_LOCATIONS = 1 << 20
+
+
 @dataclass(frozen=True)
 class SynthWorldConfig:
     """Synthetic cyclone world: straight-line tracks crossing a lon/lat grid,
@@ -463,6 +470,23 @@ class SynthWorldConfig:
             raise CatalogError("duration_years and spacing_deg must be positive")
         if self.noise_sigma_log < 0:
             raise CatalogError("noise_sigma_log must be >= 0")
+        if self.lon_min > self.lon_max or self.lat_min > self.lat_max:
+            raise CatalogError(f"empty grid: lon {self.lon_min}..{self.lon_max}, "
+                               f"lat {self.lat_min}..{self.lat_max}")
+        events, locations = self.shape
+        if 8 * events * locations > SYNTH_MAX_BYTES or locations > SYNTH_MAX_LOCATIONS:
+            raise CatalogError(
+                f"{events:.6g} events x {locations:.6g} locations: a table of "
+                f"{8 * events * locations:.6g} bytes (caps {SYNTH_MAX_BYTES} bytes and "
+                f"{SYNTH_MAX_LOCATIONS} locations)")
+
+    @property
+    def shape(self) -> tuple[float, float]:
+        """The events (the rounded mean count with poisson_counts) x grid
+        locations of the world, as whole floats that overflow to inf."""
+        lons, lats = (float(np.ceil((hi + 1e-9 - lo) / self.spacing_deg))  # len(np.arange)
+                      for lo, hi in ((self.lon_min, self.lon_max), (self.lat_min, self.lat_max)))
+        return float(np.rint(self.rate * self.duration_years)), lons * lats
 
 
 def _grid_locations(config: SynthWorldConfig) -> list[Location]:
@@ -496,7 +520,7 @@ def synth_catalog(config: SynthWorldConfig) -> CycloneCatalog:
     half_x = 0.65 * (config.lon_max - config.lon_min) * km_per_deg_lon
     half_y = 0.65 * (config.lat_max - config.lat_min) * KM_PER_DEG_LAT
     mean_count = config.rate * config.duration_years
-    n_events = int(rng.poisson(mean_count)) if config.poisson_counts else int(round(mean_count))
+    n_events = int(rng.poisson(mean_count)) if config.poisson_counts else int(config.shape[0])
     intensity_dist = GpdParams(
         threshold=config.intensity_threshold,
         scale=config.intensity_scale,

@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stme.cli import (
-    _OPTIONS, _cells, _jobs, _seed, _settings, _write_csv, finite, build_parser, load_config,
-    main, UsageError,
+    _OPTIONS, _cells, _jobs, _seed, _settings, _sha256, _write_csv, finite, build_parser,
+    load_config, main, UsageError,
 )
 
 
@@ -81,6 +81,47 @@ class TestSynth:
         out = tmp_path / "other"
         assert run(["synth", "--out", out, "--years", "800", "--seed", "2"]) == 0
         assert (out / "footprints.csv").read_bytes() != (synth_dir / "footprints.csv").read_bytes()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--years", "1e300"], "6e+299 events x 35 locations: a table of 1.68e+302 bytes"),
+        (["--years", "1e12"], "6e+11 events x 35 locations: a table of 1.68e+14 bytes"),
+        (["--config", "empty.ini"], "empty grid: lon 0.0..-1.0, lat 15.8..16.6"),
+    ])
+    def test_oversized_or_empty_world_exit_2(self, tmp_path, capsys, args, message):
+        (tmp_path / "empty.ini").write_text("[synth]\nlon_min = 0\nlon_max = -1\n")
+        args = [tmp_path / a if a.endswith(".ini") else a for a in args]
+        assert run(["synth", "--out", tmp_path / "world", *args]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "world").exists()
+
+    def test_oversized_grid_exit_2_under_a_memory_limit(self, tmp_path):
+        # without the size check this grid is a list of about 10**12 points, so
+        # the child runs under a 1 GiB address-space limit
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+               "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        out = subprocess.run(
+            [sys.executable, "-m", "stme.cli", "synth", "--out", str(tmp_path / "world"),
+             "--spacing", "1e-6"],
+            capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120)
+        assert out.returncode == 2, out.stderr
+        assert "1920 events x 9.60002e+11 locations: a table of" in out.stderr
+
+    @pytest.mark.parametrize("text, printed", [
+        ("", "error: out of memory\n"),
+        ("Unable to allocate 8 TiB", "error: out of memory: Unable to allocate 8 TiB\n"),
+    ])
+    def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch, text, printed):
+        def synth_catalog(world):
+            raise MemoryError(text)
+
+        monkeypatch.setattr("stme.cli.synth_catalog", synth_catalog)
+        assert run(["synth", "--out", tmp_path / "world"]) == 2
+        assert capsys.readouterr().err == printed
 
 
     def test_cells_format_as_fmt(self, tmp_path):
@@ -391,11 +432,12 @@ class TestDiagnostics:
     @pytest.mark.parametrize("flag, value, message", [
         ("--n-perm", "5", "need n_perm >= 99"), ("--n-null", "5", "need n_null >= 100"),
         ("--n-null", "1000000000", "null sample cap"),
+        ("--band", "1.5", "band 1.5 outside (0, 1)"), ("--band", "0", "band 0.0 outside (0, 1)"),
     ])
     def test_sample_sizes_checked_before_the_catalog_is_read(self, tmp_path, capsys, flag,
                                                              value, message):
-        # the inputs do not exist, so a size error shows the sizes came first
-        # (and nothing was allocated for them either way)
+        # the inputs do not exist, so a size (or band) error shows that the
+        # settings came first (and nothing was allocated for them either way)
         code = run([
             "diagnostics", "--footprints", tmp_path / "missing.csv",
             "--locations", tmp_path / "missing.csv", "--duration", "800",
@@ -505,30 +547,44 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+# Runs `import stme.cli`, then each argument list of argv[1] (JSON) through
+# main, and prints the loaded module names after each step as one JSON line.
+_FRESH_RUN = (
+    "import json, sys; from stme.cli import main; seen = [sorted(sys.modules)]\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    code = main(argv)\n"
+    "    if code: sys.exit(code)\n"
+    "    seen.append(sorted(sys.modules))\n"
+    "print(json.dumps(seen))"
+)
+
+
+def fresh_modules(*argvs, cwd=None) -> list[set[str]]:
+    """The modules loaded in a fresh interpreter after `import stme.cli`, then
+    after each of `argvs` run through `main` in turn; each run must exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    argvs = json.dumps([[str(a) for a in argv] for argv in argvs])
+    out = subprocess.run([sys.executable, "-c", _FRESH_RUN, argvs], capture_output=True,
+                         text=True, env=env, cwd=cwd)
+    assert out.returncode == 0, out.stderr
+    return [set(names) for names in json.loads(out.stdout.splitlines()[-1])]
+
+
 class TestImports:
+    def catalog_args(self, synth_dir):
+        return ["--footprints", synth_dir / "footprints.csv",
+                "--locations", synth_dir / "locations.csv", "--duration", "800"]
+
     def test_cli_does_not_import_scipy(self):
-        code = "import sys, stme.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True)
-        assert out.stdout.strip() == "[]"
+        (loaded,) = fresh_modules()
+        assert not [m for m in loaded if m.startswith("scipy")]
 
     def test_diagnostics_does_not_import_scipy(self, synth_dir, tmp_path):
         # with the default four orientations nothing needs scipy; five or more
         # add the KS aggregation of the trend p-values, which imports it
-        code = (
-            "import sys; from stme.cli import main; code = main(sys.argv[1:]); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy'))); sys.exit(code)"
-        )
-        args = ["diagnostics", "--footprints", synth_dir / "footprints.csv",
-                "--locations", synth_dir / "locations.csv", "--duration", "800",
-                "--n-perm", "99", "--n-null", "100"]
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        out = subprocess.run(
-            [sys.executable, "-c", code, *map(str, args), "--out", str(tmp_path / "a")],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip().splitlines()[-1] == "[]"
+        args = ["diagnostics", *self.catalog_args(synth_dir), "--n-perm", "99", "--n-null", "100"]
+        _, loaded = fresh_modules([*args, "--out", tmp_path / "a"])
+        assert not [m for m in loaded if m.startswith("scipy")]
         assert "trend_ks_uniformity" not in json.loads(
             (tmp_path / "a" / "diagnostics.json").read_text())
         five = [f"--orientation={d}" for d in (0, 30, 60, 90, 120)]
@@ -542,54 +598,40 @@ class TestImports:
         # process has it imported already
         import scipy.stats  # noqa: F401
 
-        args = ["diagnostics", "--footprints", synth_dir / "footprints.csv",
-                "--locations", synth_dir / "locations.csv", "--duration", "800",
-                "--n-perm", "99", "--n-null", "100", "--seed", "3"]
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        fresh = subprocess.run(
-            [sys.executable, "-m", "stme.cli", *map(str, args), "--out", str(tmp_path / "a")],
-            capture_output=True, env=env,
-        )
-        assert fresh.returncode == 0, fresh.stderr
+        args = ["diagnostics", *self.catalog_args(synth_dir), "--n-perm", "99",
+                "--n-null", "100", "--seed", "3"]
+        fresh_modules([*args, "--out", tmp_path / "a"])
         assert run([*args, "--out", tmp_path / "b"]) == 0
         for name in ("diagnostics.json", "tau_map.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-
     def test_experiment_does_not_import_numpy_ma(self, synth_dir, tmp_path):
         # np.percentile imports numpy.ma through np.unique; summarize does not
-        code = (
-            "import sys; from stme.cli import main; code = main(sys.argv[1:]); "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])); "
-            "sys.exit(code)"
-        )
-        args = ["experiment", "--footprints", synth_dir / "footprints.csv",
-                "--locations", synth_dir / "locations.csv", "--duration", "800",
-                "--T", "200", "--T0", "100", "--n", "10", "--replicates", "4",
-                "--location-ids", "1", "2", "--out", tmp_path / "exp"]
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                             capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip().splitlines()[-1] == "[]"
+        _, loaded = fresh_modules([
+            "experiment", *self.catalog_args(synth_dir), "--T", "200", "--T0", "100",
+            "--n", "10", "--replicates", "4", "--location-ids", "1", "2",
+            "--out", tmp_path / "exp"])
+        assert not [m for m in loaded if m.split(".")[:2] == ["numpy", "ma"]]
         assert (tmp_path / "exp" / "summary.csv").read_text().count("\n") > 1
 
     def test_catalog_commands_do_not_load_openssl(self, synth_dir, tmp_path):
         # hashlib loads OpenSSL (_hashlib); only experiment hashes its inputs
-        code = (
-            "import sys; from stme.cli import main; seen = ['_hashlib' in sys.modules]\n"
-            "for i, head in enumerate(sys.argv[1].split(';')):\n"
-            "    assert main([*head.split(), *sys.argv[2:], '--out', f'out{i}']) == 0\n"
-            "    seen.append('_hashlib' in sys.modules)\n"
-            "print(seen)"
-        )
-        heads = ("stm;fit --n 20;"
-                 "return-values --T 500 --T0 200 --n 20 --estimator stme --estimator single")
-        args = ["--footprints", synth_dir / "footprints.csv", "--locations",
-                synth_dir / "locations.csv", "--duration", "800"]
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        out = subprocess.run([sys.executable, "-c", code, heads, *map(str, args)],
-                             capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
-        assert out.stdout.strip().splitlines()[-1] == "[False, False, False, False]"
+        heads = (["stm"], ["fit", "--n", "20"],
+                 ["return-values", "--T", "500", "--T0", "200", "--n", "20",
+                  "--estimator", "stme", "--estimator", "single"])
+        loaded = fresh_modules(*([*head, *self.catalog_args(synth_dir), "--out", f"out{i}"]
+                                 for i, head in enumerate(heads)), cwd=tmp_path)
+        assert ["_hashlib" in names for names in loaded] == [False] * 4
+
+    def test_jobs_coordinator_loads_no_openssl(self, synth_dir, tmp_path):
+        # the manifest digests come from CPython's built-in SHA-256, and the
+        # random draws happen in the workers only
+        _, loaded = fresh_modules([
+            "experiment", *self.catalog_args(synth_dir), *TestExperiment.ARGS,
+            "--jobs", "2", "--out", tmp_path / "exp"])
+        assert "_hashlib" not in loaded and "numpy.random" not in loaded
+        manifest = json.loads((tmp_path / "exp" / "manifest.json").read_text())
+        assert len(manifest["footprints_sha256"]) == 64
 
 
 class TestExperiment:
@@ -619,6 +661,24 @@ class TestExperiment:
         for name in ("footprints", "locations"):
             digest = hashlib.sha256((synth_dir / f"{name}.csv").read_bytes()).hexdigest()
             assert manifest[f"{name}_sha256"] == digest
+
+    def test_manifest_with_hashlib_digests_resumes(self, synth_dir, tmp_path, capsys):
+        # manifests written while the digests came from hashlib still match
+        import hashlib
+
+        out = tmp_path / "exp"
+        assert self.run_experiment(synth_dir, out) == 0
+        ref = (out / "results.csv").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name in ("footprints", "locations"):
+            data = (synth_dir / f"{name}.csv").read_bytes()
+            manifest[f"{name}_sha256"] = hashlib.sha256(data).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        (out / "replicates" / "rep_0001.csv").unlink()
+        capsys.readouterr()
+        assert self.run_experiment(synth_dir, out) == 0
+        assert "resuming: 3 completed replicates found" in capsys.readouterr().out
+        assert (out / "results.csv").read_bytes() == ref
 
     def test_deterministic_and_jobs_invariant(self, synth_dir, tmp_path):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -864,6 +924,38 @@ def csv_blocks(draw):
         rows_of = [tuple(c[i] for c in columns) for i in range(rows)]
         return lambda: zip(*rows_of)
     return lambda: list(columns)
+
+
+class TestSha256:
+    @staticmethod
+    def digests(size, seed):
+        import hashlib
+
+        data = np.random.default_rng(seed).bytes(size)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.csv"
+            path.write_bytes(data)
+            return _sha256(path), hashlib.sha256(data).hexdigest()
+
+    # the file is read 64 KiB at a time
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.one_of(st.sampled_from([0, 1, 65535, 65536, 65537, 3 * 65536]),
+                          st.integers(0, 300_000)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(size=0, seed=0)
+    @example(size=65535, seed=1)
+    @example(size=65536, seed=2)
+    @example(size=65537, seed=3)
+    def test_equals_hashlib(self, size, seed):
+        ours, reference = self.digests(size, seed)
+        assert ours == reference
+
+    def test_hashlib_fallback(self, monkeypatch):
+        # an interpreter without the built-in module hashes through hashlib
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        ours, reference = self.digests(70_000, 4)
+        assert ours == reference
 
 
 class TestWriteCsv:

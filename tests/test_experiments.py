@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stme.baselines import empirical_rv, location_series, single_location_rv
@@ -647,6 +647,59 @@ class TestSynthWorld:
             for s in range(6)
         }
         assert len(counts) > 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(lon_steps=st.integers(0, 12), lat_steps=st.integers(0, 12),
+           jitter=st.sampled_from([0.0, 1e-12, -1e-12, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9]),
+           spacing=st.floats(0.05, 1.0), years=st.floats(1.0, 100.0))
+    def test_shape_is_the_table_shape(self, lon_steps, lat_steps, jitter, spacing, years):
+        # spans a whole number of steps apart, give or take the 1e-9 that
+        # the grid adds to its upper bounds
+        lon_max, lat_max = -62.0 + lon_steps * spacing + jitter, 15.8 + lat_steps * spacing
+        assume(lon_max >= -62.0)
+        cfg = SynthWorldConfig(lon_max=lon_max, lat_max=lat_max, spacing_deg=spacing,
+                               duration_years=years, seed=0)
+        assert synth_catalog(cfg).swh.shape == cfg.shape
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(-180.0, 180.0), span=st.floats(0.0, 50.0),
+           spacing=st.floats(1e-2, 10.0))
+    def test_grid_size_is_the_arange_length(self, lo, span, spacing):
+        cfg = SynthWorldConfig(lon_min=lo, lon_max=lo + span, lat_min=lo, lat_max=lo,
+                               spacing_deg=spacing, duration_years=1.0)
+        assert cfg.shape[1] == len(np.arange(lo, lo + span + 1e-9, spacing))
+
+    @pytest.mark.parametrize("world", [
+        {"duration_years": 1e12}, {"duration_years": 1e300}, {"rate": 1e300},
+        {"rate": 1e300, "duration_years": 1e300}, {"spacing_deg": 1e-6},
+        {"spacing_deg": 1e-300}, {"lon_min": -1e308, "lon_max": 1e308},
+    ])
+    def test_oversized_world_rejected_up_front(self, world):
+        # only the config is made, so the check comes before any allocation
+        with pytest.raises(CatalogError, match=r"events x \S+ locations: a table of \S+ bytes"):
+            SynthWorldConfig(**world)
+
+    def test_caps_are_inclusive(self, monkeypatch):
+        assert SynthWorldConfig(duration_years=100.0).shape == (60, 35)
+        monkeypatch.setattr(stme.experiments, "SYNTH_MAX_BYTES", 8 * 60 * 35)
+        monkeypatch.setattr(stme.experiments, "SYNTH_MAX_LOCATIONS", 35)
+        SynthWorldConfig(duration_years=100.0)
+        with pytest.raises(CatalogError, match="^61 events x 35 locations: a table of 17080 "):
+            SynthWorldConfig(duration_years=101.0)
+        with pytest.raises(CatalogError, match="^6 events x 40 locations"):
+            SynthWorldConfig(duration_years=10.0, lon_max=-60.6)
+
+    @pytest.mark.parametrize("bounds", [
+        {"lon_min": 0.0, "lon_max": -1.0}, {"lat_min": 16.0, "lat_max": 15.0},
+        {"lon_max": -62.0 - 1e-10},  # np.arange still gives one point here
+    ])
+    def test_empty_grid_rejected(self, bounds):
+        with pytest.raises(CatalogError, match="empty grid"):
+            SynthWorldConfig(**bounds)
+
+    def test_one_point_grid(self):
+        cat = synth_catalog(SynthWorldConfig(duration_years=10.0, lon_max=-62.0, lat_max=15.8))
+        assert cat.swh.shape == (6, 1)
 
     def test_invalid_config(self):
         with pytest.raises(CatalogError):
