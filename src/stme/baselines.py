@@ -58,7 +58,7 @@ def single_tails(samples: np.ndarray, location_ids, n: int):
     samples *= -1
     fitted = reason == ""
     if not fitted.any():
-        return reason, np.empty((0, n)), np.empty(0)
+        return reason, np.empty((0, max(n, 0))), np.empty(0)
     # a row per column that can be fitted, as far as tail_thresholds reads;
     # contiguous rows, so that the fit sums each row in the same order
     desc = np.ascontiguousarray(samples[: n + 1, fitted].T)

@@ -89,11 +89,6 @@ class CycloneCatalog:
             raise CatalogError(f"event {event_ids[empty][0]}: empty footprint")
 
     @property
-    def rate(self) -> float:
-        """Implied event rate (events per year)."""
-        return len(self.event_ids) / self.duration_years
-
-    @property
     def location_ids(self) -> tuple[int, ...]:
         return tuple(loc.id for loc in self.locations)
 

@@ -521,6 +521,9 @@ def synth_catalog(config: SynthWorldConfig) -> CycloneCatalog:
     half_y = 0.65 * (config.lat_max - config.lat_min) * KM_PER_DEG_LAT
     mean_count = config.rate * config.duration_years
     n_events = int(rng.poisson(mean_count)) if config.poisson_counts else int(config.shape[0])
+    if n_events == 0:
+        raise CatalogError(f"0 events in {config.duration_years:g} years at rate {config.rate:g} "
+                           "a year: the world is empty")
     intensity_dist = GpdParams(
         threshold=config.intensity_threshold,
         scale=config.intensity_scale,

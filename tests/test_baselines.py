@@ -134,7 +134,7 @@ class TestEmpiricalRv:
 
 class TestSingleTails:
     @pytest.mark.parametrize("method", ["MLE", "PWM"])
-    @pytest.mark.parametrize("n", [4, 10, 30])
+    @pytest.mark.parametrize("n", [-3, 4, 10, 30])
     def test_equals_single_location_rv(self, method, n):
         world = synth_catalog(SynthWorldConfig(duration_years=60.0, seed=4))
         # events without a value: a third of the rows in every other column,

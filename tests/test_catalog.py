@@ -90,7 +90,7 @@ class TestLoadCatalog:
             "location_id,lon_deg,lat_deg,depth_m\n1,-61.5,16.2,\n"
         )
         cat = load_catalog(tmp_path / "footprints.csv", tmp_path / "locations.csv", 3200.0)
-        assert cat.rate == pytest.approx(0.6159, abs=1e-3)
+        assert len(cat.event_ids) == 1971 and cat.duration_years == 3200.0
 
     def test_negative_swh_rejected_with_line(self, tmp_path):
         (tmp_path / "locations.csv").write_text(

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -86,6 +88,9 @@ class TestSynth:
         (["--years", "1e300"], "6e+299 events x 35 locations: a table of 1.68e+302 bytes"),
         (["--years", "1e12"], "6e+11 events x 35 locations: a table of 1.68e+14 bytes"),
         (["--config", "empty.ini"], "empty grid: lon 0.0..-1.0, lat 15.8..16.6"),
+        (["--years", "0.5"], "0 events in 0.5 years at rate 0.6 a year: the world is empty"),
+        (["--rate", "1e-300"], "0 events in 3200 years at rate 1e-300 a year"),
+        (["--years", "0.5", "--poisson", "--seed", "1"], "0 events in 0.5 years at rate 0.6"),
     ])
     def test_oversized_or_empty_world_exit_2(self, tmp_path, capsys, args, message):
         (tmp_path / "empty.ini").write_text("[synth]\nlon_min = 0\nlon_max = -1\n")
@@ -545,6 +550,86 @@ class TestNegativeSeed:
         assert code == 2
         assert f"seed must be non-negative, got {seed}" in capsys.readouterr().err
         assert not out.exists()
+
+
+# flag -> (ordinary values, edge values). The synth_dir world is 800 years
+# long, so a --T0 of 1e300 lies above its duration. Sizes stay small: at most
+# 3 replicates, 199 permutations and 200 null draws.
+_VALUES = {
+    "--duration": (["800", "1600"], ["0", "-800", "1e300"]),
+    "--T": (["300", "500"], ["0", "-1", "1e300"]),
+    "--T0": (["200", "50"], ["0", "-1", "1e300"]),
+    "--n": (["5", "30"], ["0", "-3", "4", "1000", "1.5"]),
+    "--method": (["mle", "pwm"], ["x"]),
+    "--estimator": (["stme", "single"], ["empirical", "x"]),  # experiment rejects empirical
+    "--location-ids": (["1", "35"], ["0", "-1", "99"]),
+    "--min-depth": (["0", "500"], ["-1", "1e300"]),
+    "--replicates": (["2", "3"], ["0", "-1", "1"]),
+    "--jobs": (["1", "2"], []),
+    "--seed": (["0", "7"], ["-1"]),
+    "--n-perm": (["99", "199"], ["0", "-1", "19"]),
+    "--n-null": (["100", "200"], ["0", "-1", "50"]),
+    "--band": (["0.9", "0.5"], ["0", "1", "1.5"]),
+}
+# command -> flag -> whether an ordinary run passes it: the command needs it,
+# or its default lies above the sizes
+_FLAGS = {
+    "stm": {"--min-depth": False, "--location-ids": False},
+    "fit": {"--n": True, "--method": False, "--min-depth": False},
+    "return-values": {"--T": True, "--T0": True, "--n": True, "--method": False,
+                      "--estimator": False, "--location-ids": False},
+    "diagnostics": {"--seed": False, "--n-perm": True, "--n-null": True, "--band": False,
+                    "--min-depth": False},
+    "experiment": {"--T": True, "--T0": True, "--n": True, "--method": False,
+                   "--estimator": False, "--location-ids": False, "--replicates": True,
+                   "--jobs": False, "--seed": False},
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A catalog command with ordinary values, except at up to two flags
+    that get edge values or go missing. A flag may be given twice; argparse
+    keeps the last value, or both for a list flag such as --n."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = {"--duration": True, **_FLAGS[command]}
+    edged = draw(st.sets(st.sampled_from([f for f in flags if _VALUES[f][1]]), max_size=2))
+    argv = [command]
+    for flag, needed in flags.items():
+        ordinary, edge = _VALUES[flag]
+        values = draw(st.lists(st.sampled_from(edge), max_size=2) if flag in edged else
+                      st.lists(st.sampled_from(ordinary), min_size=needed, max_size=2))
+        argv += [a for value in values for a in (flag, value)]
+    return argv
+
+
+class TestExitCodes:
+    @settings(max_examples=40, deadline=None)
+    @given(argv=command_lines())
+    @example(argv=["stm", "--duration", "800"])
+    @example(argv=["fit", "--duration", "800", "--n", "30"])
+    @example(argv=["return-values", "--duration", "800", "--T", "500", "--T0", "200",
+                   "--n", "30", "--estimator", "stme", "--estimator", "single"])
+    @example(argv=["return-values", "--duration", "800", "--T", "300", "--T0", "200",
+                   "--n", "-3", "--estimator", "single"])
+    @example(argv=["diagnostics", "--duration", "800", "--n-perm", "99", "--n-null", "100"])
+    @example(argv=["experiment", "--duration", "800", "--T", "500", "--T0", "200",
+                   "--n", "30", "--replicates", "3", "--jobs", "2"])
+    def test_exit_0_1_or_2(self, synth_dir, argv):
+        """Every command line ends in exit 0, 1 or 2 (argparse's SystemExit(2)
+        included); any other exception is a traceback the user would see."""
+        inputs = ["--footprints", synth_dir / "footprints.csv",
+                  "--locations", synth_dir / "locations.csv"]
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            try:
+                code = run([*argv, *inputs, "--out", Path(tmp) / "out"])
+            except SystemExit as exit:
+                assert exit.code == 2, argv
+                code = 2
+        assert code in (0, 1, 2), argv
 
 
 # Runs `import stme.cli`, then each argument list of argv[1] (JSON) through
@@ -1266,6 +1351,28 @@ class TestOptionTable:
             for part in parts[k:]:
                 assert hasattr(found, part), name
                 found = getattr(found, part)
+
+    def test_readme_example_runs(self, synth_dir, monkeypatch):
+        """The Library section's example, run as written in a catalog's directory."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        monkeypatch.chdir(synth_dir)
+        namespace = {}
+        exec(code, namespace)
+        assert len(namespace["estimates"]) == 35
+
+    def test_top_level_names_are_in_the_readme(self):
+        """Every public name of the stme package that is not a module is
+        documented in the README as stme.<name>, so each name has one home."""
+        import types
+
+        import stme
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        documented = set(re.findall(r"\bstme\.(\w+)\b(?!\.)", readme))
+        public = {name for name, value in vars(stme).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert public <= documented, sorted(public - documented)
 
 
 class TestTracedNames:
