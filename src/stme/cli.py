@@ -396,10 +396,14 @@ def cmd_stm(s) -> int:
     return 0
 
 
-def cmd_fit(s) -> int:
-    n = s["analysis"]["n"]
+def _check_tail_n(n: int):
     if n < 5:
         raise UsageError(f"n must be >= 5 for a tail fit, got {n}")
+
+
+def cmd_fit(s) -> int:
+    n = s["analysis"]["n"]
+    _check_tail_n(n)
     retained, psi = top_n_events(extract_stm(_region_catalog(s)), n)
     outdir = _outdir(s)
     reports = []
@@ -414,11 +418,13 @@ def cmd_fit(s) -> int:
 
 
 def cmd_return_values(s) -> int:
-    sub = _region_catalog(s)
     analysis, methods, estimators = s["analysis"], s[None]["method"], s[None]["estimator"]
+    fitted = [e for e in ESTIMATORS if e in estimators]
+    if fitted:
+        _check_tail_n(analysis["n"])
+    sub = _region_catalog(s)
     T, n, T_L = analysis["T"], analysis["n"], sub.duration_years
     T0 = T_L if analysis["T0"] is None else analysis["T0"]
-    fitted = [e for e in ESTIMATORS if e in estimators]
     if fitted and not T > T0 > 0:
         raise UsageError(f"need T > T0 > 0, got T={T}, T0={T0}")
     targets = analysis_locations(sub, analysis["location_ids"])

@@ -22,6 +22,8 @@ from stme.cli import (
     _OPTIONS, _cells, _jobs, _seed, _settings, _sha256, _write_csv, finite, build_parser,
     load_config, main, UsageError,
 )
+from stme.experiments import MIN_CHUNK_REPLICATES
+import stme.experiments
 
 
 def run(argv):
@@ -276,6 +278,28 @@ class TestReturnValues:
         assert kinds == {"STME", "SINGLE", "EMPIRICAL"}
         for r in rows:
             assert float(r["value_m"]) > 0
+
+    @pytest.mark.parametrize("n, estimators", [
+        ("3", ["stme"]), ("4", ["single"]), ("0", ["stme"]), ("-3", ["single"]),
+        ("3", ["empirical", "stme"]),
+    ])
+    def test_n_below_5_exit_2(self, tmp_path, capsys, n, estimators):
+        # checked before any input is read, as fit does: the inputs need not exist
+        code = run(["return-values", "--footprints", tmp_path / "none.csv",
+                    "--locations", tmp_path / "none.csv", "--duration", "800",
+                    "--out", tmp_path / "o", "--T", "500", "--T0", "200", "--n", n,
+                    *(a for e in estimators for a in ("--estimator", e))])
+        assert code == 2
+        assert f"error: n must be >= 5 for a tail fit, got {n}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_n_below_5_with_empirical_only_is_not_checked(self, synth_dir, tmp_path):
+        out = tmp_path / "rv"
+        assert run(["return-values", "--footprints", synth_dir / "footprints.csv",
+                    "--locations", synth_dir / "locations.csv", "--duration", "800",
+                    "--out", out, "--T", "200", "--n", "3", "--estimator", "empirical",
+                    "--location-ids", "1"]) == 0
+        assert [r["estimator"] for r in read_csv(out / "estimates.csv")] == ["EMPIRICAL"]
 
     def test_failed_cell_is_a_row(self, small_world, tmp_path, capsys):
         out = tmp_path / "rv"
@@ -826,8 +850,8 @@ class TestExperiment:
         assert (twice / "results.csv").read_bytes() == (once / "results.csv").read_bytes()
 
     def test_jobs_and_resume_leave_outputs_unchanged(self, synth_dir, tmp_path):
-        # the replicates run in chunks, one chunk per worker; a resumed run
-        # computes one replicate from the middle of a chunk on its own
+        # the 6 replicates run as one chunk on one worker; a resumed run
+        # computes one replicate from the middle of that chunk on its own
         args = ["--T", "200", "--T0", "100", "--n", "10", "--n", "20", "--replicates", "6",
                 "--seed", "4", "--location-ids", "1", "2", "3"]
         runs = {name: tmp_path / name for name in ("serial", "jobs2")}
@@ -843,6 +867,36 @@ class TestExperiment:
                     "--out", runs["serial"], *args]) == 0
         for out in runs.values():
             assert {name: (out / name).read_bytes() for name in names} == ref
+
+    def test_jobs_2_splits_two_grains_over_two_workers(self, synth_dir, tmp_path, monkeypatch):
+        # 2 x MIN_CHUNK_REPLICATES replicates are the fewest that --jobs 2
+        # splits: two chunks of replicate indices, one per worker, and the
+        # bytes of the serial run
+        workers, tasks = [], []
+
+        class RecordingPool(stme.experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+            def map(self, fn, chunks, **kwargs):
+                tasks.extend(chunks)
+                return super().map(fn, chunks, **kwargs)
+
+        monkeypatch.setattr(stme.experiments, "ProcessPoolExecutor", RecordingPool)
+        replicates = 2 * MIN_CHUNK_REPLICATES
+        runs = {name: tmp_path / name for name in ("serial", "jobs2")}
+        for name, jobs in (("serial", "1"), ("jobs2", "2")):
+            assert run(["experiment", "--footprints", synth_dir / "footprints.csv",
+                        "--locations", synth_dir / "locations.csv", "--duration", "800",
+                        "--out", runs[name], "--T", "200", "--T0", "100", "--n", "10",
+                        "--method", "pwm", "--replicates", replicates, "--seed", "9",
+                        "--location-ids", "1", "2", "--jobs", jobs]) == 0
+        assert workers == [2]
+        assert tasks == [list(range(MIN_CHUNK_REPLICATES)),
+                         list(range(MIN_CHUNK_REPLICATES, replicates))]
+        for name in ("results.csv", "summary.csv", "metrics.csv"):
+            assert (runs["jobs2"] / name).read_bytes() == (runs["serial"] / name).read_bytes()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_empty_period_exit_2_without_writing(self, synth_dir, tmp_path, capsys, jobs):

@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 import warnings
 
@@ -16,6 +17,7 @@ import stme.evd
 import stme.experiments
 import stme.returns
 from stme.experiments import (
+    MIN_CHUNK_REPLICATES,
     CellStats,
     CellTable,
     ExperimentConfig,
@@ -255,7 +257,8 @@ class TestRunExperiment:
     def test_pool_tasks_carry_only_replicate_indices(self, world, monkeypatch):
         # the catalog and config reach each worker once, through the pool
         # initializer; each task is a chunk of replicate indices, at least
-        # one per worker
+        # one per worker once chunks may be that short
+        monkeypatch.setattr(stme.experiments, "MIN_CHUNK_REPLICATES", 1)
         tasks = []
 
         class RecordingPool(stme.experiments.ProcessPoolExecutor):
@@ -267,12 +270,14 @@ class TestRunExperiment:
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10,), replicates=3,
                                methods=("MLE",), location_ids=(1, 2), master_seed=5)
         parallel = run_experiment(world, RegionSpec(), cfg, jobs=2)
-        assert tasks == [([0, 1],), ([2],)]
+        assert tasks == [([0],), ([1, 2],)]
         assert result_rows(parallel) == result_rows(run_experiment(world, RegionSpec(), cfg))
 
     def test_pool_starts_a_worker_per_chunk_at_most(self, world, monkeypatch):
         # the pool starts all of its workers at the first task, so 8 jobs on
-        # 3 chunks, or on the 1 replicate a rerun has left, start 3 and 1
+        # 3 replicates start 1 worker for their one chunk; with chunks of
+        # one replicate allowed, 8 jobs on 3 chunks, or on the 1 replicate a
+        # rerun has left, start 3 and 1
         workers = []
 
         class RecordingPool(stme.experiments.ProcessPoolExecutor):
@@ -283,12 +288,15 @@ class TestRunExperiment:
         monkeypatch.setattr(stme.experiments, "ProcessPoolExecutor", RecordingPool)
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10,), replicates=3,
                                methods=("PWM",), location_ids=(1, 2), master_seed=5)
+        serial = run_experiment(world, RegionSpec(), cfg)
+        assert result_rows(run_experiment(world, RegionSpec(), cfg, jobs=8)) == result_rows(serial)
+        monkeypatch.setattr(stme.experiments, "MIN_CHUNK_REPLICATES", 1)
         parallel = run_experiment(world, RegionSpec(), cfg, jobs=8)
         (index, last), = run_replicates(world, cfg, [2], jobs=8)
-        assert workers == [3, 1]
+        assert workers == [1, 3, 1]
         assert index == 2
         assert result_rows(last) == result_rows(row(parallel, 2))
-        assert result_rows(parallel) == result_rows(run_experiment(world, RegionSpec(), cfg))
+        assert result_rows(parallel) == result_rows(serial)
 
     def test_replicates_come_as_indexed_rows_of_the_experiment(self, world):
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10, 15), replicates=5,
@@ -328,13 +336,43 @@ class TestRunExperiment:
         assert rows[8] == [8 * r for r in rows[1]]
 
     def test_chunks(self):
+        grain = MIN_CHUNK_REPLICATES
         assert _chunks(range(4), 1, 64) == [[0, 1, 2, 3]]
-        assert _chunks(range(4), 2, 64) == [[0, 1], [2, 3]]
-        assert _chunks([0, 1, 3], 4, 64) == [[0], [1], [3]]
+        # a small run stays one chunk whatever the jobs, so one worker runs it
+        assert _chunks(range(4), 2, 64) == [[0, 1, 2, 3]]
+        assert _chunks([0, 1, 3], 4, 64) == [[0, 1, 3]]
+        assert _chunks(range(2 * grain - 1), 2, 64) == [list(range(2 * grain - 1))]
         assert _chunks([], 2, 64) == []
+        # split for jobs into near-equal chunks of at least the grain
+        assert [len(c) for c in _chunks(range(2 * grain), 2, 64)] == [grain, grain]
+        assert [len(c) for c in _chunks(range(3 * grain + 1), 3, 64)] == [grain, grain, grain + 1]
+        assert [len(c) for c in _chunks(range(3 * grain + 1), 8, 64)] == [grain, grain, grain + 1]
+        # `longest` splits below the grain, as it always did
         long = _chunks(range(16), 2, 5)
         assert [i for chunk in long for i in chunk] == list(range(16))
         assert [len(chunk) for chunk in long] == [4, 4, 4, 4]
+        # protocol scale: 100 replicates in the criterion-6 regimes, where a
+        # chunk holds at most 27 (T0 = 200) or 109 (T0 = 50) replicates
+        quarters = [list(range(k, k + 25)) for k in range(0, 100, 25)]
+        for jobs in (1, 2, 4):
+            assert _chunks(range(100), jobs, 27) == quarters
+        assert _chunks(range(100), 2, 109) == [list(range(50)), list(range(50, 100))]
+        assert _chunks(range(100), 4, 109) == quarters
+
+    @given(n=st.integers(0, 300), jobs=st.integers(1, 12), longest=st.integers(1, 120),
+           start=st.integers(0, 5), step=st.integers(1, 3))
+    def test_chunks_partition_at_the_grain(self, n, jobs, longest, start, step):
+        indices = list(range(start, start + n * step, step))
+        chunks = _chunks(indices, jobs, longest)
+        fewest = max(1, math.ceil(n / longest))
+        assert [i for chunk in chunks for i in chunk] == indices
+        assert all(1 <= len(chunk) <= longest for chunk in chunks)
+        assert len(chunks) <= max(jobs, fewest)  # no idle worker
+        if len(chunks) > fewest:  # split for jobs, not for `longest`
+            assert all(len(chunk) >= MIN_CHUNK_REPLICATES for chunk in chunks)
+        if jobs == 1:  # the split before the grain existed
+            size = max(1, math.ceil(n / fewest))
+            assert chunks == [indices[i : i + size] for i in range(0, n, size)]
 
     def test_unknown_location_rejected(self, world):
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10,), replicates=2,
