@@ -51,7 +51,9 @@ CHUNK_CELLS = 1 << 16
 # worker. On the criterion-6 world (2-vCPU Xeon) a chunk costs about 17 ms
 # fixed and a pool worker about 21 ms to start cold (fork, numpy.random,
 # first calls), against 2.2 (T0 = 50) to 4.0 (T0 = 200) ms per replicate:
-# 10 to 17 replicates' worth.
+# 10 to 17 replicates' worth. That cost ratio sets the value; no end-to-end
+# run has picked it (the benchmark's 4-replicate --jobs workload gets the
+# same chunks from any value of 3 up).
 MIN_CHUNK_REPLICATES = 16
 
 KM_PER_DEG_LAT = 110.57
@@ -253,17 +255,12 @@ def _run_replicate(index: int, regional: CycloneCatalog, config: ExperimentConfi
 
 
 def _chunks(indices: Sequence[int], jobs: int, longest: int) -> list[list[int]]:
-    """`indices` in contiguous chunks, none longer than `longest`: as few as
-    that allows, or up to `jobs` of near-equal length if each then holds at
+    """`indices` in contiguous chunks of near-equal length, none longer than
+    `longest`: as few as that allows, or up to `jobs` if each then holds at
     least MIN_CHUNK_REPLICATES."""
     indices = list(indices)
     n = len(indices)
-    fewest = max(1, math.ceil(n / longest))
-    count = max(fewest, min(jobs, n // MIN_CHUNK_REPLICATES))
-    if count == fewest:  # the split `longest` forces: ceil(n / count) each, the rest last
-        size = max(1, math.ceil(n / count))
-        return [indices[i : i + size] for i in range(0, n, size)]
-    # split for the workers: lengths differ by one at most, so none falls below the grain
+    count = max(math.ceil(n / longest), min(jobs, n // MIN_CHUNK_REPLICATES))
     return [indices[n * k // count : n * (k + 1) // count] for k in range(count)]
 
 
