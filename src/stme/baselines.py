@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogError, CycloneCatalog, tail_thresholds
-from .evd import EvdError, GpdFits, fit_gpd_rows, gpd_quantile_rows
+from .evd import MIN_TAIL_N, EvdError, GpdFits, fit_gpd_rows, gpd_quantile_rows
 from .returns import ReturnValueEstimate, target_probability
 
 
@@ -48,10 +48,10 @@ def single_tails(samples: np.ndarray, location_ids, n: int):
     this leaves with each column sorted in descending order, NaN last."""
     counts = np.count_nonzero(~np.isnan(samples), axis=0)
     reason = np.full(len(counts), "", dtype=object)
-    for k in np.flatnonzero((counts < n) | (n < 5)).tolist():
+    for k in np.flatnonzero((counts < n) | (n < MIN_TAIL_N)).tolist():
         loc, count = location_ids[k], int(counts[k])
         reason[k] = (f"location {loc}: no footprint data" if not count
-                     else f"n={n} too small for a tail fit" if n < 5
+                     else f"n={n} too small for a tail fit" if n < MIN_TAIL_N
                      else f"location {loc}: n={n} exceeds {count} values")
     samples *= -1  # negated, so that the sort puts NaN last
     samples.sort(axis=0)

@@ -48,7 +48,7 @@ from .diagnostics import (
     tau_map,
     trend_permutation_test,
 )
-from .evd import METHODS, EvdError, fit_gpd
+from .evd import METHODS, MIN_TAIL_N, EvdError, fit_gpd
 from .experiments import (
     ESTIMATORS,
     CellTable,
@@ -397,8 +397,8 @@ def cmd_stm(s) -> int:
 
 
 def _check_tail_n(n: int):
-    if n < 5:
-        raise UsageError(f"n must be >= 5 for a tail fit, got {n}")
+    if n < MIN_TAIL_N:
+        raise UsageError(f"n must be >= {MIN_TAIL_N} for a tail fit, got {n}")
 
 
 def cmd_fit(s) -> int:
@@ -546,10 +546,11 @@ def _read_replicate(outdir, index, keys) -> CellTable:
     return CellTable(keys, values[None], reasons[None])
 
 
-def _sha256(path) -> str:
+def _sha256(*paths) -> str:
+    """The SHA-256 of the files' bytes, concatenated in the order given."""
     # CPython's built-in SHA-256 first: hashlib loads OpenSSL (libcrypto),
     # +3.6 MB of peak RSS in a bare interpreter, which the --jobs coordinator
-    # would load for these two digests alone
+    # would load for the manifest digests alone
     try:
         from _sha2 import sha256  # Python 3.12+
     except ImportError:
@@ -558,15 +559,27 @@ def _sha256(path) -> str:
         except ImportError:
             from hashlib import sha256
     digest = sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
+    for path in paths:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(block)
     return digest.hexdigest()
+
+
+def _code_version() -> dict:
+    """What identifies the code that computes replicates: the stme version,
+    the SHA-256 of the package's .py sources in sorted name order, and the
+    numpy version, whose Generator streams may change between releases."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    sources = sorted(os.path.join(package, name) for name in os.listdir(package)
+                     if name.endswith(".py"))
+    return {"numpy": np.__version__, "stme": __version__, "stme_sources_sha256": _sha256(*sources)}
 
 
 def _check_manifest(outdir, manifest: dict):
     """Replicate files in `outdir` may be reused only when they were computed
-    from the same inputs and experiment settings as this run."""
+    from the same inputs and experiment settings, by the same code, as this
+    run."""
     path = os.path.join(outdir, "manifest.json")
     if not os.path.exists(path):
         rep_dir = os.path.join(outdir, "replicates")
@@ -607,6 +620,7 @@ def cmd_experiment(s) -> int:
         "duration_years": regional.duration_years,
         "region": asdict(RegionSpec(**s["region"])),
         **asdict(exp_config),
+        "code": _code_version(),
     }
     _check_manifest(outdir, manifest)
     pending = [i for i in range(replicates) if not os.path.exists(_replicate_path(outdir, i))]

@@ -8,9 +8,9 @@ Kullback-Leibler comparison of extreme-STM exposure profiles against a
 random-pair null, and KS aggregation of the resulting probabilities.
 
 Kendall's tau-b comes from integer pair counts and the exposure profiles
-from one bincount, for all locations or events at once. scipy is needed
-only by the KS aggregation (`ks_uniformity`, which `stme diagnostics` runs
-with five or more orientations) and is imported inside it.
+from one bincount, for all locations or events at once. The KS aggregation
+(`ks_uniformity`, which `stme diagnostics` runs with five or more
+orientations) takes its exact p-value from Durbin's matrix formula.
 """
 
 from __future__ import annotations
@@ -286,14 +286,54 @@ def exposure_kl_test(exposures: ExposureMatrix, stm: StmSeries, location_id: int
     return kl_profile_test(exposure_profiles(exposures.values), stm, location_id, n_null, rng)
 
 
+def _durbin_matrix(k: int, h: float) -> np.ndarray:
+    """The (2k - 1)-square H of Durbin's P(D_n < d) = n!/n^n (H^n)[k-1, k-1]
+    for n d = k - h, 0 <= h < 1 (Marsaglia, Tsang & Wang 2003, JSS 8(18))."""
+    m = 2 * k - 1
+    # integer true division rounds 1/g! correctly, to 0.0 past g = 177
+    inv_fact = np.array([1 / math.factorial(g) for g in range(m + 1)])
+    i = np.arange(m)
+    g = i[:, None] - i + 1
+    H = np.where(g >= 0, inv_fact[np.maximum(g, 0)], 0.0)
+    H[:, 0] -= h ** (i + 1) * inv_fact[i + 1]
+    H[-1] -= h ** (m - i) * inv_fact[m - i]
+    H[-1, 0] += max(0.0, 2.0 * h - 1.0) ** m * inv_fact[m]
+    return H
+
+
+def _kolmogorov_sf(n: int, d: float) -> float:
+    """P(D_n >= d), D_n the two-sided KS statistic of n uniform draws. 2(1 - d)^n
+    is exact for d >= 1 - 1/n, and within 2 exp(-36) = 4.6e-16 (DKW, Massart's
+    constant) for n d^2 >= 18, which caps H at 2 ceil(sqrt(18 n)) + 1 rows."""
+    if d <= 0.5 / n:
+        return 1.0
+    if d >= 1.0 - 1.0 / n or n * d * d >= 18.0:
+        return 2.0 * (1.0 - d) ** n
+    k = math.ceil(n * d)
+    H = _durbin_matrix(k, k - n * d)
+    power, e = H, 0  # H^n = power * 10^e, squared from the leading bit of n
+    for bit in bin(n)[3:]:
+        power, e = power @ power, 2 * e
+        if bit == "1":
+            power = power @ H
+        if power[k - 1, k - 1] > 1e140:
+            power, e = power * 1e-140, e + 140
+    s = power[k - 1, k - 1]
+    for i in range(1, n + 1):  # times n!/n^n
+        s = s * i / n
+        if s < 1e-140:
+            s, e = s * 1e140, e - 140
+    return min(1.0, max(0.0, 1.0 - s * 10.0 ** e))
+
+
 def ks_uniformity(probs) -> tuple[float, float]:
-    """One-sample KS test of probabilities against Uniform[0, 1]."""
+    """One-sample KS test of probabilities against Uniform[0, 1]: D = max(D+,
+    D-) by scipy.stats.kstest's arithmetic, and its exact two-sided p-value."""
     probs = np.asarray(probs, dtype=float)
     if probs.size < 5:
         raise DiagnosticsError(f"need >= 5 probabilities, got {probs.size}")
     if np.any((probs < 0.0) | (probs > 1.0)):
         raise DiagnosticsError("probabilities outside [0, 1]")
-    from scipy import stats
-
-    res = stats.kstest(probs, "uniform")
-    return float(res.statistic), float(res.pvalue)
+    x, n = np.sort(probs, axis=None), probs.size
+    d = float(max((np.arange(1.0, n + 1) / n - x).max(), (x - np.arange(0.0, n) / n).max()))
+    return d, _kolmogorov_sf(n, d)

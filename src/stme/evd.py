@@ -35,6 +35,9 @@ GRID_POINTS = 32
 GOLDEN_STEPS = 40
 POLE_GAP = 1e-8
 
+# The fewest exceedances a tail fit takes.
+MIN_TAIL_N = 5
+
 
 class EvdError(ValueError):
     """Raised for invalid distribution parameters or fitting preconditions."""
@@ -164,7 +167,7 @@ def _row_errors(y: np.ndarray) -> np.ndarray:
     degenerate = np.all(y == y[:, :1], axis=1) if n else np.zeros(len(y), bool)
     return np.array([
         "degenerate sample: all exceedances equal" if equal
-        else f"need at least 5 exceedances, got {n}" if n < 5
+        else f"need at least {MIN_TAIL_N} exceedances, got {n}" if n < MIN_TAIL_N
         else "exceedances must lie strictly above the threshold" if below
         else ""
         for equal, below in zip(degenerate.tolist(), np.any(y <= 0, axis=1).tolist())

@@ -36,7 +36,7 @@ from .catalog import (
     select_region,
     top_n_positions,
 )
-from .evd import METHODS, GpdParams, fit_gpd_rows, gpd_quantile
+from .evd import METHODS, MIN_TAIL_N, GpdParams, fit_gpd_rows, gpd_quantile
 from .returns import ReturnValueEstimate, stme_cells
 
 # The estimators that fit a tail, in the order their cells come.
@@ -81,8 +81,8 @@ class ExperimentConfig:
             raise CatalogError(f"need T > T0 > 0, got T={self.T}, T0={self.T0}")
         if self.replicates < 2:
             raise CatalogError(f"need >= 2 replicates, got {self.replicates}")
-        if any(n < 5 for n in self.n_ladder):
-            raise CatalogError("every n on the ladder must be >= 5")
+        if any(n < MIN_TAIL_N for n in self.n_ladder):
+            raise CatalogError(f"every n on the ladder must be >= {MIN_TAIL_N}")
         object.__setattr__(self, "n_ladder", _unique(int(n) for n in self.n_ladder))
         if self.location_ids is not None:
             object.__setattr__(self, "location_ids", _unique(self.location_ids))

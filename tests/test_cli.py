@@ -23,6 +23,7 @@ from stme.cli import (
     load_config, main, UsageError,
 )
 from stme.experiments import MIN_CHUNK_REPLICATES
+import stme.cli
 import stme.experiments
 
 
@@ -689,22 +690,22 @@ class TestImports:
         assert not [m for m in loaded if m.startswith("scipy")]
 
     def test_diagnostics_does_not_import_scipy(self, synth_dir, tmp_path):
-        # with the default four orientations nothing needs scipy; five or more
-        # add the KS aggregation of the trend p-values, which imports it
+        # neither with the default four orientations nor with five, which add
+        # the KS aggregation of the trend p-values
         args = ["diagnostics", *self.catalog_args(synth_dir), "--n-perm", "99", "--n-null", "100"]
-        _, loaded = fresh_modules([*args, "--out", tmp_path / "a"])
+        five = [f"--orientation={d}" for d in (0, 30, 60, 90, 120)]
+        _, _, loaded = fresh_modules([*args, "--out", tmp_path / "a"],
+                                     [*args, *five, "--out", tmp_path / "b"])
         assert not [m for m in loaded if m.startswith("scipy")]
         assert "trend_ks_uniformity" not in json.loads(
             (tmp_path / "a" / "diagnostics.json").read_text())
-        five = [f"--orientation={d}" for d in (0, 30, 60, 90, 120)]
-        assert run([*args, *five, "--out", tmp_path / "b"]) == 0
         report = json.loads((tmp_path / "b" / "diagnostics.json").read_text())
         assert len(report["trend_p_values"]) == 5
         assert 0.0 <= report["trend_ks_uniformity"]["p_value"] <= 1.0
 
     def test_diagnostics_same_with_scipy_imported_late(self, synth_dir, tmp_path):
-        # a fresh process imports scipy only inside the diagnostics; this
-        # process has it imported already
+        # a fresh process never imports scipy; this one has it imported, as
+        # the tests' oracle, and the outputs must not depend on that
         import scipy.stats  # noqa: F401
 
         args = ["diagnostics", *self.catalog_args(synth_dir), "--n-perm", "99",
@@ -713,6 +714,27 @@ class TestImports:
         assert run([*args, "--out", tmp_path / "b"]) == 0
         for name in ("diagnostics.json", "tau_map.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_runtime_needs_only_numpy(self):
+        # every import in src/stme is of the standard library, numpy or stme
+        # itself, and pyproject.toml lists numpy alone as a dependency; the
+        # built-in SHA-256 is _sha2 from Python 3.12 on and _sha256 before,
+        # and each interpreter lists only its own name as standard
+        import ast
+
+        root = Path(__file__).parents[1]
+        allowed = set(sys.stdlib_module_names) | {"_sha2", "_sha256", "numpy", "stme"}
+        found = set()
+        for path in (root / "src" / "stme").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    found.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    found.add(node.module.split(".")[0])
+        assert "numpy" in found and found <= allowed, sorted(found - allowed)
+        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+        dependencies = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
+        assert re.findall(r'"([^"]*)"', dependencies.group(1)) == ["numpy>=1.24"]
 
     def test_experiment_does_not_import_numpy_ma(self, synth_dir, tmp_path):
         # np.percentile imports numpy.ma through np.unique; summarize does not
@@ -788,6 +810,31 @@ class TestExperiment:
         assert self.run_experiment(synth_dir, out) == 0
         assert "resuming: 3 completed replicates found" in capsys.readouterr().out
         assert (out / "results.csv").read_bytes() == ref
+
+    def test_manifest_identifies_the_code(self, synth_dir, tmp_path):
+        import hashlib
+
+        assert self.run_experiment(synth_dir, tmp_path / "exp") == 0
+        manifest = json.loads((tmp_path / "exp" / "manifest.json").read_text())
+        sources = sorted(Path(stme.cli.__file__).parent.glob("*.py"))
+        digest = hashlib.sha256(b"".join(path.read_bytes() for path in sources)).hexdigest()
+        assert manifest["code"] == {"numpy": np.__version__, "stme": stme.__version__,
+                                    "stme_sources_sha256": digest}
+
+    def test_resume_by_other_code_exit_2(self, synth_dir, tmp_path, capsys, monkeypatch):
+        # replicates from an edited package (here, a changed source digest)
+        # are never mixed with new ones: the rerun stops before any write
+        out = tmp_path / "exp"
+        assert self.run_experiment(synth_dir, out) == 0
+        (out / "replicates" / "rep_0001.csv").unlink()
+        files = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.rglob("*") if p.is_file()}
+        code = {**stme.cli._code_version(), "stme_sources_sha256": "0" * 64}
+        monkeypatch.setattr(stme.cli, "_code_version", lambda: code)
+        capsys.readouterr()
+        assert self.run_experiment(synth_dir, out) == 2
+        assert f"{out} holds replicates of another experiment: code is" in capsys.readouterr().err
+        assert {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in out.rglob("*") if p.is_file()} == files
 
     def test_deterministic_and_jobs_invariant(self, synth_dir, tmp_path):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stme import diagnostics
@@ -531,7 +531,39 @@ class TestSampleSizes:
         assert f"{KL_NULL_MAX_BYTES} bytes" in str(err.value)
 
 
+@st.composite
+def ks_samples(draw):
+    """5 to 140 probabilities: arbitrary floats in [0, 1] (0, 1, ties and
+    subnormals included), or uniform draws raised to a power, rounded to
+    two digits or not, which spreads D over (0, 1]."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=140)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.uniform(size=draw(st.integers(5, 140))) ** draw(st.floats(0.05, 20.0))
+    return np.round(probs, 2) if draw(st.booleans()) else probs
+
+
+@st.composite
+def statistic_pairs(draw):
+    """n and statistics d1 <= d2, either anywhere in [0, 1] or a few ulps on
+    either side of a point where _kolmogorov_sf changes its matrix or its
+    formula: j/n, 1 - 1/n and sqrt(18/n)."""
+    n = draw(st.integers(5, 500))
+    if draw(st.booleans()):
+        return (n, *sorted([draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))]))
+    edge = min(1.0, draw(st.one_of(st.integers(1, n).map(lambda j: j / n),
+                                   st.just(1.0 - 1.0 / n), st.just(math.sqrt(18.0 / n)))))
+    lo, hi = edge, edge
+    for _ in range(draw(st.integers(1, 4))):
+        lo = math.nextafter(lo, 0.0)
+    for _ in range(draw(st.integers(0, 4))):
+        hi = math.nextafter(hi, 1.0)
+    return n, lo, min(hi, 1.0)
+
+
 class TestKsUniformity:
+    """scipy.stats.kstest is the oracle for the statistic and the p-value."""
+
     def test_uniform_sample_high_p(self):
         rng = np.random.default_rng(16)
         _, p = ks_uniformity(rng.uniform(size=500))
@@ -550,3 +582,76 @@ class TestKsUniformity:
     def test_out_of_range(self):
         with pytest.raises(DiagnosticsError):
             ks_uniformity([0.1, 0.2, 0.3, 0.4, 1.4])
+
+    @settings(max_examples=200, deadline=None)
+    @given(probs=ks_samples())
+    def test_equals_scipy_kstest(self, probs):
+        from scipy import stats
+
+        stat, p = ks_uniformity(probs)
+        reference = stats.kstest(probs, "uniform")
+        assert stat == reference.statistic
+        assert abs(p - reference.pvalue) <= 1e-12
+
+    # up to n = 140 scipy's kstwo.sf is Durbin's or Pomeranz's exact formula,
+    # or Miller's approximation where n d^2 > 4, which is off by 1e-14 at
+    # most; above n = 140 it may be Pelz-Good's asymptotic series
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(5, 500), d=st.floats(0.0, 1.0))
+    @example(n=140, d=0.2)  # scipy's Miller branch; a Durbin matrix here
+    @example(n=141, d=0.12)  # scipy's Pelz-Good branch
+    def test_p_equals_scipy_kstwo(self, n, d):
+        from scipy import stats
+
+        tolerance = 1e-12 if n <= 140 else 1e-5
+        assert abs(diagnostics._kolmogorov_sf(n, d) - stats.kstwo.sf(d, n)) <= tolerance
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(5, 10_000), share=st.floats(0.0, 1.0))
+    def test_p_is_one_up_to_half_a_step(self, n, share):
+        assert diagnostics._kolmogorov_sf(n, share * 0.5 / n) == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(5, 10_000), share=st.floats(0.0, 1.0))
+    def test_closed_form_from_one_step_below_one(self, n, share):
+        d = 1.0 - share / n
+        assert diagnostics._kolmogorov_sf(n, d) == pytest.approx(2.0 * (1.0 - d) ** n, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=statistic_pairs())
+    @example(case=(10, math.nextafter(0.9, 0.0), 0.9))
+    @example(case=(11, math.nextafter(10 / 11, 0.0), 10 / 11))
+    def test_p_in_unit_interval_and_not_increasing(self, case):
+        n, d1, d2 = case
+        p1, p2 = diagnostics._kolmogorov_sf(n, d1), diagnostics._kolmogorov_sf(n, d2)
+        assert 0.0 <= p2 <= 1.0 and 0.0 <= p1 <= 1.0
+        assert p2 <= p1 + 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(5, 1000), d=st.floats(0.0, 1.0))
+    @example(n=500, d=math.nextafter(math.sqrt(18 / 500), 0.0))
+    def test_durbin_matrix_rows_are_capped(self, n, d):
+        # every matrix _kolmogorov_sf builds goes through _durbin_matrix,
+        # which this records
+        rows = self.matrix_rows(n, d)
+        assert all(r <= 2 * math.ceil(math.sqrt(18 * n)) + 1 for r in rows)
+
+    def test_largest_durbin_matrix_is_built_below_the_cap(self):
+        # n = 500: n d^2 is 17.99 at d = 0.1897, where k = ceil(n d) = 95 gives
+        # 2k - 1 rows, two fewer than the cap; it is 18.05 at d = 0.19, where
+        # no matrix is built
+        assert self.matrix_rows(500, 0.1897) == [189]
+        assert self.matrix_rows(500, 0.19) == []
+
+    @staticmethod
+    def matrix_rows(n, d):
+        rows, build = [], diagnostics._durbin_matrix
+
+        def recording(k, h):
+            H = build(k, h)
+            rows.append(len(H))
+            return H
+
+        with mock.patch.object(diagnostics, "_durbin_matrix", recording):
+            diagnostics._kolmogorov_sf(n, d)
+        return rows

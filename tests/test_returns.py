@@ -38,7 +38,10 @@ def quadrature_swh_cdf(params, atoms, h, n_points=1_000_000):
     for e in atoms:
         if e > 0 and params.threshold < h / e < s_max:
             breaks.extend([h / e - 1e-12, h / e + 1e-12])
-    grid = np.sort(np.concatenate([grid, np.asarray(breaks)]))
+    # the sorted break points go in where they belong: the grid of a sort
+    # over all points, without that sort's cost
+    breaks = np.sort(breaks)
+    grid = np.insert(grid, np.searchsorted(grid, breaks), breaks)
     with np.errstate(divide="ignore"):
         f_e = np.searchsorted(atoms, np.where(grid > 0, h / grid, np.inf), side="right") / atoms.size
     integrand = f_e * np.asarray(gpd_pdf(params, grid))
