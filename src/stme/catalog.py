@@ -273,8 +273,9 @@ def _footprint_blocks(path, location_ids) -> tuple[np.ndarray, np.ndarray] | Non
             # the table row of the block's first event: the last one so far
             # when the block starts inside it
             first = n_events - int(last is not None and starts[0] == last)
-            if first + len(starts) > len(table):
-                events, table = (_grown(a, 2 * (first + len(starts))) for a in (events, table))
+            if first + len(starts) > len(table):  # in place: no view of either outlives a block
+                for a in (events, table):
+                    a.resize((2 * (first + len(starts)), *a.shape[1:]), refcheck=False)
             table[n_events : first + len(starts)] = np.nan
             events[first : first + len(starts)] = starts
             row = first + np.concatenate(([0], np.cumsum(change)))
@@ -284,13 +285,6 @@ def _footprint_blocks(path, location_ids) -> tuple[np.ndarray, np.ndarray] | Non
     if np.count_nonzero(~np.isnan(table)) != n_rows:
         return None
     return events[:n_events], table
-
-
-def _grown(a: np.ndarray, length: int) -> np.ndarray:
-    """A new array of `length` rows that starts with the rows of `a`."""
-    grown = np.empty((length, *a.shape[1:]), dtype=a.dtype)
-    grown[: len(a)] = a
-    return grown
 
 
 def _footprint_rows(path, location_ids) -> tuple[np.ndarray, np.ndarray]:

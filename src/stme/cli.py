@@ -25,7 +25,7 @@ from dataclasses import asdict, astuple, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, diagnostics
 from .catalog import (
     CatalogError,
     CycloneCatalog,
@@ -420,13 +420,13 @@ def cmd_fit(s) -> int:
 def cmd_return_values(s) -> int:
     analysis, methods, estimators = s["analysis"], s[None]["method"], s[None]["estimator"]
     fitted = [e for e in ESTIMATORS if e in estimators]
-    if fitted:
-        _check_tail_n(analysis["n"])
-    sub = _region_catalog(s)
-    T, n, T_L = analysis["T"], analysis["n"], sub.duration_years
+    T, n, T_L = analysis["T"], analysis["n"], s["input"]["duration_years"]
     T0 = T_L if analysis["T0"] is None else analysis["T0"]
-    if fitted and not T > T0 > 0:
-        raise UsageError(f"need T > T0 > 0, got T={T}, T0={T0}")
+    if fitted:
+        _check_tail_n(n)
+        if not T > T0 > 0:
+            raise UsageError(f"need T > T0 > 0, got T={T}, T0={T0}")
+    sub = _region_catalog(s)
     targets = analysis_locations(sub, analysis["location_ids"])
     empirical = empirical_estimates(sub, T, targets) if "EMPIRICAL" in estimators else {}
     keys, (values,), (flags,) = estimate_cells(sub, T, T0, (n,), methods, fitted, targets)
@@ -457,8 +457,8 @@ def _diagnostics_inputs(s):
     min_stm = s[None]["min_stm"]
     if min_stm is not None:
         keep = extract_stm(sub).values > min_stm
-        if keep.sum() < 3:
-            raise UsageError(f"fewer than 3 STM values above {min_stm} m")
+        if keep.sum() < (least := diagnostics.MIN_TREND_EVENTS):
+            raise UsageError(f"fewer than {least} STM values above {min_stm} m")
         sub = replace(sub, event_ids=sub.event_ids[keep], swh=sub.swh[keep])
     stm = extract_stm(sub)
     return stm, extract_exposures(sub, stm), {loc.id: loc for loc in sub.locations}
@@ -487,7 +487,7 @@ def cmd_diagnostics(s) -> int:
         "kl": {k: v for k, v in vars(kl).items() if k != "null_sample"},
     }
     probs = list(trend.values())
-    if len(probs) >= 5:
+    if len(probs) >= diagnostics.MIN_KS_PROBABILITIES:
         stat, p = ks_uniformity(probs)
         report["trend_ks_uniformity"] = {"statistic": stat, "p_value": p}
     outdir = _outdir(s)
@@ -603,80 +603,82 @@ def _check_manifest(outdir, manifest: dict):
 
 
 def cmd_experiment(s) -> int:
-    regional = _region_catalog(s)
-    outdir = s["output"]["dir"]  # made only once run_replicates has checked its arguments
     analysis, experiment = s["analysis"], s["experiment"]
-    T, T0, ladder = analysis["T"], analysis["T0"], analysis["n_ladder"]
-    methods, estimators = s[None]["method"], s[None]["estimator"]
-    replicates, seed = experiment["replicates"], experiment["seed"]
-    exp_config = ExperimentConfig(
-        T0=T0, T=T, n_ladder=ladder, replicates=replicates, methods=methods,
-        estimators=estimators, location_ids=analysis["location_ids"] or None, master_seed=seed,
+    config = ExperimentConfig(
+        T0=analysis["T0"], T=analysis["T"], n_ladder=analysis["n_ladder"],
+        replicates=experiment["replicates"], methods=s[None]["method"],
+        estimators=s[None]["estimator"], location_ids=analysis["location_ids"] or None,
+        master_seed=experiment["seed"],
     )
-    ladder, methods, estimators = exp_config.n_ladder, exp_config.methods, exp_config.estimators
+    regional = _region_catalog(s)
+    run_replicates(regional, config, ())  # checks the ids and period size before --out is made
+    outdir, replicates = s["output"]["dir"], config.replicates
     manifest = {
         "footprints_sha256": _sha256(s["input"]["footprints"]),
         "locations_sha256": _sha256(s["input"]["locations"]),
         "duration_years": regional.duration_years,
         "region": asdict(RegionSpec(**s["region"])),
-        **asdict(exp_config),
+        **asdict(config),
         "code": _code_version(),
     }
-    _check_manifest(outdir, manifest)
-    pending = [i for i in range(replicates) if not os.path.exists(_replicate_path(outdir, i))]
-    # run_replicates checks the ids and the period's event count before any write
-    fresh = run_replicates(regional, exp_config, pending, experiment["jobs"])
-    os.makedirs(os.path.join(outdir, "replicates"), exist_ok=True)
-    _write_json(os.path.join(outdir, "manifest.json"), manifest, sort_keys=True)
-    done = replicates - len(pending)
-    if done:
-        print(f"resuming: {done} completed replicates found")
-    for index, row in fresh:
-        path = _replicate_path(outdir, index)
-        _write_csv(path, _REPLICATE_HEADER, _replicate_blocks([index], row))
-        print(f"replicate {index + 1}/{replicates} done", file=sys.stderr)
-    locations = analysis_locations(regional, exp_config.location_ids)
-    keys = tuple(sorted(cell_keys(locations, ladder, methods, estimators)))
-    results = stack_cells(_read_replicate(outdir, i, keys) for i in range(replicates))
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, ".lock"), "a") as lock:  # held to the end of the run
+        try:  # by this process and its forks; without fcntl (Windows), by none
+            import fcntl
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except ImportError:
+            pass
+        except BlockingIOError:
+            raise UsageError(f"{lock.name} is held by another run") from None
+        _check_manifest(outdir, manifest)
+        pending = [i for i in range(replicates) if not os.path.exists(_replicate_path(outdir, i))]
+        os.makedirs(os.path.join(outdir, "replicates"), exist_ok=True)
+        _write_json(os.path.join(outdir, "manifest.json"), manifest, sort_keys=True)
+        if len(pending) < replicates:
+            print(f"resuming: {replicates - len(pending)} completed replicates found")
+        for chunk, table in run_replicates(regional, config, pending, experiment["jobs"]):
+            for index, block in zip(chunk, _replicate_blocks(chunk, table)):
+                _write_csv(_replicate_path(outdir, index), _REPLICATE_HEADER, [block])
+                print(f"replicate {index + 1}/{replicates} done", file=sys.stderr)
+        locations = analysis_locations(regional, config.location_ids)
+        keys = tuple(sorted(cell_keys(locations, config.n_ladder, config.methods,
+                                      config.estimators)))
+        results = stack_cells(_read_replicate(outdir, i, keys) for i in range(replicates))
 
-    _write_csv(os.path.join(outdir, "results.csv"), _REPLICATE_HEADER,
-               _replicate_blocks(range(replicates), results))
+        _write_csv(os.path.join(outdir, "results.csv"), _REPLICATE_HEADER,
+                   _replicate_blocks(range(replicates), results))
 
-    summary = summarize(results)
-    _write_csv(
-        os.path.join(outdir, "summary.csv"),
-        ["location_id", "estimator", "method", "n", "count", "mean", "median",
-         "q2.5", "q25", "q75", "q97.5", "n_outliers"],
-        [zip(*((loc, estimator, method, n, c.count, c.mean, c.median, c.q025, c.q25, c.q75,
-                c.q975, len(c.outliers))
-               for (loc, estimator, method, n), c in sorted(summary.cells.items())))],
-    )
+        summary = summarize(results)
+        _write_csv(
+            os.path.join(outdir, "summary.csv"),
+            ["location_id", "estimator", "method", "n", "count", "mean", "median",
+             "q2.5", "q25", "q75", "q97.5", "n_outliers"],
+            [zip(*((loc, estimator, method, n, c.count, c.mean, c.median, c.q025, c.q25, c.q75,
+                    c.q975, len(c.outliers))
+                   for (loc, estimator, method, n), c in sorted(summary.cells.items())))],
+        )
 
-    metrics_rows = []
-    try:
-        empirical = empirical_estimates(regional, T, locations)
-    except CatalogError as err:
-        print(f"metrics skipped: {err}", file=sys.stderr)
-    else:
-        for reason in (e for e in empirical.values() if isinstance(e, str)):
-            print(f"metrics location skipped: {reason}", file=sys.stderr)
-        empirical = [e for e in empirical.values() if not isinstance(e, str)]
-        with warnings.catch_warnings(record=True) as skipped:
-            warnings.simplefilter("always")
-            metrics_rows = [astuple(m) for m in performance_metrics(summary, empirical)]
-        for warning in skipped:
-            print(f"metrics row skipped: {warning.message}", file=sys.stderr)
-    _write_csv(
-        os.path.join(outdir, "metrics.csv"),
-        ["estimator", "method", "n", "bias_mean_m", "bias_median_m", "w50_m",
-         "width_ratio_u", "n_locations"],
-        [zip(*metrics_rows)],
-    )
-    _write_metadata(
-        outdir, "experiment",
-        {"T": T, "T0": T0, "n_ladder": ladder, "replicates": replicates,
-         "methods": methods, "estimators": estimators, "seed": seed},
-    )
+        metrics_rows = []
+        try:
+            empirical = empirical_estimates(regional, config.T, locations)
+        except CatalogError as err:
+            print(f"metrics skipped: {err}", file=sys.stderr)
+        else:
+            for reason in (e for e in empirical.values() if isinstance(e, str)):
+                print(f"metrics location skipped: {reason}", file=sys.stderr)
+            empirical = [e for e in empirical.values() if not isinstance(e, str)]
+            with warnings.catch_warnings(record=True) as skipped:
+                warnings.simplefilter("always")
+                metrics_rows = [astuple(m) for m in performance_metrics(summary, empirical)]
+            for warning in skipped:
+                print(f"metrics row skipped: {warning.message}", file=sys.stderr)
+        _write_csv(
+            os.path.join(outdir, "metrics.csv"),
+            ["estimator", "method", "n", "bias_mean_m", "bias_median_m", "w50_m",
+             "width_ratio_u", "n_locations"],
+            [zip(*metrics_rows)],
+        )
+        _write_metadata(outdir, "experiment", asdict(config))
     print(f"experiment complete: {replicates} replicates, outputs in {outdir}")
     return 0
 

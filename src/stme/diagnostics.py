@@ -32,6 +32,8 @@ TAU_BLOCK_CELLS = 1 << 14
 KL_BLOCK_PAIRS = 1 << 12
 # KlResult.null_sample holds every null divergence: at most 128 MiB of them.
 KL_NULL_MAX_BYTES = 1 << 27
+# The fewest events a transect trend test takes, and p-values a KS test.
+MIN_TREND_EVENTS, MIN_KS_PROBABILITIES = 10, 5
 
 
 class DiagnosticsError(ValueError):
@@ -186,8 +188,8 @@ def trend_permutation_test(stm: StmSeries, lons, lats, orientation_deg: float, n
     projection lon*cos(theta) + lat*sin(theta); the null distribution comes
     from random permutations of the STM values, two-sided on |slope|.
     """
-    if len(stm) < 10:
-        raise DiagnosticsError(f"need >= 10 events, got {len(stm)}")
+    if len(stm) < MIN_TREND_EVENTS:
+        raise DiagnosticsError(f"need >= {MIN_TREND_EVENTS} events, got {len(stm)}")
     check_sample_sizes(n_perm=n_perm)
     if rng is None:
         rng = np.random.default_rng()
@@ -330,8 +332,8 @@ def ks_uniformity(probs) -> tuple[float, float]:
     """One-sample KS test of probabilities against Uniform[0, 1]: D = max(D+,
     D-) by scipy.stats.kstest's arithmetic, and its exact two-sided p-value."""
     probs = np.asarray(probs, dtype=float)
-    if probs.size < 5:
-        raise DiagnosticsError(f"need >= 5 probabilities, got {probs.size}")
+    if probs.size < MIN_KS_PROBABILITIES:
+        raise DiagnosticsError(f"need >= {MIN_KS_PROBABILITIES} probabilities, got {probs.size}")
     if np.any((probs < 0.0) | (probs > 1.0)):
         raise DiagnosticsError("probabilities outside [0, 1]")
     x, n = np.sort(probs, axis=None), probs.size

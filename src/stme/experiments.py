@@ -269,11 +269,11 @@ def run_replicates(
     config: ExperimentConfig,
     indices: Sequence[int],
     jobs: int = 1,
-) -> Iterator[tuple[int, CellTable]]:
+) -> Iterator[tuple[list[int], CellTable]]:
     """Run the replicates at `indices` on a region catalog a chunk at a time,
-    yielding (index, one-row cell table) in index order once its chunk and
-    every earlier one are done. The location ids and the period's event
-    count are checked before this returns; rows do not depend on `jobs`."""
+    yielding each chunk's indices and cell table, a row per index, once it
+    and every earlier chunk are done. The location ids and the period's
+    event count are checked before this returns; rows do not depend on `jobs`."""
     locations = analysis_locations(regional, config.location_ids)
     size = period_size(regional, config.T0)
     if not size:
@@ -281,8 +281,7 @@ def run_replicates(
     chunks = _chunks(indices, jobs, max(1, CHUNK_CELLS // (size * len(locations))))
     tables = (_pooled_chunks(regional, config, chunks, jobs) if jobs > 1 and chunks
               else (_run_chunk(chunk, regional, config) for chunk in chunks))
-    return ((i, CellTable(table.keys, table.values[r : r + 1], table.flags[r : r + 1]))
-            for chunk, table in zip(chunks, tables) for r, i in enumerate(chunk))
+    return zip(chunks, tables)
 
 
 # The region catalog and config of this worker process, set once by the
@@ -317,8 +316,8 @@ def run_experiment(
     """Run the full replicate grid: a replicates x cells table that depends
     only on (catalog, region, config), not on the number of workers."""
     regional = select_region(catalog, region)
-    return stack_cells(row for _, row in run_replicates(regional, config,
-                                                        range(config.replicates), jobs))
+    return stack_cells(table for _, table in run_replicates(regional, config,
+                                                            range(config.replicates), jobs))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -24,6 +26,7 @@ from stme.cli import (
 )
 from stme.experiments import MIN_CHUNK_REPLICATES
 import stme.cli
+import stme.diagnostics
 import stme.experiments
 
 
@@ -294,6 +297,18 @@ class TestReturnValues:
         assert f"error: n must be >= 5 for a tail fit, got {n}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("periods, message", [
+        (["--T", "100", "--T0", "200"], "need T > T0 > 0, got T=100.0, T0=200.0"),
+        (["--T", "500"], "need T > T0 > 0, got T=500.0, T0=800.0"),  # T0 from --duration
+    ], ids=["T-below-T0", "T-below-duration"])
+    def test_periods_checked_before_reading_input(self, tmp_path, capsys, periods, message):
+        code = run(["return-values", "--footprints", tmp_path / "none.csv",
+                    "--locations", tmp_path / "none.csv", "--duration", "800",
+                    "--out", tmp_path / "o", "--n", "30", *periods])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_n_below_5_with_empirical_only_is_not_checked(self, synth_dir, tmp_path):
         out = tmp_path / "rv"
         assert run(["return-values", "--footprints", synth_dir / "footprints.csv",
@@ -477,6 +492,40 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "diag").exists()
+
+    @pytest.mark.parametrize("min_stm", ["17", "14.5"], ids=["4-events", "9-events"])
+    def test_min_stm_keeps_the_events_the_trend_test_needs(self, synth_dir, tmp_path, capsys,
+                                                           monkeypatch, min_stm):
+        # fewer STM values above --min-stm than the trend test takes exit 2 at
+        # that check, before tau_map runs
+        mapped = []
+        monkeypatch.setattr(stme.cli, "tau_map", lambda *args, **kwargs: mapped.append(args))
+        code = run([
+            "diagnostics", "--footprints", synth_dir / "footprints.csv",
+            "--locations", synth_dir / "locations.csv", "--duration", "800",
+            "--out", tmp_path / "diag", "--min-stm", min_stm,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: fewer than 10 STM values above {float(min_stm)} m\n")
+        assert mapped == [] and not (tmp_path / "diag").exists()
+
+    def test_ks_aggregation_gate_is_the_diagnostics_minimum(self, synth_dir, tmp_path,
+                                                            monkeypatch):
+        # the default four orientations give four trend p-values: too few for
+        # the KS aggregation at its minimum of 5, enough at 4
+        reports = []
+        for least in (5, 4):
+            monkeypatch.setattr(stme.diagnostics, "MIN_KS_PROBABILITIES", least)
+            out = tmp_path / str(least)
+            assert run([
+                "diagnostics", "--footprints", synth_dir / "footprints.csv",
+                "--locations", synth_dir / "locations.csv", "--duration", "800",
+                "--out", out, "--n-perm", "99", "--n-null", "100",
+            ]) == 0
+            reports.append(json.loads((out / "diagnostics.json").read_text()))
+        assert "trend_ks_uniformity" not in reports[0]
+        assert 0.0 <= reports[1]["trend_ks_uniformity"]["p_value"] <= 1.0
 
     @pytest.mark.parametrize("extra", [(), ("--min-stm", "6")])
     def test_footprint_table_released_before_tau_map(self, synth_dir, tmp_path, monkeypatch,
@@ -876,7 +925,7 @@ class TestExperiment:
         assert self.run_experiment(synth_dir, twice, extra=repeats) == 0
         files = sorted(p.relative_to(once) for p in once.rglob("*") if p.is_file())
         assert files == sorted(p.relative_to(twice) for p in twice.rglob("*") if p.is_file())
-        assert "manifest.json" in map(str, files) and len(files) == 9
+        assert {"manifest.json", ".lock"} <= set(map(str, files)) and len(files) == 10
         for name in files:
             assert (once / name).read_bytes() == (twice / name).read_bytes(), name
         (twice / "replicates" / "rep_0001.csv").unlink()
@@ -1059,6 +1108,34 @@ class TestExperiment:
         assert f"error: {out / 'manifest.json'}: {message}" in capsys.readouterr().err
         assert not (out / "replicates").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--T", "100", "--T0", "200"], "need T > T0 > 0, got T=100.0, T0=200.0"),
+        (["--n", "3"], "every n on the ladder must be >= 5"),
+        (["--replicates", "1"], "need >= 2 replicates, got 1"),
+    ], ids=["T-below-T0", "n-below-5", "one-replicate"])
+    def test_config_checked_before_reading_input(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "exp"
+        code = run(["experiment", "--footprints", tmp_path / "none.csv",
+                    "--locations", tmp_path / "none.csv", "--duration", "800",
+                    "--out", out, *self.ARGS, *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_run_into_a_locked_out_exit_2(self, synth_dir, tmp_path, capsys):
+        # while another run holds <out>/.lock, a second run into that --out
+        # stops before it reads or writes anything there
+        fcntl = pytest.importorskip("fcntl")
+        out = tmp_path / "locked"
+        out.mkdir()
+        with open(out / ".lock", "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert self.run_experiment(synth_dir, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / '.lock'} is held by another run\n")
+        assert os.listdir(out) == [".lock"] and (out / ".lock").read_bytes() == b""
+        assert self.run_experiment(synth_dir, out) == 0  # free once released
+
     def test_location_outside_region_exit_2(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "outside"
         code = self.run_experiment(synth_dir, out, extra=["--location-ids", "1", "999"])
@@ -1066,6 +1143,61 @@ class TestExperiment:
         # --location-ids sets the region too, which is checked first
         assert "region locations [999] not in catalog" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+
+# Runs stme.cli.main on argv[1:] with chunks of one replicate, so that the
+# replicate files appear one at a time.
+_ONE_REPLICATE_CHUNKS = (
+    "import sys, stme.cli, stme.experiments\n"
+    "stme.experiments.CHUNK_CELLS = 1\n"
+    "sys.exit(stme.cli.main(sys.argv[1:]))"
+)
+
+
+class TestKillAndResume:
+    REPLICATES = 40
+
+    @pytest.fixture(scope="class")
+    def args(self, synth_dir):
+        return ["experiment", "--footprints", synth_dir / "footprints.csv",
+                "--locations", synth_dir / "locations.csv", "--duration", "800",
+                "--T", "200", "--T0", "100", "--n", "10", "--method", "pwm",
+                "--replicates", self.REPLICATES, "--seed", "9", "--location-ids", "1", "2"]
+
+    @staticmethod
+    def outputs(out):
+        """The bytes of the three CSVs and of every replicate file."""
+        return {path.relative_to(out): path.read_bytes() for path in out.rglob("*.csv")}
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, args, tmp_path_factory):
+        out = tmp_path_factory.mktemp("uninterrupted")
+        assert run([*args, "--out", out]) == 0
+        return self.outputs(out)
+
+    @settings(max_examples=5, deadline=None)
+    @given(k=st.integers(1, 5))
+    def test_killed_run_resumes_to_the_bytes_of_an_uninterrupted_one(
+            self, args, uninterrupted, tmp_path_factory, k):
+        # SIGKILL once k replicate files exist: the rerun, in chunks of
+        # another size, computes the rest and leaves no temporary file
+        out = tmp_path_factory.mktemp("killed")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        child = subprocess.Popen(
+            [sys.executable, "-c", _ONE_REPLICATE_CHUNKS, *map(str, args), "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            while len(list(out.glob("replicates/rep_*.csv"))) < k and child.poll() is None:
+                time.sleep(0.002)
+        finally:
+            child.kill()
+            child.wait()
+        killed = len(list(out.glob("replicates/rep_*.csv")))
+        assert child.returncode == -signal.SIGKILL and k <= killed < self.REPLICATES
+        assert run([*args, "--out", out]) == 0
+        assert self.outputs(out) == uninterrupted
+        assert len(uninterrupted) == self.REPLICATES + 3
+        assert not list(out.rglob("*.tmp"))
 
 
 def oracle_column(values) -> list[str]:

@@ -292,20 +292,26 @@ class TestRunExperiment:
         assert result_rows(run_experiment(world, RegionSpec(), cfg, jobs=8)) == result_rows(serial)
         monkeypatch.setattr(stme.experiments, "MIN_CHUNK_REPLICATES", 1)
         parallel = run_experiment(world, RegionSpec(), cfg, jobs=8)
-        (index, last), = run_replicates(world, cfg, [2], jobs=8)
+        (chunk, last), = run_replicates(world, cfg, [2], jobs=8)
         assert workers == [1, 3, 1]
-        assert index == 2
+        assert chunk == [2]
         assert result_rows(last) == result_rows(row(parallel, 2))
         assert result_rows(parallel) == result_rows(serial)
 
-    def test_replicates_come_as_indexed_rows_of_the_experiment(self, world):
+    def test_replicates_come_as_indexed_rows_of_the_experiment(self, world, monkeypatch):
+        # a chunk at a time: its indices in order, and its table, a row each
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10, 15), replicates=5,
                                location_ids=(1, 2), master_seed=7)
         table = run_experiment(world, RegionSpec(), cfg)
-        got = list(run_replicates(world, cfg, [4, 0, 3]))
-        assert [index for index, _ in got] == [4, 0, 3]
-        for index, one in got:
-            assert result_rows(one) == result_rows(row(table, index))
+        whole = list(run_replicates(world, cfg, [4, 0, 3]))
+        monkeypatch.setattr(stme.experiments, "CHUNK_CELLS", 1)
+        split = list(run_replicates(world, cfg, [4, 0, 3]))
+        assert [chunk for chunk, _ in whole] == [[4, 0, 3]]
+        assert [chunk for chunk, _ in split] == [[4], [0], [3]]
+        for chunk, part in whole + split:
+            assert part.values.shape == part.flags.shape == (len(chunk), len(table.keys))
+            for r, index in enumerate(chunk):
+                assert result_rows(row(part, r)) == result_rows(row(table, index))
 
     def test_grid_coverage(self, world):
         cfg = ExperimentConfig(T0=100.0, T=200.0, n_ladder=(10, 15), replicates=3,
